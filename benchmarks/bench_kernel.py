@@ -58,7 +58,7 @@ def bench_event_throughput(n: int) -> dict:
     queue = EventQueue()
     fired = [0]
 
-    def cb() -> None:
+    def cb(_arg) -> None:
         fired[0] += 1
 
     def run() -> None:

@@ -228,7 +228,7 @@ class DirectorySlice:
         self._busy.pop(block, None)
         if rerun is not None:
             self._pending.setdefault(block, deque()).appendleft(rerun)
-        self.queue.schedule(0, partial(self._drain, block))
+        self.queue.schedule(0, self._drain, block)
 
     def _drain(self, block: int) -> None:
         queue = self._pending.get(block)
@@ -689,8 +689,7 @@ class DirectorySlice:
         ctx = BusyCtx(kind=BusyKind.FETCH, block=block, request=msg)
         self._busy[block] = ctx
         self.stats[SLICE_MEMORY_FETCHES] += 1
-        self.queue.schedule(self.config.memory_latency,
-                            partial(self._fetch_done, ctx))
+        self.queue.schedule(self.config.memory_latency, self._fetch_done, ctx)
 
     def _fetch_done(self, ctx: BusyCtx) -> None:
         self._fetch_attempt(ctx, self.memory.read_block(ctx.block))

@@ -18,7 +18,6 @@ line in the array is always in a stable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addr import bytes_touched
@@ -234,7 +233,7 @@ class L1Controller:
         # core observes completion after the data-array latency.
         stats[CORE_HITS] += 1
         result = self._perform(block, line, op)
-        self.queue.schedule(self._data_latency, partial(on_complete, result))
+        self.queue.schedule(self._data_latency, on_complete, result)
 
     # ------------------------------------------------------------- hit path
 
@@ -454,7 +453,7 @@ class L1Controller:
             # Consume-then-drop (IS_I): the invalidation was already
             # acknowledged; the fill satisfies exactly one access.
             self._invalidate_line(block, send_md=False)
-        self.queue.schedule(latency, partial(first_cb, result))
+        self.queue.schedule(latency, first_cb, result)
         # Replay queued ops *now* (hits apply synchronously) so that an op
         # issued later by a multi-outstanding core can never apply before
         # an older queued op — program order per core is preserved.

@@ -25,7 +25,7 @@ from repro.common.errors import (
     ReproError,
     SimulationError,
 )
-from repro.common.events import Event, EventQueue
+from repro.common.events import EventQueue
 
 __all__ = [
     "block_base",
@@ -45,6 +45,5 @@ __all__ = [
     "ProtocolError",
     "ReproError",
     "SimulationError",
-    "Event",
     "EventQueue",
 ]

@@ -4,65 +4,30 @@ The whole simulator is driven by one :class:`EventQueue`. Events at the same
 timestamp fire in insertion order (a monotonically increasing sequence number
 breaks ties), which makes every simulation fully deterministic.
 
-Hot-path layout: the heap holds plain ``(time, seq, event)`` tuples so
-ordering is C-level integer-tuple comparison (``seq`` is unique, so the
-event object itself is never compared), and :class:`Event` is a
-``__slots__`` class — no dataclass machinery, no per-event ``__dict__``.
-:meth:`EventQueue.drain` is the tight pop-and-fire loop the simulator runs
-in; :meth:`step` remains as the single-step API for tests and drivers.
+Hot-path layout: the heap holds plain ``(time, seq, callback, arg)`` tuples
+and firing one is ``callback(arg)`` — no per-event object, no ``partial``.
+Ordering is C-level integer-tuple comparison (``seq`` is unique, so the
+callback is never compared).  :meth:`EventQueue.drain` is the tight
+pop-and-fire loop the simulator runs in; :meth:`step` remains as the
+single-step API for tests and drivers.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
 
 
-class Event:
-    """A scheduled callback, keyed on the heap by ``(time, seq)``."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "queue", "fired")
-
-    def __init__(self, time: int, seq: int, callback: Callable[[], None],
-                 queue: Optional["EventQueue"] = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        #: Owning queue; lets cancellation maintain the queue's live count.
-        self.queue = queue
-        #: Set once the event has been popped for execution.
-        self.fired = False
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if not self.fired and self.queue is not None:
-            self.queue._live -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = "".join(f for f, on in (("C", self.cancelled),
-                                        ("F", self.fired)) if on)
-        return f"Event(t={self.time}, seq={self.seq}{', ' + flags if flags else ''})"
-
-
 class EventQueue:
-    """A time-ordered queue of callbacks with a current-time cursor.
-
-    ``_live`` counts scheduled-but-not-yet-fired, non-cancelled events, so
-    :meth:`empty` is O(1) instead of scanning the heap for cancellations.
-    """
+    """A time-ordered queue of callbacks with a current-time cursor."""
 
     def __init__(self) -> None:
-        self._heap: list = []  # (time, seq, Event) triples
+        self._heap: list = []  # (time, seq, callback, arg) entries
         self._seq = 0
         self._now = 0
         self._executed = 0
-        self._live = 0
 
     @property
     def now(self) -> int:
@@ -74,40 +39,33 @@ class EventQueue:
         """Number of events executed so far (useful for runaway detection)."""
         return self._executed
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` cycles from now."""
+    def schedule(self, delay: int, callback: Callable[[Any], None],
+                 arg: Any = None) -> None:
+        """Schedule ``callback(arg)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback, queue=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
-        return event
+        heapq.heappush(self._heap, (self._now + delay, seq, callback, arg))
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute ``time`` (>= now)."""
-        return self.schedule(time - self._now, callback)
+    def schedule_at(self, time: int, callback: Callable[[Any], None],
+                    arg: Any = None) -> None:
+        """Schedule ``callback(arg)`` at absolute ``time`` (>= now)."""
+        self.schedule(time - self._now, callback, arg)
 
     def empty(self) -> bool:
-        """True when no live (non-cancelled) events remain. O(1)."""
-        return self._live == 0
+        """True when no events remain."""
+        return not self._heap
 
     def step(self) -> bool:
-        """Execute the next non-cancelled event. Return False if none left."""
-        heap = self._heap
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue  # cancel() already dropped it from the live count
-            event.fired = True
-            self._live -= 1
-            self._now = time
-            self._executed += 1
-            event.callback()
-            return True
-        return False
+        """Execute the next event. Return False if none left."""
+        if not self._heap:
+            return False
+        time, _seq, callback, arg = heapq.heappop(self._heap)
+        self._now = time
+        self._executed += 1
+        callback(arg)
+        return True
 
     def drain(self, max_events: Optional[int] = None) -> int:
         """Pop-and-fire until the queue is exhausted; the simulator's loop.
@@ -133,38 +91,33 @@ class EventQueue:
         pop = heapq.heappop
         executed = 0
         limit = max_events if max_events is not None else -1
-        while heap:
-            if executed == limit:
-                break
-            time, _seq, event = pop(heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._live -= 1
+        while heap and executed != limit:
+            time, _seq, callback, arg = pop(heap)
             self._now = time
             self._executed += 1
             executed += 1
-            event.callback()
+            callback(arg)
         return executed
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` cycles pass, or
-        ``max_events`` events execute (whichever comes first)."""
+        ``max_events`` events execute (whichever comes first).
+
+        ``until`` may not lie before :attr:`now`: the clock never moves
+        backwards."""
         if until is None:
             self.drain(max_events)
             return
+        if until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self._now}")
         executed = 0
         heap = self._heap
         while heap:
-            head_time, _seq, head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
-                continue
-            if head_time > until:
+            if heap[0][0] > until:
                 self._now = until
                 return
             if max_events is not None and executed >= max_events:
                 return
-            if not self.step():
-                return
+            self.step()
             executed += 1

@@ -17,7 +17,6 @@ program is deterministic given the results it received).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Generator, List, Optional
 
 from repro.common.errors import WorkloadError
@@ -59,22 +58,22 @@ class InOrderCore:
         self.pulled = 0
 
     def start(self) -> None:
-        self.queue.schedule(0, partial(self._advance, None, True))
+        self.queue.schedule(0, self._advance)
 
-    def _advance(self, result: Optional[int], first: bool = False) -> None:
-        """Resume the program with the previous op's result and issue next."""
+    def _advance(self, result: Optional[int]) -> None:
+        """Resume the program with the previous op's result and issue next
+        (the first call, before the program has started, pulls its first op)."""
         try:
-            if first:
+            if self._started:
+                op = self.program.send(result)
+                self._sent.append(result)
+            else:
                 self._started = True
                 op = next(self.program)
-            else:
-                op = self.program.send(result)
         except StopIteration:
             self._exhausted = True
             self._finish()
             return
-        if not first:
-            self._sent.append(result)
         self.pulled += 1
         if not isinstance(op, Op):
             raise WorkloadError(
@@ -86,10 +85,10 @@ class InOrderCore:
             self.l1.access(op, self._mem_complete)
         elif op.kind is OpKind.COMPUTE:
             self.compute_cycles += op.cycles
-            self.queue.schedule(op.cycles, partial(self._advance, 0))
+            self.queue.schedule(op.cycles, self._advance, 0)
         else:
             # FENCE — in-order, one outstanding op: a timing no-op.
-            self.queue.schedule(0, partial(self._advance, 0))
+            self.queue.schedule(0, self._advance, 0)
 
     def _mem_complete(self, result: int) -> None:
         # queue._now read directly (the property is per-mem-op hot).

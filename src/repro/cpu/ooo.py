@@ -84,23 +84,22 @@ class OutOfOrderCore:
         self.pulled = 0
 
     def start(self) -> None:
-        self.queue.schedule(0, partial(self._advance, None, True))
+        self.queue.schedule(0, self._advance)
 
     # -- issue side -------------------------------------------------------------
 
-    def _advance(self, result: Optional[int], first: bool = False) -> None:
+    def _advance(self, result: Optional[int]) -> None:
         try:
-            if first:
+            if self._started:
+                op = self.program.send(result)
+                self._sent.append(result)
+            else:
                 self._started = True
                 op = next(self.program)
-            else:
-                op = self.program.send(result)
         except StopIteration:
             self._program_exhausted = True
             self._maybe_finish()
             return
-        if not first:
-            self._sent.append(result)
         self.pulled += 1
         if not isinstance(op, Op):
             raise WorkloadError(f"thread program yielded a non-Op: {op!r}")
@@ -110,7 +109,7 @@ class OutOfOrderCore:
     def _issue(self, op: Op) -> None:
         if op.kind == OpKind.COMPUTE:
             self.compute_cycles += op.cycles
-            self.queue.schedule(op.cycles, partial(self._advance, 0))
+            self.queue.schedule(op.cycles, self._advance, 0)
             return
         if op.kind == OpKind.FENCE:
             self._draining = True
@@ -118,7 +117,7 @@ class OutOfOrderCore:
             return
         if len(self._slots) >= self.window:
             # Window full: stall issue until the oldest slot retires.
-            self.queue.schedule(1, partial(self._issue, op))
+            self.queue.schedule(1, self._issue, op)
             return
         self.mem_ops += 1
         slot = _WindowSlot(op, self.queue.now)
@@ -128,7 +127,7 @@ class OutOfOrderCore:
         if blocking:
             self._waiting_value = True
         else:
-            self.queue.schedule(1, partial(self._advance, 0))
+            self.queue.schedule(1, self._advance, 0)
 
     def _complete_slot(self, slot: _WindowSlot, blocking: bool,
                        result: int) -> None:
@@ -137,13 +136,13 @@ class OutOfOrderCore:
         self._retire()
         if blocking:
             self._waiting_value = False
-            self.queue.schedule(0, partial(self._advance, result))
+            self.queue.schedule(0, self._advance, result)
         self._try_resume_after_drain()
 
     def _try_resume_after_drain(self) -> None:
         if self._draining and not self._slots:
             self._draining = False
-            self.queue.schedule(0, partial(self._advance, 0))
+            self.queue.schedule(0, self._advance, 0)
 
     # -- retire side ------------------------------------------------------------
 

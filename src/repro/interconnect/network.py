@@ -17,7 +17,6 @@ tracker; see :mod:`repro.obs`) is attached.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -235,16 +234,16 @@ class Network:
         self._last_delivery[key] = arrival
         if not self._hooked:
             # Fast path: no tracer/sanitizer attached — the scheduled event
-            # invokes the destination handler directly.  partial (not a
-            # lambda) so in-flight deliveries survive machine snapshots.
-            self._queue.schedule_at(arrival, partial(handler, msg))
+            # invokes the destination handler directly.  A bound method
+            # (not a lambda) so in-flight deliveries survive machine
+            # snapshots.
+            self._queue.schedule_at(arrival, handler, msg)
             return
-        self._queue.schedule_at(arrival, partial(self._deliver, handler, msg))
+        self._queue.schedule_at(arrival, self._deliver, msg)
         for hook in self.post_send_hooks:
             hook(msg)
 
-    def _deliver(self, handler: Callable[[Message], None],
-                 msg: Message) -> None:
-        handler(msg)
+    def _deliver(self, msg: Message) -> None:
+        self._handlers[msg.dst](msg)
         for hook in self.post_deliver_hooks:
             hook(msg)

@@ -40,8 +40,11 @@ class LruPolicy(ReplacementPolicy):
         self._stack: List[int] = list(range(ways))
 
     def touch(self, way: int) -> None:
-        self._stack.remove(way)
-        self._stack.append(way)
+        stack = self._stack
+        if stack[-1] == way:
+            return  # already most recent: back-to-back hits on one line
+        stack.remove(way)
+        stack.append(way)
 
     def victim(self, protected: Sequence[int] = ()) -> int:
         protected_set = set(protected)

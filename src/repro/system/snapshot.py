@@ -1,7 +1,7 @@
 """Deterministic whole-machine snapshot and restore.
 
 A snapshot is one pickle of the entire wired object graph — event queue
-(heap of pending events and their callback partials), network (handlers,
+(heap of pending ``(time, seq, callback, arg)`` events), network (handlers,
 FIFO floors, stats, hooks), L1 controllers (lines, MSHRs, write buffers),
 directory slices (LLC entries, SAM/PAM tables, FC/IC/HC counter metas,
 busy contexts), main memory, cores (architectural state, op cursors, and

@@ -57,6 +57,25 @@ def test_golden_identity(digest, entry):
     assert record_stats_digest(record) == entry["stats_sha256"]
 
 
+#: Events the kernel executes for the RC golden spec (sanitizer off), per
+#: mode.  A fast path that skips or adds events changes these even when it
+#: keeps the cycle count; updating them must be a deliberate golden change.
+GOLDEN_RC_EVENTS = {"mesi": 9680, "fsdetect": 10568, "fslite": 5456}
+
+
+@pytest.mark.parametrize("mode", list(ProtocolMode),
+                         ids=[m.value for m in ProtocolMode])
+def test_golden_event_count(mode):
+    from repro.harness.runner import execute_spec_with_machine
+
+    entry = next(e for e in GOLDEN.values()
+                 if e["tag"] == "RC" and e["mode"] == mode.value
+                 and not e["sanitizer"])
+    record, machine = execute_spec_with_machine(_spec_for(entry))
+    assert record.cycles == entry["cycles"]
+    assert machine.queue.executed == GOLDEN_RC_EVENTS[mode.value]
+
+
 @pytest.mark.parametrize("mode", list(ProtocolMode),
                          ids=[m.value for m in ProtocolMode])
 def test_observed_run_is_cycle_identical(mode):

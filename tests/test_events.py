@@ -6,13 +6,17 @@ from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
 
 
+def _noop(_arg):
+    pass
+
+
 class TestScheduling:
     def test_fires_in_time_order(self):
         q = EventQueue()
         log = []
-        q.schedule(10, lambda: log.append("b"))
-        q.schedule(5, lambda: log.append("a"))
-        q.schedule(20, lambda: log.append("c"))
+        q.schedule(10, log.append, "b")
+        q.schedule(5, log.append, "a")
+        q.schedule(20, log.append, "c")
         q.run()
         assert log == ["a", "b", "c"]
 
@@ -20,22 +24,22 @@ class TestScheduling:
         q = EventQueue()
         log = []
         for i in range(10):
-            q.schedule(7, lambda i=i: log.append(i))
+            q.schedule(7, log.append, i)
         q.run()
         assert log == list(range(10))
 
     def test_now_advances(self):
         q = EventQueue()
         seen = []
-        q.schedule(3, lambda: seen.append(q.now))
-        q.schedule(9, lambda: seen.append(q.now))
+        q.schedule(3, lambda _: seen.append(q.now))
+        q.schedule_at(9, lambda _: seen.append(q.now))
         q.run()
         assert seen == [3, 9]
 
     def test_negative_delay_rejected(self):
         q = EventQueue()
         with pytest.raises(SimulationError):
-            q.schedule(-1, lambda: None)
+            q.schedule(-1, _noop)
 
     def test_schedule_from_callback(self):
         q = EventQueue()
@@ -44,59 +48,29 @@ class TestScheduling:
         def chain(n):
             log.append(n)
             if n < 4:
-                q.schedule(2, lambda: chain(n + 1))
+                q.schedule(2, chain, n + 1)
 
-        q.schedule(0, lambda: chain(0))
+        q.schedule(0, chain, 0)
         q.run()
         assert log == [0, 1, 2, 3, 4]
         assert q.now == 8
 
-
-class TestCancel:
-    def test_cancelled_event_skipped(self):
+    def test_arg_is_delivered(self):
         q = EventQueue()
         log = []
-        ev = q.schedule(5, lambda: log.append("x"))
-        ev.cancel()
+        q.schedule(1, log.append, ("msg", 7))
+        q.schedule(2, log.append)
+        q.schedule(3, log.append, None)
+        q.schedule_at(4, log.append, 0)
         q.run()
-        assert log == []
+        assert log == [("msg", 7), None, None, 0]
 
-    def test_cancelled_not_counted_empty(self):
+    def test_empty_tracks_pending_events(self):
         q = EventQueue()
-        ev = q.schedule(5, lambda: None)
-        ev.cancel()
         assert q.empty()
-
-    def test_double_cancel_keeps_count_consistent(self):
-        q = EventQueue()
-        ev = q.schedule(5, lambda: None)
-        live = q.schedule(6, lambda: None)
-        ev.cancel()
-        ev.cancel()
+        q.schedule(1, _noop)
         assert not q.empty()
-        live.cancel()
-        assert q.empty()
-
-    def test_cancel_after_fire_keeps_count_consistent(self):
-        q = EventQueue()
-        fired = []
-        ev = q.schedule(1, lambda: fired.append(True))
-        q.run()
-        assert fired == [True]
-        assert q.empty()
-        ev.cancel()  # too late: must not corrupt the live count
-        assert q.empty()
-        q.schedule(1, lambda: None)
-        assert not q.empty()
-
-    def test_empty_tracks_mixed_schedule_cancel_run(self):
-        q = EventQueue()
-        events = [q.schedule(i + 1, lambda: None) for i in range(100)]
-        assert not q.empty()
-        for ev in events[::2]:
-            ev.cancel()
-        assert not q.empty()
-        q.run()
+        q.step()
         assert q.empty()
 
 
@@ -104,17 +78,32 @@ class TestRunLimits:
     def test_run_until(self):
         q = EventQueue()
         log = []
-        q.schedule(5, lambda: log.append(1))
-        q.schedule(15, lambda: log.append(2))
+        q.schedule(5, log.append, 1)
+        q.schedule(15, log.append, 2)
         q.run(until=10)
         assert log == [1]
         assert q.now == 10
+
+    def test_run_until_in_the_past_rejected(self):
+        q = EventQueue()
+        log = []
+        q.schedule(5, log.append, 1)
+        q.schedule(15, log.append, 2)
+        q.run(until=10)
+        with pytest.raises(SimulationError):
+            q.run(until=3)
+        # The clock did not move back, so new events keep their times.
+        assert q.now == 10
+        q.schedule(1, log.append, 3)
+        q.run()
+        assert log == [1, 3, 2]
+        assert q.now == 15
 
     def test_run_max_events(self):
         q = EventQueue()
         log = []
         for i in range(10):
-            q.schedule(i, lambda i=i: log.append(i))
+            q.schedule(i, log.append, i)
         q.run(max_events=3)
         assert log == [0, 1, 2]
 
@@ -125,6 +114,6 @@ class TestRunLimits:
     def test_executed_counter(self):
         q = EventQueue()
         for i in range(5):
-            q.schedule(i, lambda: None)
+            q.schedule(i, _noop)
         q.run()
         assert q.executed == 5

@@ -208,7 +208,7 @@ class TestTerminationCauses:
         machine.attach_programs([worker(t) for t in range(4)])
         home = machine.home_slice(LINE)
         # Trigger the external-socket termination mid-run.
-        machine.queue.schedule(20000, lambda: home.external_access(LINE))
+        machine.queue.schedule(20000, home.external_access, LINE)
         result = Simulator(machine).run()
         stats_terms = result.stats.terminations
         assert (stats_terms["external_socket"] >= 1

@@ -52,6 +52,30 @@ class TestLru:
             p.touch(w)
         assert p.victim() != touches[-1]
 
+    @given(st.lists(st.tuples(st.sampled_from(["touch", "reset"]),
+                              st.integers(min_value=0, max_value=3)),
+                    max_size=60),
+           st.sets(st.integers(min_value=0, max_value=3)))
+    def test_matches_naive_recency_model(self, steps, protected):
+        """Victims agree with a timestamp model after every touch/reset,
+        including repeated touches of the most recent way."""
+        p = LruPolicy(4)
+        stamp = {w: w - 4 for w in range(4)}  # initial order 0..3, all old
+        clock = 0
+        for kind, way in steps:
+            if kind == "touch":
+                p.touch(way)
+                clock += 1
+                stamp[way] = clock
+            else:
+                p.reset(way)
+                stamp[way] = min(stamp.values()) - 1
+            candidates = [w for w in range(4) if w not in protected] \
+                or list(range(4))
+            assert p.victim() == min(range(4), key=stamp.__getitem__)
+            assert p.victim(protected) == min(candidates,
+                                              key=stamp.__getitem__)
+
 
 class TestFifo:
     def test_first_filled_evicted(self):
