@@ -15,7 +15,8 @@ with the simulation through the ops it yields.  Therefore the machine
 state after executing ``E`` events is a pure function of, per thread, the
 sequence of *items* the core has pulled from its program so far — future
 items cannot reach backwards in time.  A checkpoint recorded with
-per-thread ``(pulled, done, prefix-of-item-keys)`` is valid for a
+per-thread ``(pulled, done, prefix-of-item-keys)`` (``pulled`` is the
+core's ``ops_executed``) is valid for a
 candidate whose per-thread item lists
 
 * agree with the recorded prefix on the first ``pulled`` item keys, and
@@ -236,8 +237,7 @@ class PrefixReplayCache:
         prefixes = []
         dones = []
         for tid, core in enumerate(machine.cores):
-            pulled = core.pulled
-            prefixes.append(keys[tid][:pulled])
+            prefixes.append(keys[tid][:core.ops_executed])
             dones.append(_core_exhausted(core))
         executed = machine.queue.executed
         bucket = self._contexts.setdefault(context, [])

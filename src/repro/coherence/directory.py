@@ -157,13 +157,12 @@ class DirectorySlice:
             block_size=self.block_size,
             policy="lru",
             index_divisor=num_slices,
-            index_offset=slice_id,
         )
         self.detector: Optional[FalseSharingDetector] = None
         if mode.detects:
             self.detector = FalseSharingDetector(
                 config.protocol, self.block_size, config.num_cores,
-                index_divisor=num_slices, index_offset=slice_id)
+                index_divisor=num_slices)
             self.detector.now = _QueueNow(queue)
         self._busy: Dict[int, BusyCtx] = {}
         self._pending: Dict[int, Deque[Message]] = {}
@@ -263,11 +262,10 @@ class DirectorySlice:
         if self._is_blocked(block):
             self._enqueue(msg)
             return
-        entry = self.llc.peek(block)
+        entry = self.llc.lookup(block)
         if entry is None:
             self._start_fetch(msg)
             return
-        self.llc.lookup(block)  # touch LRU
         line = entry.payload
         self.stats[SLICE_REQUESTS] += 1
         demand = msg.mtype in (MessageType.GET, MessageType.GETX,

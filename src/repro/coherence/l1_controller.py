@@ -332,9 +332,9 @@ class L1Controller:
 
     def _fill(self, block: int, data: bytearray, state: L1State) -> L1Line:
         """Allocate the line (evicting a victim if needed)."""
-        protected = self._protected_ways(block)
+        line = L1Line(state=state, data=data)
         evicted = self.cache.fill(
-            block, L1Line(state=state, data=data), protected=protected)
+            block, line, protected=self._protected_ways(block))
         if evicted is not None:
             self._evict(self.cache.addr_of(evicted), evicted.payload)
         if self.mode.detects:
@@ -343,8 +343,7 @@ class L1Controller:
             self.pam.allocate(block)
         if state == L1State.PRV:
             self.stats[CORE_PRV_FILLS] += 1
-        entry = self.cache.peek(block)
-        return entry.payload
+        return line
 
     def _protected_ways(self, block: int) -> List[int]:
         """Ways in this set that host blocks with in-flight transactions."""

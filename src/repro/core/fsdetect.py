@@ -44,7 +44,6 @@ class FalseSharingDetector:
         block_size: int,
         num_cores: int,
         index_divisor: int = 1,
-        index_offset: int = 0,
     ) -> None:
         self.config = config
         self.block_size = block_size
@@ -58,7 +57,6 @@ class FalseSharingDetector:
             num_cores=num_cores,
             reader_opt=config.reader_metadata_opt,
             index_divisor=index_divisor,
-            index_offset=index_offset,
         )
         self._meta: Dict[int, DirEntryMeta] = {}
         # Statistics.

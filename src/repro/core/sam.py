@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.common.bitvec import iter_set_bits
-from repro.memsys.cache_array import CacheArray, CacheEntry
+from repro.memsys.cache_array import CacheArray
 
 
 @dataclass
@@ -98,41 +98,33 @@ class SamEntry:
         ``last_conflict_mask`` / ``last_conflict_write`` expose the
         conflicting granules afterwards (for the Section VII region-conflict
         reporting extension).
+
+        Only the granules the metadata touches are visited: a REP_MD
+        usually covers a few bytes of the block.
         """
-        conflict = False
-        self.last_conflict_mask = 0
-        self.last_conflict_write = False
-        for granule in range(self.num_granules):
-            bit = 1 << granule
-            was_read = bool(read_bits & bit)
-            was_written = bool(write_bits & bit)
-            if not (was_read or was_written):
-                continue
-            writer = self.last_writer[granule]
-            if was_written:
-                if writer is not None and writer != core:
-                    conflict = True
-                    self.last_conflict_mask |= bit
-                    self.last_conflict_write = True
-                if self._has_foreign_reader(granule, core):
-                    conflict = True
-                    self.last_conflict_mask |= bit
-                    self.last_conflict_write = True
-            elif was_read:
-                if writer is not None and writer != core:
-                    conflict = True
-                    self.last_conflict_mask |= bit
+        last_writer = self.last_writer
+        conflict_mask = 0
+        conflict_write = False
+        for granule in iter_set_bits(read_bits | write_bits):
+            writer = last_writer[granule]
+            if write_bits >> granule & 1:
+                if ((writer is not None and writer != core)
+                        or self._has_foreign_reader(granule, core)):
+                    conflict_mask |= 1 << granule
+                    conflict_write = True
+            elif writer is not None and writer != core:
+                conflict_mask |= 1 << granule
         # Merge after checking so a core's own prior accesses never conflict
         # with its fresh metadata.
-        for granule in range(self.num_granules):
-            bit = 1 << granule
-            if write_bits & bit:
-                self.last_writer[granule] = core
-            if read_bits & bit:
-                self._add_reader(granule, core)
-        if conflict:
+        for granule in iter_set_bits(write_bits):
+            last_writer[granule] = core
+        for granule in iter_set_bits(read_bits):
+            self._add_reader(granule, core)
+        self.last_conflict_mask = conflict_mask
+        self.last_conflict_write = conflict_write
+        if conflict_mask:
             self.ts = True
-        return conflict
+        return conflict_mask != 0
 
     # -- PRV-state conflict checks (Section V-B) -----------------------------
 
@@ -229,14 +221,13 @@ class SamTable:
         num_cores: int,
         reader_opt: bool = False,
         index_divisor: int = 1,
-        index_offset: int = 0,
     ) -> None:
         self.num_granules = num_granules
         self.num_cores = num_cores
         self.reader_opt = reader_opt
         self._array: CacheArray[SamEntry] = CacheArray(
             num_sets=sets, ways=ways, block_size=block_size, policy="lru",
-            index_divisor=index_divisor, index_offset=index_offset)
+            index_divisor=index_divisor)
         self.valid_replacements = 0
         self.allocations = 0
 

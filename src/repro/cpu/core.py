@@ -50,19 +50,24 @@ class InOrderCore:
         self.mem_stall_cycles = 0
         self._issue_cycle = 0
         # Program replay trace (snapshot support): whether the initial
-        # ``next`` has run, every result successfully ``send``-ed, and how
-        # many ops the program has yielded.
+        # ``next`` has run and every result successfully ``send``-ed.
         self._started = False
         self._sent: List[Optional[int]] = []
         self._exhausted = False
-        self.pulled = 0
 
     def start(self) -> None:
         self.queue.schedule(0, self._advance)
 
     def _advance(self, result: Optional[int]) -> None:
         """Resume the program with the previous op's result and issue next
-        (the first call, before the program has started, pulls its first op)."""
+        (the first call, before the program has started, pulls its first op).
+
+        This is also the L1 completion callback: the stall since issue is
+        charged here, and non-memory ops set ``_issue_cycle`` to the cycle
+        they resume at, so they charge nothing.
+        """
+        now = self.queue._now  # read directly: runs once per op
+        self.mem_stall_cycles += now - self._issue_cycle
         try:
             if self._started:
                 op = self.program.send(result)
@@ -74,26 +79,22 @@ class InOrderCore:
             self._exhausted = True
             self._finish()
             return
-        self.pulled += 1
         if not isinstance(op, Op):
             raise WorkloadError(
                 f"thread program yielded a non-Op: {op!r}")
         self.ops_executed += 1
         if op.is_memory:
             self.mem_ops += 1
-            self._issue_cycle = self.queue._now
-            self.l1.access(op, self._mem_complete)
+            self._issue_cycle = now
+            self.l1.access(op, self._advance)
         elif op.kind is OpKind.COMPUTE:
             self.compute_cycles += op.cycles
+            self._issue_cycle = now + op.cycles
             self.queue.schedule(op.cycles, self._advance, 0)
         else:
             # FENCE — in-order, one outstanding op: a timing no-op.
+            self._issue_cycle = now
             self.queue.schedule(0, self._advance, 0)
-
-    def _mem_complete(self, result: int) -> None:
-        # queue._now read directly (the property is per-mem-op hot).
-        self.mem_stall_cycles += self.queue._now - self._issue_cycle
-        self._advance(result)
 
     def _finish(self) -> None:
         self.done = True

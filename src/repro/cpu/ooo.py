@@ -81,7 +81,6 @@ class OutOfOrderCore:
         # Program replay trace (snapshot support); see InOrderCore.
         self._started = False
         self._sent: List[Optional[int]] = []
-        self.pulled = 0
 
     def start(self) -> None:
         self.queue.schedule(0, self._advance)
@@ -100,7 +99,6 @@ class OutOfOrderCore:
             self._program_exhausted = True
             self._maybe_finish()
             return
-        self.pulled += 1
         if not isinstance(op, Op):
             raise WorkloadError(f"thread program yielded a non-Op: {op!r}")
         self.ops_executed += 1

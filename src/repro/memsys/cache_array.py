@@ -3,24 +3,29 @@
 Used for the L1 data cache, the LLC, and the SAM metadata table — anything
 that maps a block address to an entry with bounded associativity and a
 replacement policy. Entries are user-defined objects attached to a
-:class:`CacheEntry` frame that carries the tag and validity.
+:class:`CacheEntry` frame that carries the block address and validity.
 
 Two hot-path properties:
 
+* **Block index** — the array keeps its valid frames in a dict keyed by
+  block address, so ``lookup``/``peek``/``in``/``len`` are one dict
+  operation instead of a set/tag computation and a scan of the ways.  The
+  frames, sets and replacement policies still model the hardware: the set
+  index decides where a fill goes and which frame it evicts.
 * **Lazy sets** — a 16 MB LLC is ~256K entry frames; building them eagerly
   dominated cold-run machine construction.  A set's frames and replacement
-  policy materialize on first touch, so untouched sets cost nothing and a
-  peek into one is a single ``None`` check.
-* **Shift/mask indexing** — when block size, slice interleave and set count
-  are powers of two (every shipped configuration), tag/set extraction is
-  one shift and one mask instead of two divisions and a modulo; the
-  division path remains as the general fallback.
+  policy materialize when a fill first picks a victim there, so untouched
+  sets cost nothing.
+
+Callers pass block-aligned addresses; a sliced array (LLC slice, SAM
+table) is only ever given blocks of its own slice.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Generic, Iterator, List, Optional, Sequence, TypeVar
+from typing import (Callable, Dict, Generic, Iterator, List, Optional,
+                    Sequence, TypeVar)
 
 from repro.memsys.replacement import ReplacementPolicy, make_policy
 
@@ -35,19 +40,18 @@ def _pow2_bits(value: int) -> Optional[int]:
 
 
 class CacheEntry(Generic[T]):
-    """One way of one set: a tag frame plus a user payload.
+    """One way of one set: a frame holding a block address and a payload.
 
-    ``__slots__``: the tag-match loop touches ``valid``/``tag`` on every
-    lookup, and large arrays hold hundreds of thousands of frames.
+    ``__slots__``: large arrays hold hundreds of thousands of frames.
     """
 
-    __slots__ = ("valid", "tag", "payload", "way", "set_index")
+    __slots__ = ("valid", "block_addr", "payload", "way", "set_index")
 
-    def __init__(self, valid: bool = False, tag: int = -1,
+    def __init__(self, valid: bool = False, block_addr: int = -1,
                  payload: Optional[T] = None, way: int = -1,
                  set_index: int = -1) -> None:
         self.valid = valid
-        self.tag = tag
+        self.block_addr = block_addr
         self.payload = payload
         self.way = way
         self.set_index = set_index
@@ -68,61 +72,43 @@ class CacheArray(Generic[T]):
         policy: str = "lru",
         policy_factory: Optional[Callable[[int], ReplacementPolicy]] = None,
         index_divisor: int = 1,
-        index_offset: int = 0,
     ) -> None:
         if num_sets < 1:
             raise ValueError("num_sets must be >= 1")
         self.num_sets = num_sets
         self.ways = ways
         self.block_size = block_size
-        #: Sliced structures (LLC slices, SAM tables) see only blocks whose
-        #: number is ``index_offset`` modulo ``index_divisor``; indexing by
-        #: the slice-local block number keeps all sets usable.
+        #: Sliced structures (LLC slices, SAM tables) see only every
+        #: ``index_divisor``-th block; indexing by the slice-local block
+        #: number keeps all sets usable.
         self.index_divisor = index_divisor
-        self.index_offset = index_offset
         # local_block = (addr // block_size) // index_divisor
         #             = addr // (block_size * index_divisor); when all three
-        # granularities are powers of two the set/tag split is shift+mask.
+        # granularities are powers of two the set index is shift+mask.
         local_bits = _pow2_bits(block_size * index_divisor)
-        set_bits = _pow2_bits(num_sets)
-        if local_bits is not None and set_bits is not None:
+        if local_bits is not None and _pow2_bits(num_sets) is not None:
             self._local_shift: Optional[int] = local_bits
             self._set_mask = num_sets - 1
-            self._tag_shift = local_bits + set_bits
         else:
             self._local_shift = None
             self._set_mask = 0
-            self._tag_shift = 0
         if policy_factory is None:
             # partial (not a lambda) so the array pickles with the machine.
             policy_factory = partial(make_policy, policy)
         self._policy_factory = policy_factory
-        #: Sets (and their policies) materialize on first touch.
+        #: Sets (and their policies) materialize in :meth:`choose_victim`.
         self._sets: List[Optional[List[CacheEntry[T]]]] = [None] * num_sets
         self._policies: List[Optional[ReplacementPolicy]] = [None] * num_sets
-        # Statistics.
-        self.lookups = 0
-        self.hits = 0
-        self.fills = 0
-        self.evictions = 0
-        self.valid_evictions = 0
+        #: Valid frames by block address.
+        self._index: Dict[int, CacheEntry[T]] = {}
 
     # -- indexing -----------------------------------------------------------
-
-    def _local_block(self, block_addr: int) -> int:
-        if self._local_shift is not None:
-            return block_addr >> self._local_shift
-        return (block_addr // self.block_size) // self.index_divisor
 
     def set_index_of(self, block_addr: int) -> int:
         if self._local_shift is not None:
             return (block_addr >> self._local_shift) & self._set_mask
-        return self._local_block(block_addr) % self.num_sets
-
-    def _tag_of(self, block_addr: int) -> int:
-        if self._local_shift is not None:
-            return block_addr >> self._tag_shift
-        return self._local_block(block_addr) // self.num_sets
+        return (block_addr // self.block_size) // self.index_divisor \
+            % self.num_sets
 
     def _materialize(self, set_index: int) -> List[CacheEntry[T]]:
         ways = [CacheEntry(way=w, set_index=set_index)
@@ -133,48 +119,17 @@ class CacheArray(Generic[T]):
 
     # -- operations ---------------------------------------------------------
 
-    def lookup(self, block_addr: int, touch: bool = True) -> Optional[CacheEntry[T]]:
-        """Return the entry holding ``block_addr`` or None. Updates stats.
-
-        :meth:`peek` folded inline — this runs once per memory access.
-        """
-        self.lookups += 1
-        shift = self._local_shift
-        if shift is not None:
-            set_index = (block_addr >> shift) & self._set_mask
-            tag = block_addr >> self._tag_shift
-        else:
-            local = (block_addr // self.block_size) // self.index_divisor
-            set_index = local % self.num_sets
-            tag = local // self.num_sets
-        ways = self._sets[set_index]
-        if ways is None:
-            return None
-        for entry in ways:
-            if entry.valid and entry.tag == tag:
-                self.hits += 1
-                if touch:
-                    self._policies[set_index].touch(entry.way)
-                return entry
-        return None
+    def lookup(self, block_addr: int) -> Optional[CacheEntry[T]]:
+        """Return the entry holding ``block_addr`` or None; a hit touches
+        the set's replacement state.  Runs once per memory access."""
+        entry = self._index.get(block_addr)
+        if entry is not None:
+            self._policies[entry.set_index].touch(entry.way)
+        return entry
 
     def peek(self, block_addr: int) -> Optional[CacheEntry[T]]:
-        """Tag-match without touching replacement state or stats."""
-        shift = self._local_shift
-        if shift is not None:
-            set_index = (block_addr >> shift) & self._set_mask
-            tag = block_addr >> self._tag_shift
-        else:
-            local = (block_addr // self.block_size) // self.index_divisor
-            set_index = local % self.num_sets
-            tag = local // self.num_sets
-        ways = self._sets[set_index]
-        if ways is None:
-            return None
-        for entry in ways:
-            if entry.valid and entry.tag == tag:
-                return entry
-        return None
+        """Like :meth:`lookup` without touching replacement state."""
+        return self._index.get(block_addr)
 
     def choose_victim(
         self, block_addr: int, protected: Sequence[int] = ()
@@ -202,53 +157,51 @@ class CacheArray(Generic[T]):
         victim so the caller can write back its payload; the in-array entry
         is reused for the new block.
         """
-        existing = self.peek(block_addr)
-        if existing is not None:
+        if block_addr in self._index:
             raise ValueError(f"block {block_addr:#x} already present")
         victim = self.choose_victim(block_addr, protected)
         evicted: Optional[CacheEntry[T]] = None
         if victim.valid:
             evicted = CacheEntry(
                 valid=True,
-                tag=victim.tag,
+                block_addr=victim.block_addr,
                 payload=victim.payload,
                 way=victim.way,
                 set_index=victim.set_index,
             )
-            self.evictions += 1
-            self.valid_evictions += 1
+            del self._index[victim.block_addr]
         victim.valid = True
-        victim.tag = self._tag_of(block_addr)
+        victim.block_addr = block_addr
         victim.payload = payload
+        self._index[block_addr] = victim
         self._policies[victim.set_index].touch(victim.way)
-        self.fills += 1
         return evicted
 
     def invalidate(self, block_addr: int) -> Optional[T]:
         """Remove ``block_addr``; return its payload if it was present."""
-        entry = self.peek(block_addr)
+        entry = self._index.pop(block_addr, None)
         if entry is None:
             return None
         payload = entry.payload
         entry.valid = False
-        entry.tag = -1
+        entry.block_addr = -1
         entry.payload = None
         self._policies[entry.set_index].reset(entry.way)
         return payload
 
     def addr_of(self, entry: CacheEntry[T]) -> int:
-        """Reconstruct the block base address stored in ``entry``."""
-        local = entry.tag * self.num_sets + entry.set_index
-        block_num = local * self.index_divisor + self.index_offset
-        return block_num * self.block_size
+        """The block address stored in ``entry``."""
+        return entry.block_addr
 
     def __contains__(self, block_addr: int) -> bool:
-        return self.peek(block_addr) is not None
+        return block_addr in self._index
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.iter_valid())
+        return len(self._index)
 
     def iter_valid(self) -> Iterator[CacheEntry[T]]:
+        """Valid frames in set/way order (deterministic for callers that
+        walk the array)."""
         for ways in self._sets:
             if ways is None:
                 continue
@@ -258,11 +211,3 @@ class CacheArray(Generic[T]):
 
     def occupancy(self) -> float:
         return len(self) / (self.num_sets * self.ways)
-
-    def stats(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "fills": self.fills,
-            "evictions": self.evictions,
-        }

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.memsys.cache_array import CacheArray
 
 
-def make(num_sets=4, ways=2, divisor=1, offset=0):
+def make(num_sets=4, ways=2, divisor=1):
     return CacheArray(num_sets=num_sets, ways=ways, block_size=64,
-                      index_divisor=divisor, index_offset=offset)
+                      index_divisor=divisor)
 
 
 class TestBasicOperations:
@@ -47,12 +47,12 @@ class TestBasicOperations:
         assert len(c) == 2
         assert c.occupancy() == 2 / 8
 
-    def test_peek_does_not_count(self):
-        c = make()
+    def test_peek_leaves_lru_state_alone(self):
+        c = make(num_sets=1, ways=2)
         c.fill(0, "a")
-        before = c.lookups
-        c.peek(0)
-        assert c.lookups == before
+        c.fill(64, "b")
+        assert c.peek(0).payload == "a"  # no touch: "a" stays LRU
+        assert c.fill(128, "c").payload == "a"
 
 
 class TestEviction:
@@ -88,24 +88,24 @@ class TestEviction:
 
 
 class TestSlicedIndexing:
-    """A slice sees only blocks ≡ offset (mod divisor); indexing must use
-    the slice-local block number or all blocks land in one set."""
+    """A slice sees only blocks of one residue (mod divisor); indexing must
+    use the slice-local block number or all blocks land in one set."""
 
     def test_slice_blocks_spread_over_sets(self):
-        c = make(num_sets=4, ways=2, divisor=8, offset=3)
+        c = make(num_sets=4, ways=2, divisor=8)
         # Blocks of slice 3: numbers 3, 11, 19, 27 -> local 0,1,2,3
         sets = [c.set_index_of((3 + 8 * k) * 64) for k in range(4)]
         assert sets == [0, 1, 2, 3]
 
     def test_addr_of_roundtrip_sliced(self):
-        c = make(num_sets=4, ways=2, divisor=8, offset=5)
+        c = make(num_sets=4, ways=2, divisor=8)
         for k in range(8):
             addr = (5 + 8 * k) * 64
             c.fill(addr, k)
             assert c.addr_of(c.peek(addr)) == addr
 
     def test_capacity_usable(self):
-        c = make(num_sets=4, ways=2, divisor=8, offset=0)
+        c = make(num_sets=4, ways=2, divisor=8)
         # 8 slice-local blocks fill all 8 frames without eviction.
         for k in range(8):
             assert c.fill(8 * k * 64, k) is None
@@ -143,23 +143,48 @@ def test_property_addr_of_roundtrips(blocks):
         assert entry.payload == addr // 64
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.booleans(),
-                          st.integers(min_value=0, max_value=31)),
-                min_size=1, max_size=300))
-def test_property_fill_invalidate_consistency(ops):
-    """Random fill/invalidate interleavings keep the tag store consistent."""
-    c = make(num_sets=2, ways=4)
-    resident = set()
-    for is_fill, b in ops:
-        addr = b * 64
-        if is_fill:
-            if c.peek(addr) is None:
-                evicted = c.fill(addr, b)
-                resident.add(addr)
-                if evicted is not None:
-                    resident.discard(c.addr_of(evicted))
-        else:
-            c.invalidate(addr)
-            resident.discard(addr)
-    assert {c.addr_of(e) for e in c.iter_valid()} == resident
+_OPS = st.sampled_from(["fill", "invalidate", "lookup", "peek"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_OPS, st.integers(min_value=0, max_value=31)),
+                min_size=1, max_size=300),
+       st.sampled_from([(2, 4, 1), (4, 2, 1), (2, 2, 4), (3, 2, 3)]))
+def test_property_fill_invalidate_consistency(ops, geometry):
+    """Random fill/invalidate/lookup/peek interleavings, on plain and sliced
+    arrays (power-of-two and general index math): every probe agrees with
+    a scan of the valid frames, and every victim is the least recently
+    filled-or-looked-up block of its set (a recency model; peek does not
+    count as a use)."""
+    num_sets, ways, divisor = geometry
+    c = make(num_sets=num_sets, ways=ways, divisor=divisor)
+    last_use = {}  # resident block address -> time of last fill/lookup
+    for clock, (op, b) in enumerate(ops):
+        # Slice 1 of ``divisor``: block numbers congruent to 1 mod divisor.
+        addr = (b * divisor + 1 % divisor) * 64
+        scanned = [e for e in c.iter_valid() if c.addr_of(e) == addr]
+        expected = scanned[0] if scanned else None
+        assert len(scanned) <= 1
+        assert c.peek(addr) is expected
+        assert (addr in c) == (expected is not None)
+        if op == "lookup":
+            assert c.lookup(addr) is expected
+            if expected is not None:
+                last_use[addr] = clock
+        elif op == "fill" and expected is None:
+            same_set = [a for a in last_use
+                        if c.set_index_of(a) == c.set_index_of(addr)]
+            evicted = c.fill(addr, b)
+            if len(same_set) < ways:
+                assert evicted is None
+            else:
+                assert c.addr_of(evicted) == min(same_set, key=last_use.get)
+                assert evicted.payload == c.addr_of(evicted) // 64 // divisor
+                del last_use[c.addr_of(evicted)]
+            last_use[addr] = clock
+        elif op == "invalidate":
+            payload = c.invalidate(addr)
+            assert (payload is None) == (expected is None)
+            last_use.pop(addr, None)
+    assert {c.addr_of(e) for e in c.iter_valid()} == set(last_use)
+    assert len(c) == len(last_use)

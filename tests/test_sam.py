@@ -153,6 +153,90 @@ class TestReaderOptEncoding:
         assert full.check_read(core, mask) == opt.check_read(core, mask)
 
 
+def reference_update_from_md(e, core, read_bits, write_bits):
+    """The all-granule REP_MD merge :meth:`SamEntry.update_from_md` must
+    reproduce: check every granule of the block, then merge every granule."""
+    conflict = False
+    e.last_conflict_mask = 0
+    e.last_conflict_write = False
+    for granule in range(e.num_granules):
+        bit = 1 << granule
+        was_read = bool(read_bits & bit)
+        was_written = bool(write_bits & bit)
+        if not (was_read or was_written):
+            continue
+        writer = e.last_writer[granule]
+        if was_written:
+            if writer is not None and writer != core:
+                conflict = True
+                e.last_conflict_mask |= bit
+                e.last_conflict_write = True
+            if e._has_foreign_reader(granule, core):
+                conflict = True
+                e.last_conflict_mask |= bit
+                e.last_conflict_write = True
+        elif was_read:
+            if writer is not None and writer != core:
+                conflict = True
+                e.last_conflict_mask |= bit
+    for granule in range(e.num_granules):
+        bit = 1 << granule
+        if write_bits & bit:
+            e.last_writer[granule] = core
+        if read_bits & bit:
+            e._add_reader(granule, core)
+    if conflict:
+        e.ts = True
+    return conflict
+
+
+_MD = st.tuples(st.integers(0, 7), st.integers(0, (1 << 64) - 1),
+                st.integers(0, (1 << 64) - 1))
+_HISTORY_STEP = st.tuples(st.sampled_from(["md", "read", "write"]),
+                          st.integers(0, 7), st.integers(0, (1 << 64) - 1),
+                          st.integers(0, (1 << 64) - 1))
+
+
+def _sparse_mask(bits):
+    """Masks with few set bits, like a REP_MD for a word or two."""
+    return st.lists(st.integers(0, bits - 1), max_size=6).map(
+        lambda gs: sum(1 << g for g in set(gs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(_HISTORY_STEP, max_size=12),
+       st.lists(st.one_of(_MD, st.tuples(st.integers(0, 7), _sparse_mask(64),
+                                         _sparse_mask(64))),
+                min_size=1, max_size=8))
+def test_property_update_from_md_matches_all_granule_loop(
+        reader_opt, history, merges):
+    """Over random prior histories (REP_MD merges and PRV-state record_*
+    calls) and both reader encodings, the touched-granule merge returns
+    the same verdict and leaves the same TS bit, conflict mask/kind, last
+    writers and reader state as the all-granule reference loop."""
+    fast = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
+    ref = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
+    for kind, core, a, b in history:
+        for e in (fast, ref):
+            if kind == "md":
+                reference_update_from_md(e, core, a, b)
+            elif kind == "read":
+                e.record_read(core, a)
+            else:
+                e.record_write(core, a)
+    for core, read_bits, write_bits in merges:
+        got = fast.update_from_md(core, read_bits, write_bits)
+        want = reference_update_from_md(ref, core, read_bits, write_bits)
+        assert got is want
+        assert fast.ts == ref.ts
+        assert fast.last_conflict_mask == ref.last_conflict_mask
+        assert fast.last_conflict_write == ref.last_conflict_write
+        assert fast.last_writer == ref.last_writer
+        assert fast.readers == ref.readers
+        assert fast.last_reader == ref.last_reader
+        assert fast.overflow == ref.overflow
+
+
 class TestLifecycle:
     def test_clear_resets_everything(self):
         e = entry()
