@@ -48,6 +48,21 @@ from repro.common.statkeys import (
 )
 from repro.common.events import EventQueue
 from repro.coherence.states import (
+    BUSY_FETCH,
+    BUSY_FWD,
+    BUSY_INV_COLLECT,
+    BUSY_PRV_INIT,
+    BUSY_PRV_TERM,
+    BUSY_RECALL,
+    DIR_EM,
+    DIR_I,
+    DIR_PRV,
+    DIR_S,
+    TERM_CONFLICT,
+    TERM_EXTERNAL_SOCKET,
+    TERM_INIT_ABORT,
+    TERM_LLC_EVICTION,
+    TERM_SAM_EVICTION,
     BusyKind,
     DirState,
     ProtocolMode,
@@ -57,7 +72,37 @@ from repro.core.fsdetect import FalseSharingDetector
 from repro.core.merge import merge_block
 from repro.core.pam import granule_mask
 from repro.core.report import DetectionAction
-from repro.interconnect.message import Message, MessageType
+from repro.interconnect.message import (
+    MSG_ACK_NO_DATA,
+    MSG_ACK_PRV,
+    MSG_CTRL_WB,
+    MSG_DATA,
+    MSG_DATA_E,
+    MSG_DATA_PRV,
+    MSG_DATA_WB,
+    MSG_FWD_GET,
+    MSG_FWD_GETX,
+    MSG_GET,
+    MSG_GETCHK,
+    MSG_GETX,
+    MSG_GETXCHK,
+    MSG_INV,
+    MSG_INV_ACK,
+    MSG_INV_PRV,
+    MSG_PHANTOM_MD,
+    MSG_PRV_WB,
+    MSG_PUTM,
+    MSG_RECALL,
+    MSG_REP_MD,
+    MSG_TR_PRV,
+    MSG_UPGRADE,
+    MSG_UPG_ACK,
+    MSG_UPG_ACK_PRV,
+    MSG_WB_ACK,
+    MSG_XFER_ACK,
+    Message,
+    MessageType,
+)
 from repro.interconnect.network import Network
 from repro.memsys.cache_array import CacheArray
 from repro.memsys.main_memory import MainMemory
@@ -67,18 +112,18 @@ from repro.memsys.main_memory import MainMemory
 class LlcLine:
     data: bytearray
     dirty: bool = False
-    state: DirState = DirState.I
+    state: DirState = DIR_I
     owner: Optional[int] = None
     sharers: Set[int] = field(default_factory=set)
     prv_sharers: Set[int] = field(default_factory=set)
 
     @property
     def holders(self) -> Set[int]:
-        if self.state == DirState.EM:
+        if self.state is DIR_EM:
             return {self.owner}
-        if self.state == DirState.S:
+        if self.state is DIR_S:
             return set(self.sharers)
-        if self.state == DirState.PRV:
+        if self.state is DIR_PRV:
             return set(self.prv_sharers)
         return set()
 
@@ -177,19 +222,19 @@ class DirectorySlice:
         self._dispatch: List[Optional[Callable[[Message], None]]] = \
             [None] * (len(MessageType) + 1)
         for mtype in self._REQUEST_TYPES:
-            self._dispatch[mtype.value] = self._on_request
+            self._dispatch[mtype._value_] = self._on_request
         for mtype, handler in {
-            MessageType.PUTM: self._on_putm,
-            MessageType.INV_ACK: self._on_inv_ack,
-            MessageType.DATA_WB: self._on_data_wb,
-            MessageType.XFER_ACK: self._on_xfer_ack,
-            MessageType.ACK_NO_DATA: self._on_ack_no_data,
-            MessageType.REP_MD: self._on_rep_md,
-            MessageType.PHANTOM_MD: self._on_phantom,
-            MessageType.PRV_WB: self._on_prv_wb,
-            MessageType.CTRL_WB: self._on_ctrl_wb,
+            MSG_PUTM: self._on_putm,
+            MSG_INV_ACK: self._on_inv_ack,
+            MSG_DATA_WB: self._on_data_wb,
+            MSG_XFER_ACK: self._on_xfer_ack,
+            MSG_ACK_NO_DATA: self._on_ack_no_data,
+            MSG_REP_MD: self._on_rep_md,
+            MSG_PHANTOM_MD: self._on_phantom,
+            MSG_PRV_WB: self._on_prv_wb,
+            MSG_CTRL_WB: self._on_ctrl_wb,
         }.items():
-            self._dispatch[mtype.value] = handler
+            self._dispatch[mtype._value_] = handler
         network.register(node_id, self.handle_message)
 
     # ----------------------------------------------------------- utilities
@@ -239,12 +284,12 @@ class DirectorySlice:
     # ------------------------------------------------------ message entry
 
     _REQUEST_TYPES = (
-        MessageType.GET, MessageType.GETX, MessageType.UPGRADE,
-        MessageType.GETCHK, MessageType.GETXCHK,
+        MSG_GET, MSG_GETX, MSG_UPGRADE,
+        MSG_GETCHK, MSG_GETXCHK,
     )
 
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch[msg.mtype.value]
+        handler = self._dispatch[msg.mtype._value_]
         if handler is None:
             raise ProtocolError(f"directory cannot handle {msg}")
         handler(msg)
@@ -268,10 +313,9 @@ class DirectorySlice:
             return
         line = entry.payload
         self.stats[SLICE_REQUESTS] += 1
-        demand = msg.mtype in (MessageType.GET, MessageType.GETX,
-                               MessageType.UPGRADE)
+        demand = msg.mtype in (MSG_GET, MSG_GETX, MSG_UPGRADE)
         if (self.detector is not None and demand
-                and line.state != DirState.PRV):
+                and line.state is not DIR_PRV):
             self.detector.count_fetch(block)
             action = self.detector.classify(block)
             if action == DetectionAction.FLAG_FALSE_SHARING:
@@ -284,100 +328,100 @@ class DirectorySlice:
         # CHKs that arrive after the privatized episode ended behave as
         # plain requests (Section V-C, conflict-detection epilogue).
         mtype = msg.mtype
-        if line.state != DirState.PRV:
-            if mtype == MessageType.GETCHK:
-                mtype = MessageType.GET
-            elif mtype == MessageType.GETXCHK:
-                mtype = MessageType.GETX
-        if mtype == MessageType.GET:
+        if line.state is not DIR_PRV:
+            if mtype is MSG_GETCHK:
+                mtype = MSG_GET
+            elif mtype is MSG_GETXCHK:
+                mtype = MSG_GETX
+        if mtype is MSG_GET:
             self._do_get(msg, line)
-        elif mtype == MessageType.GETX:
+        elif mtype is MSG_GETX:
             self._do_getx(msg, line)
-        elif mtype == MessageType.UPGRADE:
+        elif mtype is MSG_UPGRADE:
             self._do_upgrade(msg, line)
         else:
-            self._do_chk(msg, line, is_write=mtype == MessageType.GETXCHK)
+            self._do_chk(msg, line, is_write=mtype is MSG_GETXCHK)
 
     # -- baseline MESI ---------------------------------------------------------
 
     def _do_get(self, msg: Message, line: LlcLine) -> None:
         block, core = msg.block_addr, msg.src
-        if line.state == DirState.I:
-            line.state = DirState.EM
+        if line.state is DIR_I:
+            line.state = DIR_EM
             line.owner = core
-            self._send(MessageType.DATA_E, core, block,
+            self._send(MSG_DATA_E, core, block,
                        self._data_payload(line),
                        delay=self.config.llc.data_latency)
-        elif line.state == DirState.S:
+        elif line.state is DIR_S:
             line.sharers.add(core)
-            self._send(MessageType.DATA, core, block,
+            self._send(MSG_DATA, core, block,
                        self._data_payload(line),
                        delay=self.config.llc.data_latency)
-        elif line.state == DirState.EM:
+        elif line.state is DIR_EM:
             if line.owner == core:
                 self.stats[SLICE_REGRANTS] += 1
-                self._send(MessageType.DATA_E, core, block,
+                self._send(MSG_DATA_E, core, block,
                            self._data_payload(line),
                            delay=self.config.llc.data_latency)
                 return
-            self._intervene(msg, line, MessageType.FWD_GET)
+            self._intervene(msg, line, MSG_FWD_GET)
         else:  # PRV
             self._prv_join(msg, line, is_write=False)
 
     def _do_getx(self, msg: Message, line: LlcLine) -> None:
         block, core = msg.block_addr, msg.src
-        if line.state == DirState.I:
-            line.state = DirState.EM
+        if line.state is DIR_I:
+            line.state = DIR_EM
             line.owner = core
-            self._send(MessageType.DATA_E, core, block,
+            self._send(MSG_DATA_E, core, block,
                        self._data_payload(line),
                        delay=self.config.llc.data_latency)
-        elif line.state == DirState.S:
+        elif line.state is DIR_S:
             # A GETX from a listed sharer means the core silently evicted
             # its copy and the directory info is stale; drop it and serve.
             line.sharers.discard(core)
             self._invalidate_sharers(msg, line, upgrade=False)
-        elif line.state == DirState.EM:
+        elif line.state is DIR_EM:
             if line.owner == core:
                 self.stats[SLICE_REGRANTS] += 1
-                self._send(MessageType.DATA_E, core, block,
+                self._send(MSG_DATA_E, core, block,
                            self._data_payload(line),
                            delay=self.config.llc.data_latency)
                 return
-            self._intervene(msg, line, MessageType.FWD_GETX)
+            self._intervene(msg, line, MSG_FWD_GETX)
         else:  # PRV
             self._prv_join(msg, line, is_write=True)
 
     def _do_upgrade(self, msg: Message, line: LlcLine) -> None:
         block, core = msg.block_addr, msg.src
-        if line.state == DirState.S and core in line.sharers:
+        if line.state is DIR_S and core in line.sharers:
             others = line.sharers - {core}
             if not others:
-                line.state = DirState.EM
+                line.state = DIR_EM
                 line.owner = core
                 line.sharers.clear()
-                self._send(MessageType.UPG_ACK, core, block, {})
+                self._send(MSG_UPG_ACK, core, block, {})
                 return
             self._invalidate_sharers(msg, line, upgrade=True)
             return
-        if line.state == DirState.PRV:
+        if line.state is DIR_PRV:
             self._do_chk(msg, line, is_write=True)
             return
-        if line.state == DirState.EM and line.owner == core:
+        if line.state is DIR_EM and line.owner == core:
             self.stats[SLICE_REGRANTS] += 1
-            self._send(MessageType.UPG_ACK, core, block, {})
+            self._send(MSG_UPG_ACK, core, block, {})
             return
         # The requestor was invalidated while its upgrade was in flight:
         # convert to a GetX (gem5 MESI does the same).
         self.stats[SLICE_UPGRADES_CONVERTED] += 1
-        converted = Message(MessageType.GETX, src=msg.src, dst=msg.dst,
+        converted = Message(MSG_GETX, src=msg.src, dst=msg.dst,
                             block_addr=block, payload=dict(msg.payload))
-        if line.state == DirState.I:
+        if line.state is DIR_I:
             self._do_getx(converted, line)
-        elif line.state == DirState.S:
+        elif line.state is DIR_S:
             self._invalidate_sharers(converted, line, upgrade=False)
         else:
-            self._intervene(converted, line, MessageType.FWD_GETX)
+            self._intervene(converted, line, MSG_FWD_GETX)
 
     def _req_md_for(self, block: int) -> bool:
         if self.detector is None:
@@ -391,7 +435,7 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.count_invalidations(block, 1)
         self.stats[SLICE_INTERVENTIONS_SENT] += 1
-        ctx = BusyCtx(kind=BusyKind.FWD, block=block, request=msg,
+        ctx = BusyCtx(kind=BUSY_FWD, block=block, request=msg,
                       owner=line.owner, requestor=msg.src, req_md=req_md)
         self._busy[block] = ctx
         self._send(fwd, line.owner, block,
@@ -405,26 +449,26 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.count_invalidations(block, len(targets))
         self.stats[SLICE_INVALIDATIONS_SENT] += len(targets)
-        ctx = BusyCtx(kind=BusyKind.INV_COLLECT, block=block, request=msg,
+        ctx = BusyCtx(kind=BUSY_INV_COLLECT, block=block, request=msg,
                       waiting=set(targets), requestor=core, req_md=req_md,
                       upgrade=upgrade)
         self._busy[block] = ctx
         for sharer in targets:
-            self._send(MessageType.INV, sharer, block,
+            self._send(MSG_INV, sharer, block,
                        {"requestor": core, "req_md": req_md})
         if not targets:
             self._finish_inv_collect(ctx)
 
     def _finish_inv_collect(self, ctx: BusyCtx) -> None:
         line = self._line(ctx.block)
-        line.state = DirState.EM
+        line.state = DIR_EM
         line.owner = ctx.requestor
         line.sharers.clear()
         if ctx.upgrade:
-            self._send(MessageType.UPG_ACK, ctx.requestor, ctx.block,
+            self._send(MSG_UPG_ACK, ctx.requestor, ctx.block,
                        {"req_md": ctx.req_md})
         else:
-            self._send(MessageType.DATA_E, ctx.requestor, ctx.block,
+            self._send(MSG_DATA_E, ctx.requestor, ctx.block,
                        self._data_payload(line, req_md=ctx.req_md),
                        delay=self.config.llc.data_latency)
         self._release_busy(ctx.block)
@@ -432,21 +476,19 @@ class DirectorySlice:
     def _finish_fwd(self, ctx: BusyCtx, owner_kept_copy: bool,
                     dir_serves_data: bool) -> None:
         line = self._line(ctx.block)
-        was_getx = ctx.request.mtype in (MessageType.GETX,
-                                         MessageType.UPGRADE,
-                                         MessageType.GETXCHK)
+        was_getx = ctx.request.mtype in (MSG_GETX, MSG_UPGRADE, MSG_GETXCHK)
         if was_getx:
-            line.state = DirState.EM
+            line.state = DIR_EM
             line.owner = ctx.requestor
             line.sharers.clear()
         else:
-            line.state = DirState.S
+            line.state = DIR_S
             line.owner = None
             line.sharers = {ctx.requestor}
             if owner_kept_copy:
                 line.sharers.add(ctx.owner)
         if dir_serves_data:
-            mtype = MessageType.DATA_E if was_getx else MessageType.DATA
+            mtype = MSG_DATA_E if was_getx else MSG_DATA
             self._send(mtype, ctx.requestor, ctx.block,
                        self._data_payload(line, req_md=ctx.req_md),
                        delay=self.config.llc.data_latency)
@@ -460,7 +502,7 @@ class DirectorySlice:
         self.stats[SLICE_PRIVATIZATIONS] += 1
         if self.obs is not None:
             self.obs.prv_init(block, msg.src, set(holders), self.queue.now)
-        ctx = BusyCtx(kind=BusyKind.PRV_INIT, block=block, request=msg,
+        ctx = BusyCtx(kind=BUSY_PRV_INIT, block=block, request=msg,
                       waiting=set(holders), prospective=set(holders),
                       requestor=msg.src)
         self._busy[block] = ctx
@@ -468,7 +510,7 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.meta_for(block).expect_md(holders)
         for core in holders:
-            self._send(MessageType.TR_PRV, core, block, {"req_md": True})
+            self._send(MSG_TR_PRV, core, block, {"req_md": True})
         if not holders:
             self._finish_prv_init(ctx)
 
@@ -483,14 +525,14 @@ class DirectorySlice:
 
     def _handle_sam_eviction(self, block: int, entry) -> None:
         llc_entry = self.llc.peek(block)
-        if llc_entry is None or llc_entry.payload.state != DirState.PRV:
+        if llc_entry is None or llc_entry.payload.state is not DIR_PRV:
             return
         if self._is_blocked(block):
             # A context is already resolving this block; losing detection
             # metadata for a non-PRV transition is harmless.
             return
         self._start_termination(
-            block, TerminationCause.SAM_EVICTION,
+            block, TERM_SAM_EVICTION,
             lw_snapshot=entry.last_writer_map() if entry is not None else None)
 
     def _finish_prv_init(self, ctx: BusyCtx) -> None:
@@ -503,7 +545,7 @@ class DirectorySlice:
             conflict = True
         else:
             gmask = self._gmask(msg.payload.get("touched_mask", 0))
-            is_write = msg.mtype in (MessageType.GETX, MessageType.UPGRADE)
+            is_write = msg.mtype in (MSG_GETX, MSG_UPGRADE)
             if sam_entry.ts or ctx.conflict:
                 conflict = True
             elif is_write:
@@ -516,29 +558,29 @@ class DirectorySlice:
                 self.obs.prv_abort(block, self.queue.now)
             self.detector.record_conflict_abort(block)
             self._busy.pop(block, None)
-            self._start_termination(block, TerminationCause.INIT_ABORT,
+            self._start_termination(block, TERM_INIT_ABORT,
                                     rerun=msg, prv_set=ctx.prospective)
             return
         # Privatize: fresh SAM state seeded with the trigger's bytes.
         sam_entry.clear()
         gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        if msg.mtype in (MessageType.GETX, MessageType.UPGRADE):
+        if msg.mtype in (MSG_GETX, MSG_UPGRADE):
             sam_entry.record_write(msg.src, gmask)
             if msg.payload.get("is_rmw"):
                 sam_entry.record_read(msg.src, gmask)
         else:
             sam_entry.record_read(msg.src, gmask)
-        line.state = DirState.PRV
+        line.state = DIR_PRV
         line.owner = None
         line.sharers.clear()
         line.prv_sharers = set(ctx.prospective) | {msg.src}
         if self.obs is not None:
             self.obs.prv_established(block, set(line.prv_sharers),
                                      self.queue.now)
-        if msg.mtype == MessageType.UPGRADE:
-            self._send(MessageType.UPG_ACK_PRV, msg.src, block, {})
+        if msg.mtype is MSG_UPGRADE:
+            self._send(MSG_UPG_ACK_PRV, msg.src, block, {})
         else:
-            self._send(MessageType.DATA_PRV, msg.src, block,
+            self._send(MSG_DATA_PRV, msg.src, block,
                        self._data_payload(line),
                        delay=self.config.llc.data_latency)
         self._release_busy(block)
@@ -555,7 +597,7 @@ class DirectorySlice:
               else sam_entry.check_read(core, gmask))
         if not ok:
             self.detector.record_conflict_abort(block)
-            self._start_termination(block, TerminationCause.CONFLICT,
+            self._start_termination(block, TERM_CONFLICT,
                                     rerun=msg)
             return
         if is_write:
@@ -568,7 +610,7 @@ class DirectorySlice:
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
             self.obs.prv_join(block, core, is_write, self.queue.now)
-        self._send(MessageType.DATA_PRV, core, block,
+        self._send(MSG_DATA_PRV, core, block,
                    self._data_payload(line),
                    delay=self.config.llc.data_latency
                    + self.config.protocol.conflict_check_latency)
@@ -594,16 +636,16 @@ class DirectorySlice:
                     sam_entry.record_read(core, gmask)
             else:
                 sam_entry.record_read(core, gmask)
-            if msg.mtype == MessageType.UPGRADE:
-                self._send(MessageType.UPG_ACK_PRV, core, block, {},
+            if msg.mtype is MSG_UPGRADE:
+                self._send(MSG_UPG_ACK_PRV, core, block, {},
                            delay=self.config.protocol.conflict_check_latency)
             else:
-                self._send(MessageType.ACK_PRV, core, block, {},
+                self._send(MSG_ACK_PRV, core, block, {},
                            delay=self.config.protocol.conflict_check_latency)
         else:
             self.stats[SLICE_CHK_FAIL] += 1
             self.detector.record_conflict_abort(block)
-            self._start_termination(block, TerminationCause.CONFLICT,
+            self._start_termination(block, TERM_CONFLICT,
                                     rerun=msg)
 
     # -- FSLite: termination -------------------------------------------------------
@@ -626,16 +668,16 @@ class DirectorySlice:
             sam_entry = self.detector.sam.peek(block)
             lw_snapshot = (sam_entry.last_writer_map() if sam_entry is not None
                            else [None] * (self.block_size // self.granularity))
-        self.stats[term_key(cause.value)] += 1
+        self.stats[term_key(cause._value_)] += 1
         if self.obs is not None:
-            self.obs.term_start(block, cause.value, set(sharers),
+            self.obs.term_start(block, cause._value_, set(sharers),
                                 lw_snapshot, self.queue.now)
-        ctx = BusyCtx(kind=BusyKind.PRV_TERM, block=block, request=rerun,
+        ctx = BusyCtx(kind=BUSY_PRV_TERM, block=block, request=rerun,
                       waiting=set(sharers), lw_snapshot=lw_snapshot,
                       cause=cause, evict_data=evict_data, then=then)
         self._busy[block] = ctx
         for core in sharers:
-            self._send(MessageType.INV_PRV, core, block, {})
+            self._send(MSG_INV_PRV, core, block, {})
         if not sharers:
             self._finish_termination(ctx)
 
@@ -658,7 +700,7 @@ class DirectorySlice:
             self.stats[SLICE_MEMORY_WRITEBACKS] += 1
         else:
             line = self._line(block)
-            line.state = DirState.I
+            line.state = DIR_I
             line.owner = None
             line.sharers.clear()
             line.prv_sharers.clear()
@@ -674,17 +716,17 @@ class DirectorySlice:
         """Injection hook: an access forwarded from another socket must
         terminate the privatized episode first (Section V-C)."""
         entry = self.llc.peek(block)
-        if entry is None or entry.payload.state != DirState.PRV:
+        if entry is None or entry.payload.state is not DIR_PRV:
             return
         if self._is_blocked(block):
             return
-        self._start_termination(block, TerminationCause.EXTERNAL_SOCKET)
+        self._start_termination(block, TERM_EXTERNAL_SOCKET)
 
     # ------------------------------------------------------- LLC fills
 
     def _start_fetch(self, msg: Message) -> None:
         block = msg.block_addr
-        ctx = BusyCtx(kind=BusyKind.FETCH, block=block, request=msg)
+        ctx = BusyCtx(kind=BUSY_FETCH, block=block, request=msg)
         self._busy[block] = ctx
         self.stats[SLICE_MEMORY_FETCHES] += 1
         self.queue.schedule(self.config.memory_latency, self._fetch_done, ctx)
@@ -715,10 +757,10 @@ class DirectorySlice:
             return
         victim_block = self.llc.addr_of(victim)
         line = victim.payload
-        if line.state == DirState.I:
+        if line.state is DIR_I:
             self._evict_llc_block(victim_block, line)
             then()
-        elif line.state == DirState.PRV:
+        elif line.state is DIR_PRV:
             evict_data = bytearray(line.data)
             sam_entry = (self.detector.sam.peek(victim_block)
                          if self.detector else None)
@@ -728,7 +770,7 @@ class DirectorySlice:
             if self.detector is not None:
                 self.detector.drop_meta(victim_block)
             self._start_termination(
-                victim_block, TerminationCause.LLC_EVICTION,
+                victim_block, TERM_LLC_EVICTION,
                 prv_set=line.prv_sharers, lw_snapshot=snapshot,
                 evict_data=evict_data, then=then)
         else:
@@ -758,21 +800,21 @@ class DirectorySlice:
         """Invalidate private copies so an LLC victim can be evicted."""
         self.stats[SLICE_RECALLS] += 1
         holders = line.holders
-        ctx = BusyCtx(kind=BusyKind.RECALL, block=block, waiting=set(holders),
+        ctx = BusyCtx(kind=BUSY_RECALL, block=block, waiting=set(holders),
                       then=then)
         self._busy[block] = ctx
-        if line.state == DirState.EM:
-            self._send(MessageType.RECALL, line.owner, block, {})
+        if line.state is DIR_EM:
+            self._send(MSG_RECALL, line.owner, block, {})
         else:
             for sharer in holders:
-                self._send(MessageType.INV, sharer, block,
+                self._send(MSG_INV, sharer, block,
                            {"requestor": None, "recall": True})
         if not holders:
             self._finish_recall(ctx)
 
     def _finish_recall(self, ctx: BusyCtx) -> None:
         line = self._line(ctx.block)
-        line.state = DirState.I
+        line.state = DIR_I
         line.owner = None
         line.sharers.clear()
         self._evict_llc_block(ctx.block, line)
@@ -794,26 +836,26 @@ class DirectorySlice:
         data = msg.payload["data"]
         ctx = self._busy.get(block)
         if ctx is not None:
-            if ctx.kind == BusyKind.FWD and core == ctx.owner:
+            if ctx.kind is BUSY_FWD and core == ctx.owner:
                 line = self._line(block)
                 line.data = bytearray(data)
                 line.dirty = True
-                self._send(MessageType.WB_ACK, core, block, {})
+                self._send(MSG_WB_ACK, core, block, {})
                 return  # stay busy; the wb-buffer response completes the FWD
-            if ctx.kind == BusyKind.PRV_TERM:
+            if ctx.kind is BUSY_PRV_TERM:
                 if core in ctx.waiting:
                     self._term_merge(ctx, core, data)
                     ctx.waiting.discard(core)
-                self._send(MessageType.WB_ACK, core, block, {})
+                self._send(MSG_WB_ACK, core, block, {})
                 if not ctx.waiting:
                     self._finish_termination(ctx)
                 return
-            if ctx.kind == BusyKind.PRV_INIT:
+            if ctx.kind is BUSY_PRV_INIT:
                 line = self._line(block)
                 line.data = bytearray(data)
                 line.dirty = True
                 ctx.prospective.discard(core)
-                self._send(MessageType.WB_ACK, core, block, {})
+                self._send(MSG_WB_ACK, core, block, {})
                 # The evicting holder's writeback doubles as its TR_PRV
                 # response (see putm_in_flight): the init may finish now.
                 if core in ctx.waiting:
@@ -821,12 +863,12 @@ class DirectorySlice:
                     if not ctx.waiting:
                         self._finish_prv_init(ctx)
                 return
-            if ctx.kind == BusyKind.RECALL:
+            if ctx.kind is BUSY_RECALL:
                 line = self._line(block)
                 line.data = bytearray(data)
                 line.dirty = True
                 ctx.waiting.discard(core)
-                self._send(MessageType.WB_ACK, core, block, {})
+                self._send(MSG_WB_ACK, core, block, {})
                 if not ctx.waiting:
                     self._finish_recall(ctx)
                 return
@@ -835,15 +877,15 @@ class DirectorySlice:
         if entry is None:
             # Terminating-eviction already wrote to memory; stale PUTM.
             self.stats[SLICE_STALE_PUTM] += 1
-            self._send(MessageType.WB_ACK, core, block, {})
+            self._send(MSG_WB_ACK, core, block, {})
             return
         line = entry.payload
-        if line.state == DirState.EM and line.owner == core:
+        if line.state is DIR_EM and line.owner == core:
             line.data = bytearray(data)
             line.dirty = True
-            line.state = DirState.I
+            line.state = DIR_I
             line.owner = None
-        elif line.state == DirState.PRV and core in line.prv_sharers:
+        elif line.state is DIR_PRV and core in line.prv_sharers:
             sam_entry = (self.detector.sam.peek(block)
                          if self.detector else None)
             if sam_entry is not None:
@@ -859,17 +901,17 @@ class DirectorySlice:
             line.dirty = True
         else:
             self.stats[SLICE_STALE_PUTM] += 1
-        self._send(MessageType.WB_ACK, core, block, {})
+        self._send(MSG_WB_ACK, core, block, {})
 
     def _on_inv_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
         if ctx is None:
             return  # stale ack after a recall raced with something else
-        if ctx.kind == BusyKind.INV_COLLECT:
+        if ctx.kind is BUSY_INV_COLLECT:
             ctx.waiting.discard(msg.src)
             if not ctx.waiting:
                 self._finish_inv_collect(ctx)
-        elif ctx.kind == BusyKind.RECALL:
+        elif ctx.kind is BUSY_RECALL:
             ctx.waiting.discard(msg.src)
             if not ctx.waiting:
                 self._finish_recall(ctx)
@@ -885,25 +927,25 @@ class DirectorySlice:
                 entry.payload.data = bytearray(data)
                 entry.payload.dirty = True
             return
-        if ctx.kind == BusyKind.FWD:
+        if ctx.kind is BUSY_FWD:
             line = self._line(block)
             line.data = bytearray(data)
             line.dirty = True
             owner_kept = not msg.payload.get("from_wb") and not msg.payload.get("xfer")
             self._finish_fwd(ctx, owner_kept_copy=owner_kept,
                              dir_serves_data=False)
-        elif ctx.kind == BusyKind.PRV_INIT:
+        elif ctx.kind is BUSY_PRV_INIT:
             line = self._line(block)
             line.data = bytearray(data)
             line.dirty = True
-        elif ctx.kind == BusyKind.RECALL:
+        elif ctx.kind is BUSY_RECALL:
             line = self._line(block)
             line.data = bytearray(data)
             line.dirty = True
             ctx.waiting.discard(msg.src)
             if not ctx.waiting:
                 self._finish_recall(ctx)
-        elif ctx.kind == BusyKind.PRV_TERM:
+        elif ctx.kind is BUSY_PRV_TERM:
             self._term_merge(ctx, msg.src, data)
             ctx.waiting.discard(msg.src)
             if not ctx.waiting:
@@ -913,7 +955,7 @@ class DirectorySlice:
 
     def _on_xfer_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind != BusyKind.FWD:
+        if ctx is None or ctx.kind is not BUSY_FWD:
             raise ProtocolError(f"stray XFER_ACK for {msg.block_addr:#x}")
         self._finish_fwd(ctx, owner_kept_copy=not msg.payload.get("from_wb"),
                          dir_serves_data=False)
@@ -922,10 +964,10 @@ class DirectorySlice:
         ctx = self._busy.get(msg.block_addr)
         if ctx is None:
             return
-        if ctx.kind == BusyKind.FWD:
+        if ctx.kind is BUSY_FWD:
             # The owner silently dropped its clean copy: serve from the LLC.
             self._finish_fwd(ctx, owner_kept_copy=False, dir_serves_data=True)
-        elif ctx.kind == BusyKind.RECALL:
+        elif ctx.kind is BUSY_RECALL:
             ctx.waiting.discard(msg.src)
             if not ctx.waiting:
                 self._finish_recall(ctx)
@@ -939,17 +981,17 @@ class DirectorySlice:
         meta = self.detector.meta_for(block)
         meta.md_arrived(core)
         ctx = self._busy.get(block)
-        if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
+        if ctx is not None and ctx.kind is BUSY_PRV_TERM:
             return  # episode ending; metadata is obsolete
         entry = self.llc.peek(block)
-        if entry is not None and entry.payload.state == DirState.PRV:
+        if entry is not None and entry.payload.state is DIR_PRV:
             return  # SAM already tracks PRV accesses via CHKs
         self.stats[SLICE_SAM_ACCESSES] += 1
         conflict, evicted_block, evicted_entry = self.detector.ingest_md(
             block, core, msg.payload["read_bits"], msg.payload["write_bits"])
         if evicted_block is not None:
             self._handle_sam_eviction(evicted_block, evicted_entry)
-        if ctx is not None and ctx.kind == BusyKind.PRV_INIT:
+        if ctx is not None and ctx.kind is BUSY_PRV_INIT:
             if conflict:
                 ctx.conflict = True
             # Only a *solicited* response answers the TR_PRV; an unsolicited
@@ -969,7 +1011,7 @@ class DirectorySlice:
         block, core = msg.block_addr, msg.src
         self.detector.meta_for(block).md_arrived(core)
         ctx = self._busy.get(block)
-        if ctx is not None and ctx.kind == BusyKind.PRV_INIT:
+        if ctx is not None and ctx.kind is BUSY_PRV_INIT:
             ctx.prospective.discard(core)
             if core in ctx.waiting:
                 if msg.payload.get("putm_in_flight"):
@@ -982,11 +1024,11 @@ class DirectorySlice:
 
     def _on_prv_wb(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind != BusyKind.PRV_TERM:
+        if ctx is None or ctx.kind is not BUSY_PRV_TERM:
             # A termination that no longer exists (the core's response
             # crossed the finish): merge against live SAM if still PRV.
             entry = self.llc.peek(msg.block_addr)
-            if entry is not None and entry.payload.state == DirState.PRV:
+            if entry is not None and entry.payload.state is DIR_PRV:
                 sam_entry = self.detector.sam.peek(msg.block_addr)
                 if sam_entry is not None:
                     merge_block(entry.payload.data, msg.payload["data"],
@@ -1003,7 +1045,7 @@ class DirectorySlice:
 
     def _on_ctrl_wb(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind != BusyKind.PRV_TERM:
+        if ctx is None or ctx.kind is not BUSY_PRV_TERM:
             return
         ctx.waiting.discard(msg.src)
         if not ctx.waiting:
@@ -1045,8 +1087,8 @@ class DirectorySlice:
         if self.detector.sam.peek(block) is None:
             return False
         entry = self.llc.peek(block)
-        if entry is not None and entry.payload.state == DirState.PRV:
-            self._start_termination(block, TerminationCause.SAM_EVICTION)
+        if entry is not None and entry.payload.state is DIR_PRV:
+            self._start_termination(block, TERM_SAM_EVICTION)
         else:
             self.detector.sam.invalidate(block)
         return True
@@ -1089,9 +1131,9 @@ class DirectorySlice:
         if entry is None or self._is_blocked(block):
             return False
         line = entry.payload
-        if line.state == DirState.I:
+        if line.state is DIR_I:
             self._evict_llc_block(block, line)
-        elif line.state == DirState.PRV:
+        elif line.state is DIR_PRV:
             evict_data = bytearray(line.data)
             sam_entry = (self.detector.sam.peek(block)
                          if self.detector else None)
@@ -1101,7 +1143,7 @@ class DirectorySlice:
             if self.detector is not None:
                 self.detector.drop_meta(block)
             self._start_termination(
-                block, TerminationCause.LLC_EVICTION,
+                block, TERM_LLC_EVICTION,
                 prv_set=line.prv_sharers, lw_snapshot=snapshot,
                 evict_data=evict_data)
         else:

@@ -47,7 +47,14 @@ from repro.common.statkeys import (
     CORE_WRITEBACKS,
 )
 from repro.common.events import EventQueue
-from repro.coherence.states import L1State, ProtocolMode
+from repro.coherence.states import (
+    L1_E,
+    L1_M,
+    L1_PRV,
+    L1_S,
+    L1State,
+    ProtocolMode,
+)
 from repro.core.pam import PamTable
 
 #: Pristine PAM-update seam. ``_perform`` inlines the bit-OR update only
@@ -55,8 +62,39 @@ from repro.core.pam import PamTable
 #: (:mod:`repro.check.mutations`) replaces the class attribute and the hot
 #: path falls back to calling it, so injected PAM bugs stay observable.
 _PAM_RECORD_PRISTINE = PamTable.record_access
-from repro.cpu.ops import Op, OpKind
-from repro.interconnect.message import Message, MessageType
+from repro.cpu.ops import OP_LOAD, OP_RMW, OP_STORE, Op
+from repro.interconnect.message import (
+    MSG_ACK_NO_DATA,
+    MSG_ACK_PRV,
+    MSG_CTRL_WB,
+    MSG_DATA,
+    MSG_DATA_E,
+    MSG_DATA_PRV,
+    MSG_DATA_TO_REQ,
+    MSG_DATA_WB,
+    MSG_FWD_GET,
+    MSG_FWD_GETX,
+    MSG_GET,
+    MSG_GETCHK,
+    MSG_GETX,
+    MSG_GETXCHK,
+    MSG_INV,
+    MSG_INV_ACK,
+    MSG_INV_PRV,
+    MSG_PHANTOM_MD,
+    MSG_PRV_WB,
+    MSG_PUTM,
+    MSG_RECALL,
+    MSG_REP_MD,
+    MSG_TR_PRV,
+    MSG_UPGRADE,
+    MSG_UPG_ACK,
+    MSG_UPG_ACK_PRV,
+    MSG_WB_ACK,
+    MSG_XFER_ACK,
+    Message,
+    MessageType,
+)
 from repro.interconnect.network import Network
 from repro.memsys.cache_array import CacheArray
 from repro.memsys.write_buffer import WriteBuffer
@@ -136,6 +174,11 @@ class L1Controller:
         self._granularity = config.protocol.tracking_granularity
         self._pam_entries = self.pam._entries
         self._wb_entries = self.write_buffer._entries
+        # The cache array's block index and per-set replacement policies
+        # (also never rebound): a hit is one dict probe plus the set's
+        # ``touch``, with no ``CacheArray.lookup`` frame in between.
+        self._cache_index = self.cache._index
+        self._cache_policies = self.cache._policies
         self.stats: Dict[str, int] = dict.fromkeys(CORE_STAT_KEYS, 0)
         # Per-type bound-method dispatch table indexed by MessageType.value
         # (slot 0 padding): one list index + call per delivered message
@@ -143,22 +186,22 @@ class L1Controller:
         self._dispatch: List[Optional[Callable[[Message], None]]] = \
             [None] * (len(MessageType) + 1)
         for mtype, handler in {
-            MessageType.DATA: self._on_data,
-            MessageType.DATA_E: self._on_data,
-            MessageType.DATA_PRV: self._on_data,
-            MessageType.DATA_TO_REQ: self._on_data,
-            MessageType.UPG_ACK: self._on_upg_ack,
-            MessageType.UPG_ACK_PRV: self._on_upg_ack,
-            MessageType.ACK_PRV: self._on_ack_prv,
-            MessageType.INV: self._on_inv,
-            MessageType.FWD_GET: self._on_fwd_get,
-            MessageType.FWD_GETX: self._on_fwd_getx,
-            MessageType.TR_PRV: self._on_tr_prv,
-            MessageType.INV_PRV: self._on_inv_prv,
-            MessageType.RECALL: self._on_recall,
-            MessageType.WB_ACK: self._on_wb_ack,
+            MSG_DATA: self._on_data,
+            MSG_DATA_E: self._on_data,
+            MSG_DATA_PRV: self._on_data,
+            MSG_DATA_TO_REQ: self._on_data,
+            MSG_UPG_ACK: self._on_upg_ack,
+            MSG_UPG_ACK_PRV: self._on_upg_ack,
+            MSG_ACK_PRV: self._on_ack_prv,
+            MSG_INV: self._on_inv,
+            MSG_FWD_GET: self._on_fwd_get,
+            MSG_FWD_GETX: self._on_fwd_getx,
+            MSG_TR_PRV: self._on_tr_prv,
+            MSG_INV_PRV: self._on_inv_prv,
+            MSG_RECALL: self._on_recall,
+            MSG_WB_ACK: self._on_wb_ack,
         }.items():
-            self._dispatch[mtype.value] = handler
+            self._dispatch[mtype._value_] = handler
         network.register(core_id, self.handle_message)
 
     # ------------------------------------------------------------------ API
@@ -173,16 +216,17 @@ class L1Controller:
 
         This is the simulator's innermost protocol path (one call per
         executed memory instruction): the hit check and completion are
-        folded inline and all address math is mask arithmetic on bindings
-        precomputed in ``__init__``.
+        folded inline, the line is found with one probe of the cache
+        array's block index, and all address math is mask arithmetic on
+        bindings precomputed in ``__init__``.
         """
         stats = self.stats
         kind = op.kind
-        if kind is OpKind.LOAD:
+        if kind is OP_LOAD:
             stats[CORE_LOADS] += 1
-        elif kind is OpKind.STORE:
+        elif kind is OP_STORE:
             stats[CORE_STORES] += 1
-        elif kind is OpKind.RMW:
+        elif kind is OP_RMW:
             stats[CORE_RMWS] += 1
         else:
             raise ProtocolError(f"non-memory op reached the L1: {op.kind}")
@@ -200,17 +244,18 @@ class L1Controller:
             wb_entry.meta.setdefault("pending_ops", []).append(
                 (op, on_complete))
             return
-        entry = self.cache.lookup(block)
+        entry = self._cache_index.get(block)
         if entry is None:
             self._start_miss(block, None, op, on_complete)
             return
+        self._cache_policies[entry.set_index].touch(entry.way)
         line = entry.payload
         state = line.state
         # Hit check. A resident line is always in a stable state (S/E/M/
         # PRV); loads hit any of them, stores need M/E, and PRV accesses
         # hit only when the PAM already covers every touched granule
         # (Section V-B: uncovered bytes take a GetCHK/GetXCHK).
-        if state is L1State.PRV:
+        if state is L1_PRV:
             pentry = self._pam_entries.get(block)
             if pentry is None:
                 raise ProtocolError("PRV line without a PAM entry")
@@ -226,7 +271,7 @@ class L1Controller:
             if not covered:
                 self._start_miss(block, line, op, on_complete)
                 return
-        elif op.is_write and not (state is L1State.M or state is L1State.E):
+        elif op.is_write and not (state is L1_M or state is L1_E):
             self._start_miss(block, line, op, on_complete)
             return
         # Hit: the op performs (becomes globally visible) immediately; the
@@ -239,17 +284,17 @@ class L1Controller:
 
     def _perform(self, block: int, line: L1Line, op: Op) -> int:
         """Apply the op to the line's bytes, update PAM, return the result."""
-        if op.is_write and line.state is L1State.E:
-            line.state = L1State.M
+        if op.is_write and line.state is L1_E:
+            line.state = L1_M
         offset = op.addr & self._offset_mask
         size = op.size
         data = line.data
         kind = op.kind
         self.stats[CORE_L1_DATA_ACCESSES] += 1
         result = 0
-        if kind is OpKind.LOAD:
+        if kind is OP_LOAD:
             result = int.from_bytes(data[offset:offset + size], "little")
-        elif kind is OpKind.STORE:
+        elif kind is OP_STORE:
             data[offset:offset + size] = op.value.to_bytes(size, "little")
             line.dirty = True
         else:  # RMW
@@ -263,7 +308,7 @@ class L1Controller:
             self.stats[CORE_PAM_ACCESSES] += 1
             if PamTable.record_access is not _PAM_RECORD_PRISTINE:
                 # The seam is patched (mutation injection): honour it.
-                if kind is OpKind.RMW:
+                if kind is OP_RMW:
                     self.pam.record_access(block, byte_mask, is_write=True)
                     self.pam.record_access(block, byte_mask, is_write=False)
                 else:
@@ -275,10 +320,10 @@ class L1Controller:
                     f"access to block {block:#x} with no PAM entry")
             gmask = (byte_mask if self._granularity == 1
                      else self.pam.to_granule_mask(byte_mask))
-            if kind is OpKind.RMW:
+            if kind is OP_RMW:
                 pentry.write_bits |= gmask
                 pentry.read_bits |= gmask
-            elif kind is OpKind.STORE:
+            elif kind is OP_STORE:
                 pentry.write_bits |= gmask
             else:
                 pentry.read_bits |= gmask
@@ -288,21 +333,20 @@ class L1Controller:
 
     def _start_miss(self, block: int, line: Optional[L1Line], op: Op,
                     cb: CompletionCallback) -> None:
-        if line is not None and line.state == L1State.PRV:
-            mtype = (MessageType.GETXCHK if op.is_write
-                     else MessageType.GETCHK)
+        if line is not None and line.state is L1_PRV:
+            mtype = MSG_GETXCHK if op.is_write else MSG_GETCHK
             self.stats[CORE_CHK_MISSES] += 1
             self.stats[CORE_CHK_SENT] += 1
-        elif line is not None and line.state == L1State.S and op.is_write:
-            mtype = MessageType.UPGRADE
+        elif line is not None and line.state is L1_S and op.is_write:
+            mtype = MSG_UPGRADE
             self.stats[CORE_MISSES] += 1
             self.stats[CORE_UPGRADE_SENT] += 1
         elif op.is_write:
-            mtype = MessageType.GETX
+            mtype = MSG_GETX
             self.stats[CORE_MISSES] += 1
             self.stats[CORE_GETX_SENT] += 1
         else:
-            mtype = MessageType.GET
+            mtype = MSG_GET
             self.stats[CORE_MISSES] += 1
             self.stats[CORE_GET_SENT] += 1
         mshr = Mshr(block_addr=block, sent=mtype, ops=[(op, cb)])
@@ -314,16 +358,15 @@ class L1Controller:
         self.network.send(Message(
             mshr.sent, src=self.core_id, dst=self.home_of(mshr.block_addr),
             block_addr=mshr.block_addr,
-            payload={"touched_mask": byte_mask, "is_rmw": op.kind == OpKind.RMW},
+            payload={"touched_mask": byte_mask, "is_rmw": op.kind is OP_RMW},
         ), extra_delay=self.config.l1.tag_latency)
 
     def _reissue(self, mshr: Mshr) -> None:
         """Reissue an aborted request (Fig. 11 race) as a plain GET/GETX."""
         self.stats[CORE_REISSUES] += 1
         op = mshr.ops[0][0]
-        if mshr.sent in (MessageType.GETCHK, MessageType.GETXCHK,
-                         MessageType.UPGRADE):
-            mshr.sent = (MessageType.GETX if op.is_write else MessageType.GET)
+        if mshr.sent in (MSG_GETCHK, MSG_GETXCHK, MSG_UPGRADE):
+            mshr.sent = MSG_GETX if op.is_write else MSG_GET
         mshr.aborted = False
         mshr.chk_line_lost = False
         self._send_request(mshr, op)
@@ -341,7 +384,7 @@ class L1Controller:
             if block in self.pam:
                 raise ProtocolError("stale PAM entry at fill")
             self.pam.allocate(block)
-        if state == L1State.PRV:
+        if state is L1_PRV:
             self.stats[CORE_PRV_FILLS] += 1
         return line
 
@@ -359,18 +402,18 @@ class L1Controller:
 
     def _evict(self, block: int, line: L1Line) -> None:
         """Handle a capacity eviction of ``line`` (stable state)."""
-        if line.state in (L1State.M, L1State.PRV) or line.dirty:
+        if line.state in (L1_M, L1_PRV) or line.dirty:
             self.stats[CORE_WRITEBACKS] += 1
             self.write_buffer.insert(block, bytearray(line.data),
-                                     prv=line.state == L1State.PRV)
+                                     prv=line.state is L1_PRV)
             self.network.send(Message(
-                MessageType.PUTM, src=self.core_id, dst=self.home_of(block),
+                MSG_PUTM, src=self.core_id, dst=self.home_of(block),
                 block_addr=block,
                 payload={"data": bytes(line.data),
-                         "prv": line.state == L1State.PRV}))
+                         "prv": line.state is L1_PRV}))
             # PRV metadata lives in the SAM already; M/E/S metadata may need
             # to be reported on eviction (SEND_MD, Section IV).
-            if line.state != L1State.PRV:
+            if line.state is not L1_PRV:
                 self._send_md_on_eviction(block)
             else:
                 self.pam.invalidate(block)
@@ -386,7 +429,7 @@ class L1Controller:
             self.stats[CORE_REP_MD_SENT] += 1
             self.pam.md_sends += 1
             self.network.send(Message(
-                MessageType.REP_MD, src=self.core_id,
+                MSG_REP_MD, src=self.core_id,
                 dst=self.home_of(block), block_addr=block,
                 payload={"read_bits": pentry.read_bits,
                          "write_bits": pentry.write_bits,
@@ -395,7 +438,7 @@ class L1Controller:
     # ----------------------------------------------------- message handling
 
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch[msg.mtype.value]
+        handler = self._dispatch[msg.mtype._value_]
         if handler is None:
             raise ProtocolError(f"L1 {self.core_id} cannot handle {msg}")
         handler(msg)
@@ -403,16 +446,16 @@ class L1Controller:
     # -- data responses -------------------------------------------------------
 
     def _fill_state_for(self, msg: Message, mshr: Mshr) -> L1State:
-        wants_write = mshr.sent in (MessageType.GETX, MessageType.GETXCHK,
-                                    MessageType.UPGRADE)
-        if msg.mtype == MessageType.DATA_PRV:
-            return L1State.PRV
-        if msg.mtype == MessageType.DATA:
-            return L1State.M if wants_write else L1State.S
-        if msg.mtype == MessageType.DATA_E:
-            return L1State.M if wants_write else L1State.E
+        wants_write = mshr.sent in (MSG_GETX, MSG_GETXCHK,
+                                    MSG_UPGRADE)
+        if msg.mtype is MSG_DATA_PRV:
+            return L1_PRV
+        if msg.mtype is MSG_DATA:
+            return L1_M if wants_write else L1_S
+        if msg.mtype is MSG_DATA_E:
+            return L1_M if wants_write else L1_E
         # DATA_TO_REQ: forwarded by the old owner.
-        return L1State.M if wants_write else L1State.S
+        return L1_M if wants_write else L1_S
 
     def _on_data(self, msg: Message) -> None:
         mshr = self._mshrs.get(msg.block_addr)
@@ -472,8 +515,8 @@ class L1Controller:
             self._reissue(mshr)
             return
         line = entry.payload
-        line.state = (L1State.PRV if msg.mtype == MessageType.UPG_ACK_PRV
-                      else L1State.M)
+        line.state = (L1_PRV if msg.mtype is MSG_UPG_ACK_PRV
+                      else L1_M)
         if msg.payload.get("req_md") and self.mode.detects:
             pentry = self.pam.get(msg.block_addr)
             if pentry is not None:
@@ -485,7 +528,7 @@ class L1Controller:
         if mshr is None:
             raise ProtocolError(f"stray Ack_PRV: {msg}")
         entry = self.cache.peek(msg.block_addr)
-        if entry is None or entry.payload.state != L1State.PRV or mshr.aborted:
+        if entry is None or entry.payload.state is not L1_PRV or mshr.aborted:
             self._reissue(mshr)
             return
         self._complete_mshr(msg.block_addr, mshr, entry.payload)
@@ -507,7 +550,7 @@ class L1Controller:
         if pentry is not None:
             self.stats[CORE_REP_MD_SENT] += 1
             self.network.send(Message(
-                MessageType.REP_MD, src=self.core_id, dst=dst,
+                MSG_REP_MD, src=self.core_id, dst=dst,
                 block_addr=block,
                 payload={"read_bits": pentry.read_bits,
                          "write_bits": pentry.write_bits,
@@ -516,7 +559,7 @@ class L1Controller:
         else:
             self.stats[CORE_PHANTOM_SENT] += 1
             self.network.send(Message(
-                MessageType.PHANTOM_MD, src=self.core_id, dst=dst,
+                MSG_PHANTOM_MD, src=self.core_id, dst=dst,
                 block_addr=block, payload={"solicited": solicited,
                                            "putm_in_flight": putm_in_flight}))
 
@@ -532,12 +575,12 @@ class L1Controller:
         req_md = bool(msg.payload.get("req_md"))
         mshr = self._mshrs.get(msg.block_addr)
         entry = self.cache.peek(msg.block_addr)
-        if mshr is not None and mshr.sent == MessageType.UPGRADE:
+        if mshr is not None and mshr.sent is MSG_UPGRADE:
             # Our upgrade lost the race; the directory converts it to a
             # GetX and answers with data, so just drop the S copy.
             if entry is not None:
                 self._invalidate_line(msg.block_addr, send_md=req_md)
-        elif mshr is not None and mshr.sent == MessageType.GET and entry is None:
+        elif mshr is not None and mshr.sent is MSG_GET and entry is None:
             # INV overtook the data response of a GET: consume then drop.
             if req_md:
                 self._metadata_response(msg.block_addr)
@@ -554,7 +597,7 @@ class L1Controller:
             if req_md:
                 self._metadata_response(msg.block_addr)
         self.network.send(Message(
-            MessageType.INV_ACK, src=self.core_id, dst=msg.src,
+            MSG_INV_ACK, src=self.core_id, dst=msg.src,
             block_addr=msg.block_addr,
             payload={"requestor": msg.payload.get("requestor")}),
             extra_delay=self.config.l1.tag_latency)
@@ -565,25 +608,25 @@ class L1Controller:
         requestor = msg.payload["requestor"]
         entry = self.cache.peek(msg.block_addr)
         delay = self.config.l1.data_latency
-        if entry is not None and entry.payload.state in (L1State.M, L1State.E):
+        if entry is not None and entry.payload.state in (L1_M, L1_E):
             line = entry.payload
             self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
+                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(line.data), "req_md": req_md}),
                 extra_delay=delay)
-            if line.state == L1State.M or line.dirty:
+            if line.state is L1_M or line.dirty:
                 self.network.send(Message(
-                    MessageType.DATA_WB, src=self.core_id, dst=msg.src,
+                    MSG_DATA_WB, src=self.core_id, dst=msg.src,
                     block_addr=msg.block_addr,
                     payload={"data": bytes(line.data), "requestor": requestor}),
                     extra_delay=delay)
             else:
                 self.network.send(Message(
-                    MessageType.XFER_ACK, src=self.core_id, dst=msg.src,
+                    MSG_XFER_ACK, src=self.core_id, dst=msg.src,
                     block_addr=msg.block_addr,
                     payload={"requestor": requestor}), extra_delay=delay)
-            line.state = L1State.S
+            line.state = L1_S
             line.dirty = False
             if req_md and self.mode.detects:
                 self._metadata_response(msg.block_addr)
@@ -593,12 +636,12 @@ class L1Controller:
         elif msg.block_addr in self.write_buffer:
             wb = self.write_buffer.get(msg.block_addr)
             self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
+                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(wb.data), "req_md": req_md}),
                 extra_delay=delay)
             self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
+                MSG_DATA_WB, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(wb.data), "requestor": requestor,
                          "from_wb": True}), extra_delay=delay)
@@ -608,7 +651,7 @@ class L1Controller:
             # Clean silent eviction (the ordered forward network guarantees
             # no grant is in flight behind this): the LLC copy is valid.
             self.network.send(Message(
-                MessageType.ACK_NO_DATA, src=self.core_id, dst=msg.src,
+                MSG_ACK_NO_DATA, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"requestor": requestor}), extra_delay=delay)
             if req_md:
@@ -620,17 +663,17 @@ class L1Controller:
         requestor = msg.payload["requestor"]
         entry = self.cache.peek(msg.block_addr)
         delay = self.config.l1.data_latency
-        if entry is not None and entry.payload.state in (L1State.M, L1State.E):
+        if entry is not None and entry.payload.state in (L1_M, L1_E):
             line = entry.payload
             self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
+                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(line.data), "req_md": req_md}),
                 extra_delay=delay)
             # The transfer ack carries the data so the LLC copy is always
             # fresh; this is what makes drop-and-reissue races safe.
             self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
+                MSG_DATA_WB, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(line.data), "requestor": requestor,
                          "xfer": True}), extra_delay=delay)
@@ -638,12 +681,12 @@ class L1Controller:
         elif msg.block_addr in self.write_buffer:
             wb = self.write_buffer.get(msg.block_addr)
             self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
+                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(wb.data), "req_md": req_md}),
                 extra_delay=delay)
             self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
+                MSG_DATA_WB, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(wb.data), "requestor": requestor,
                          "xfer": True, "from_wb": True}),
@@ -652,7 +695,7 @@ class L1Controller:
                 self._metadata_response(msg.block_addr)
         else:
             self.network.send(Message(
-                MessageType.ACK_NO_DATA, src=self.core_id, dst=msg.src,
+                MSG_ACK_NO_DATA, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"requestor": requestor}), extra_delay=delay)
             if req_md:
@@ -665,10 +708,10 @@ class L1Controller:
         delay = self.config.l1.data_latency
         if entry is not None:
             line = entry.payload
-            if line.state == L1State.M or line.dirty:
+            if line.state is L1_M or line.dirty:
                 # Flush so the LLC copy is fresh at privatization start.
                 self.network.send(Message(
-                    MessageType.DATA_WB, src=self.core_id, dst=msg.src,
+                    MSG_DATA_WB, src=self.core_id, dst=msg.src,
                     block_addr=msg.block_addr,
                     payload={"data": bytes(line.data), "tr_prv": True}),
                     extra_delay=delay)
@@ -679,8 +722,8 @@ class L1Controller:
                 pentry.read_bits = 0
                 pentry.write_bits = 0
             mshr = self._mshrs.get(msg.block_addr)
-            if mshr is None or mshr.sent != MessageType.UPGRADE:
-                line.state = L1State.PRV
+            if mshr is None or mshr.sent is not MSG_UPGRADE:
+                line.state = L1_PRV
         else:
             # Evicted (possibly with a PUTM in flight): phantom response.
             # If our dirty writeback is still on the wire, flag it so the
@@ -691,8 +734,8 @@ class L1Controller:
                 msg.block_addr,
                 putm_in_flight=msg.block_addr in self.write_buffer)
             mshr = self._mshrs.get(msg.block_addr)
-            if mshr is not None and mshr.sent in (MessageType.GET,
-                                                  MessageType.GETX):
+            if mshr is not None and mshr.sent in (MSG_GET,
+                                                  MSG_GETX):
                 # Our fill response is in flight while the block privatizes:
                 # the phantom told the directory we hold nothing, so we must
                 # drop the stale response and reissue (join as PRV sharer).
@@ -706,16 +749,16 @@ class L1Controller:
         if entry is not None:
             line = entry.payload
             self.network.send(Message(
-                MessageType.PRV_WB, src=self.core_id, dst=msg.src,
+                MSG_PRV_WB, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(line.data)}), extra_delay=delay)
             self.cache.invalidate(msg.block_addr)
             self.pam.invalidate(msg.block_addr)
             if mshr is not None:
-                if mshr.sent in (MessageType.GETCHK, MessageType.GETXCHK):
+                if mshr.sent in (MSG_GETCHK, MSG_GETXCHK):
                     # The directory answers the CHK with data post-termination.
                     mshr.chk_line_lost = True
-                elif mshr.sent == MessageType.UPGRADE:
+                elif mshr.sent is MSG_UPGRADE:
                     mshr.aborted = True
         elif msg.block_addr in self.write_buffer:
             # Our PRV eviction writeback is in flight; the PUTM carries the
@@ -725,11 +768,11 @@ class L1Controller:
             pass
         else:
             self.network.send(Message(
-                MessageType.CTRL_WB, src=self.core_id, dst=msg.src,
+                MSG_CTRL_WB, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr, payload={}),
                 extra_delay=self.config.l1.tag_latency)
             if mshr is not None and mshr.sent in (
-                    MessageType.GET, MessageType.GETX, MessageType.UPGRADE):
+                    MSG_GET, MSG_GETX, MSG_UPGRADE):
                 mshr.aborted = True
 
     # -- recalls and writeback acks ------------------------------------------------
@@ -737,10 +780,10 @@ class L1Controller:
     def _on_recall(self, msg: Message) -> None:
         entry = self.cache.peek(msg.block_addr)
         delay = self.config.l1.data_latency
-        if entry is not None and (entry.payload.state == L1State.M
+        if entry is not None and (entry.payload.state is L1_M
                                   or entry.payload.dirty):
             self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
+                MSG_DATA_WB, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr,
                 payload={"data": bytes(entry.payload.data), "recall": True}),
                 extra_delay=delay)
@@ -759,7 +802,7 @@ class L1Controller:
                 self._invalidate_line(msg.block_addr,
                                       send_md=bool(msg.payload.get("req_md")))
             self.network.send(Message(
-                MessageType.ACK_NO_DATA, src=self.core_id, dst=msg.src,
+                MSG_ACK_NO_DATA, src=self.core_id, dst=msg.src,
                 block_addr=msg.block_addr, payload={"recall": True}),
                 extra_delay=self.config.l1.tag_latency)
 

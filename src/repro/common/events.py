@@ -50,8 +50,18 @@ class EventQueue:
 
     def schedule_at(self, time: int, callback: Callable[[Any], None],
                     arg: Any = None) -> None:
-        """Schedule ``callback(arg)`` at absolute ``time`` (>= now)."""
-        self.schedule(time - self._now, callback, arg)
+        """Schedule ``callback(arg)`` at absolute ``time`` (>= now).
+
+        Pushes onto the heap itself rather than calling :meth:`schedule`:
+        every network message lands here, so the saved frame counts.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, "
+                f"now={self._now})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, callback, arg))
 
     def empty(self) -> bool:
         """True when no events remain."""

@@ -21,7 +21,7 @@ from typing import Callable, Generator, List, Optional
 
 from repro.common.errors import WorkloadError
 from repro.common.events import EventQueue
-from repro.cpu.ops import Op, OpKind
+from repro.cpu.ops import OP_COMPUTE, Op
 
 ThreadProgram = Generator[Op, int, None]
 
@@ -87,7 +87,7 @@ class InOrderCore:
             self.mem_ops += 1
             self._issue_cycle = now
             self.l1.access(op, self._advance)
-        elif op.kind is OpKind.COMPUTE:
+        elif op.kind is OP_COMPUTE:
             self.compute_cycles += op.cycles
             self._issue_cycle = now + op.cycles
             self.queue.schedule(op.cycles, self._advance, 0)

@@ -30,7 +30,7 @@ from typing import Callable, Deque, List, Optional
 from repro.common.errors import WorkloadError
 from repro.common.events import EventQueue
 from repro.cpu.core import ThreadProgram
-from repro.cpu.ops import Op, OpKind
+from repro.cpu.ops import OP_COMPUTE, OP_FENCE, OP_RMW, Op
 
 
 class _WindowSlot:
@@ -105,11 +105,11 @@ class OutOfOrderCore:
         self._issue(op)
 
     def _issue(self, op: Op) -> None:
-        if op.kind == OpKind.COMPUTE:
+        if op.kind is OP_COMPUTE:
             self.compute_cycles += op.cycles
             self.queue.schedule(op.cycles, self._advance, 0)
             return
-        if op.kind == OpKind.FENCE:
+        if op.kind is OP_FENCE:
             self._draining = True
             self._try_resume_after_drain()
             return
@@ -120,7 +120,7 @@ class OutOfOrderCore:
         self.mem_ops += 1
         slot = _WindowSlot(op, self.queue.now)
         self._slots.append(slot)
-        blocking = op.need_value or op.kind == OpKind.RMW
+        blocking = op.need_value or op.kind is OP_RMW
         self.l1.access(op, partial(self._complete_slot, slot, blocking))
         if blocking:
             self._waiting_value = True

@@ -34,6 +34,15 @@ class OpKind(enum.Enum):
     FENCE = enum.auto()
 
 
+#: Module-level member bindings for the per-op paths (see
+#: :mod:`repro.coherence.states` for why ``OpKind.LOAD`` reads are avoided).
+OP_LOAD = OpKind.LOAD
+OP_STORE = OpKind.STORE
+OP_RMW = OpKind.RMW
+OP_COMPUTE = OpKind.COMPUTE
+OP_FENCE = OpKind.FENCE
+
+
 class Op:
     """One operation of a thread program.
 
@@ -48,15 +57,15 @@ class Op:
                  value: int = 0, cycles: int = 0,
                  modify: Optional[Callable[[int], int]] = None,
                  need_value: bool = True) -> None:
-        memory = (kind is OpKind.LOAD or kind is OpKind.STORE
-                  or kind is OpKind.RMW)
+        memory = (kind is OP_LOAD or kind is OP_STORE
+                  or kind is OP_RMW)
         if memory:
             if size not in (1, 2, 4, 8):
                 raise ValueError(f"bad access size {size}")
             if addr % size != 0:
                 raise ValueError(
                     f"unaligned access: addr={addr:#x} size={size}")
-            if kind is OpKind.RMW and modify is None:
+            if kind is OP_RMW and modify is None:
                 raise ValueError("RMW requires a modify function")
         self.kind = kind
         self.addr = addr
@@ -68,7 +77,7 @@ class Op:
         #: so the core may issue past it.
         self.need_value = need_value
         self.is_memory = memory
-        self.is_write = memory and kind is not OpKind.LOAD
+        self.is_write = memory and kind is not OP_LOAD
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Op({self.kind.name}, addr={self.addr:#x}, "
@@ -90,19 +99,19 @@ def load(addr: int, size: int = 4, need_value: bool = True) -> Op:
     if op is None:
         if len(_LOAD_CACHE) >= _LOAD_CACHE_MAX:
             _LOAD_CACHE.clear()
-        op = Op(OpKind.LOAD, addr=addr, size=size, need_value=need_value)
+        op = Op(OP_LOAD, addr=addr, size=size, need_value=need_value)
         _LOAD_CACHE[key] = op
     return op
 
 
 def store(addr: int, value: int, size: int = 4) -> Op:
-    return Op(OpKind.STORE, addr=addr, size=size, value=value,
+    return Op(OP_STORE, addr=addr, size=size, value=value,
               need_value=False)
 
 
 def rmw(addr: int, modify: Callable[[int], int], size: int = 4,
         need_value: bool = True) -> Op:
-    return Op(OpKind.RMW, addr=addr, size=size, modify=modify,
+    return Op(OP_RMW, addr=addr, size=size, modify=modify,
               need_value=need_value)
 
 
@@ -176,13 +185,13 @@ def compute(cycles: int) -> Op:
     if op is None:
         if len(_COMPUTE_CACHE) >= _COMPUTE_CACHE_MAX:
             _COMPUTE_CACHE.clear()
-        op = Op(OpKind.COMPUTE, cycles=cycles, need_value=False)
+        op = Op(OP_COMPUTE, cycles=cycles, need_value=False)
         _COMPUTE_CACHE[cycles] = op
     return op
 
 
 #: FENCE carries no operands at all — one shared instance suffices.
-_FENCE = Op(OpKind.FENCE, need_value=False)
+_FENCE = Op(OP_FENCE, need_value=False)
 
 
 def fence() -> Op:

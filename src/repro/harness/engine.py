@@ -7,9 +7,9 @@ executes simulations:
   (figure drivers routinely share baselines, e.g. the MESI runs of the FS
   apps appear in fig02, fig13, fig14, fig16 and the traffic study).
 * **Cache** — completed :class:`RunRecord`\\ s are memoized to an on-disk
-  JSON store keyed by ``spec.digest()``; entries carry a
-  :data:`CODE_VERSION` stamp and are invalidated when it changes (bump it
-  whenever protocol/simulator behaviour changes).
+  JSON store keyed by ``spec.digest()``; entries (and warm snapshots)
+  carry a :func:`code_version` stamp, a fingerprint of the simulator's
+  source, and are invalidated when any behaviour module changes.
 * **Parallelism** — with ``jobs > 1`` pending specs fan out over a
   spawn-based process pool.  Simulations are deterministic per spec, so
   parallel and serial execution produce cycle-for-cycle identical records.
@@ -30,6 +30,8 @@ executes simulations:
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import logging
 import os
@@ -46,12 +48,36 @@ from repro.harness.export import record_from_dict, record_to_dict
 from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
                                   execute_spec, warm_digest)
 
-#: Version stamp baked into every cache entry.  Bump on any change to the
-#: protocol engines, simulator timing or workloads so stale results are
-#: re-simulated instead of replayed.
-#: "3": observability layer — RunSpec grew the (conditionally serialized)
-#: ``obs`` field and records may carry an ``extra["obs"]`` payload.
-CODE_VERSION = "3"
+#: Subpackages of :mod:`repro` whose source defines simulated behaviour:
+#: protocol engines, timing, workloads and the machine builder.
+BEHAVIOUR_PACKAGES = ("common", "cpu", "coherence", "core", "memsys",
+                      "interconnect", "system", "workloads")
+
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def source_fingerprint(root: pathlib.Path) -> str:
+    """sha256 over every ``.py`` file of :data:`BEHAVIOUR_PACKAGES` under
+    ``root`` (the ``repro`` package directory), paths included, in sorted
+    order."""
+    h = hashlib.sha256()
+    for package in BEHAVIOUR_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            h.update(path.relative_to(root).as_posix().encode("utf-8"))
+            h.update(b"\0")
+            h.update(path.read_bytes())
+            h.update(b"\0")
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """Version stamp baked into every result-cache entry and warm
+    snapshot: the :func:`source_fingerprint` of this installation,
+    computed on first use and then reused for the life of the process.
+    Any edit to a behaviour module changes it, so stale results are
+    re-simulated instead of replayed."""
+    return source_fingerprint(_PACKAGE_ROOT)
 
 _log = logging.getLogger(__name__)
 
@@ -474,7 +500,7 @@ class Engine:
             self._quarantine(path, "undecodable warm snapshot")
             return None
         if (not isinstance(data, dict)
-                or data.get("code_version") != CODE_VERSION):
+                or data.get("code_version") != code_version()):
             return None  # stale: rebuild and overwrite
         try:
             return MachineSnapshot(payload=data["payload"],
@@ -494,7 +520,7 @@ class Engine:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp{os.getpid()}")
             tmp.write_bytes(pickle.dumps({
-                "code_version": CODE_VERSION, "payload": snap.payload,
+                "code_version": code_version(), "payload": snap.payload,
                 "cycle": snap.cycle, "executed": snap.executed}))
             os.replace(tmp, path)
         except OSError as exc:
@@ -524,7 +550,7 @@ class Engine:
         if not isinstance(data, dict) or "record" not in data:
             self._quarantine(path, "not a cache record")
             return None
-        if data.get("code_version") != CODE_VERSION:
+        if data.get("code_version") != code_version():
             return None  # stale: re-simulate and overwrite
         if data.get("spec") != spec.to_dict():
             return None  # digest collision paranoia
@@ -562,7 +588,7 @@ class Engine:
                 f"result cache directory {path.parent} is unusable "
                 f"({exc}); pass --no-cache or a writable --cache-dir"
             ) from exc
-        payload = {"code_version": CODE_VERSION, "spec": spec.to_dict(),
+        payload = {"code_version": code_version(), "spec": spec.to_dict(),
                    "record": record_to_dict(record)}
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         tmp.write_text(json.dumps(payload))

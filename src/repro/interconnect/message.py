@@ -54,6 +54,38 @@ class MessageType(enum.Enum):
     CTRL_WB = enum.auto()        # dataless termination response (race)
 
 
+#: One module-level binding per member (see :mod:`repro.coherence.states`
+#: for why the hot paths avoid ``MessageType.X`` reads).
+MSG_GET = MessageType.GET
+MSG_GETX = MessageType.GETX
+MSG_UPGRADE = MessageType.UPGRADE
+MSG_PUTM = MessageType.PUTM
+MSG_FWD_GET = MessageType.FWD_GET
+MSG_FWD_GETX = MessageType.FWD_GETX
+MSG_INV = MessageType.INV
+MSG_DATA = MessageType.DATA
+MSG_DATA_E = MessageType.DATA_E
+MSG_UPG_ACK = MessageType.UPG_ACK
+MSG_WB_ACK = MessageType.WB_ACK
+MSG_RECALL = MessageType.RECALL
+MSG_INV_ACK = MessageType.INV_ACK
+MSG_DATA_WB = MessageType.DATA_WB
+MSG_XFER_ACK = MessageType.XFER_ACK
+MSG_ACK_NO_DATA = MessageType.ACK_NO_DATA
+MSG_DATA_TO_REQ = MessageType.DATA_TO_REQ
+MSG_REP_MD = MessageType.REP_MD
+MSG_PHANTOM_MD = MessageType.PHANTOM_MD
+MSG_TR_PRV = MessageType.TR_PRV
+MSG_DATA_PRV = MessageType.DATA_PRV
+MSG_UPG_ACK_PRV = MessageType.UPG_ACK_PRV
+MSG_GETCHK = MessageType.GETCHK
+MSG_GETXCHK = MessageType.GETXCHK
+MSG_ACK_PRV = MessageType.ACK_PRV
+MSG_INV_PRV = MessageType.INV_PRV
+MSG_PRV_WB = MessageType.PRV_WB
+MSG_CTRL_WB = MessageType.CTRL_WB
+
+
 class MessageClass(enum.Enum):
     """Traffic classes used for the paper's interconnect accounting."""
 
@@ -66,34 +98,34 @@ class MessageClass(enum.Enum):
 
 
 _CLASS_OF: Dict[MessageType, MessageClass] = {
-    MessageType.GET: MessageClass.REQUEST,
-    MessageType.GETX: MessageClass.REQUEST,
-    MessageType.UPGRADE: MessageClass.REQUEST,
-    MessageType.GETCHK: MessageClass.REQUEST,
-    MessageType.GETXCHK: MessageClass.REQUEST,
-    MessageType.FWD_GET: MessageClass.INV_INTERVENTION,
-    MessageType.FWD_GETX: MessageClass.INV_INTERVENTION,
-    MessageType.INV: MessageClass.INV_INTERVENTION,
-    MessageType.RECALL: MessageClass.INV_INTERVENTION,
-    MessageType.TR_PRV: MessageClass.INV_INTERVENTION,
-    MessageType.INV_PRV: MessageClass.INV_INTERVENTION,
-    MessageType.DATA: MessageClass.DATA,
-    MessageType.DATA_E: MessageClass.DATA,
-    MessageType.DATA_PRV: MessageClass.DATA,
-    MessageType.DATA_WB: MessageClass.DATA,
-    MessageType.DATA_TO_REQ: MessageClass.DATA,
-    MessageType.UPG_ACK: MessageClass.CONTROL,
-    MessageType.UPG_ACK_PRV: MessageClass.CONTROL,
-    MessageType.WB_ACK: MessageClass.CONTROL,
-    MessageType.INV_ACK: MessageClass.CONTROL,
-    MessageType.XFER_ACK: MessageClass.CONTROL,
-    MessageType.ACK_NO_DATA: MessageClass.CONTROL,
-    MessageType.ACK_PRV: MessageClass.CONTROL,
-    MessageType.CTRL_WB: MessageClass.CONTROL,
-    MessageType.REP_MD: MessageClass.METADATA,
-    MessageType.PHANTOM_MD: MessageClass.METADATA,
-    MessageType.PUTM: MessageClass.WRITEBACK,
-    MessageType.PRV_WB: MessageClass.WRITEBACK,
+    MSG_GET: MessageClass.REQUEST,
+    MSG_GETX: MessageClass.REQUEST,
+    MSG_UPGRADE: MessageClass.REQUEST,
+    MSG_GETCHK: MessageClass.REQUEST,
+    MSG_GETXCHK: MessageClass.REQUEST,
+    MSG_FWD_GET: MessageClass.INV_INTERVENTION,
+    MSG_FWD_GETX: MessageClass.INV_INTERVENTION,
+    MSG_INV: MessageClass.INV_INTERVENTION,
+    MSG_RECALL: MessageClass.INV_INTERVENTION,
+    MSG_TR_PRV: MessageClass.INV_INTERVENTION,
+    MSG_INV_PRV: MessageClass.INV_INTERVENTION,
+    MSG_DATA: MessageClass.DATA,
+    MSG_DATA_E: MessageClass.DATA,
+    MSG_DATA_PRV: MessageClass.DATA,
+    MSG_DATA_WB: MessageClass.DATA,
+    MSG_DATA_TO_REQ: MessageClass.DATA,
+    MSG_UPG_ACK: MessageClass.CONTROL,
+    MSG_UPG_ACK_PRV: MessageClass.CONTROL,
+    MSG_WB_ACK: MessageClass.CONTROL,
+    MSG_INV_ACK: MessageClass.CONTROL,
+    MSG_XFER_ACK: MessageClass.CONTROL,
+    MSG_ACK_NO_DATA: MessageClass.CONTROL,
+    MSG_ACK_PRV: MessageClass.CONTROL,
+    MSG_CTRL_WB: MessageClass.CONTROL,
+    MSG_REP_MD: MessageClass.METADATA,
+    MSG_PHANTOM_MD: MessageClass.METADATA,
+    MSG_PUTM: MessageClass.WRITEBACK,
+    MSG_PRV_WB: MessageClass.WRITEBACK,
 }
 
 #: Message sizes in bytes: 8-byte control header; data messages carry a
@@ -107,9 +139,9 @@ _MD_PAYLOAD_BYTES = 16
 
 def _size_of(mtype: MessageType) -> int:
     if (_CLASS_OF[mtype] is MessageClass.DATA
-            or mtype in (MessageType.PUTM, MessageType.PRV_WB)):
+            or mtype in (MSG_PUTM, MSG_PRV_WB)):
         return _HEADER_BYTES + _BLOCK_BYTES
-    if mtype is MessageType.REP_MD:
+    if mtype is MSG_REP_MD:
         return _HEADER_BYTES + _MD_PAYLOAD_BYTES
     return _HEADER_BYTES
 
@@ -117,7 +149,9 @@ def _size_of(mtype: MessageType) -> int:
 #: Hot-path lookup tables indexed by ``MessageType.value`` (enum values are
 #: ``auto()`` so they are 1..N; slot 0 is padding).  Indexing a list by an
 #: int avoids the Python-level ``Enum.__hash__`` the per-message dict
-#: lookups used to pay.
+#: lookups used to pay.  Hot paths read the index as ``mtype._value_``, the
+#: member's plain instance attribute: ``.value`` is a property that runs
+#: Python code on every read.
 CLASS_BY_VALUE: tuple = (None,) + tuple(
     _CLASS_OF[mt] for mt in MessageType)
 SIZE_BY_VALUE: tuple = (0,) + tuple(_size_of(mt) for mt in MessageType)
@@ -127,10 +161,10 @@ SIZE_BY_VALUE: tuple = (0,) + tuple(_size_of(mt) for mt in MessageType)
 #: :mod:`repro.obs` and the tracer in :mod:`repro.system.tracing` can share
 #: it without import cycles.
 FSLITE_TYPES = frozenset({
-    MessageType.TR_PRV, MessageType.DATA_PRV, MessageType.UPG_ACK_PRV,
-    MessageType.GETCHK, MessageType.GETXCHK, MessageType.ACK_PRV,
-    MessageType.INV_PRV, MessageType.PRV_WB, MessageType.CTRL_WB,
-    MessageType.REP_MD, MessageType.PHANTOM_MD,
+    MSG_TR_PRV, MSG_DATA_PRV, MSG_UPG_ACK_PRV,
+    MSG_GETCHK, MSG_GETXCHK, MSG_ACK_PRV,
+    MSG_INV_PRV, MSG_PRV_WB, MSG_CTRL_WB,
+    MSG_REP_MD, MSG_PHANTOM_MD,
 })
 
 _msg_ids = itertools.count()
@@ -175,11 +209,11 @@ class Message:
 
     @property
     def mclass(self) -> MessageClass:
-        return CLASS_BY_VALUE[self.mtype.value]
+        return CLASS_BY_VALUE[self.mtype._value_]
 
     @property
     def size_bytes(self) -> int:
-        return SIZE_BY_VALUE[self.mtype.value]
+        return SIZE_BY_VALUE[self.mtype._value_]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,6 +23,9 @@ from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
 from repro.interconnect.message import (
     CLASS_BY_VALUE,
+    MSG_CTRL_WB,
+    MSG_PRV_WB,
+    MSG_PUTM,
     SIZE_BY_VALUE,
     Message,
     MessageClass,
@@ -33,13 +36,13 @@ from repro.interconnect.message import (
 #: CTRL_WB) share a channel so a core's dirty writeback can never be
 #: overtaken by its later dataless termination response — the directory
 #: relies on that ordering to avoid dropping privatized data.
-_WB_TYPES = (MessageType.PUTM, MessageType.PRV_WB, MessageType.CTRL_WB)
+_WB_TYPES = (MSG_PUTM, MSG_PRV_WB, MSG_CTRL_WB)
 
 
 def _channel_of_type(mtype: MessageType) -> str:
     if mtype in _WB_TYPES:
         return "wb"
-    mclass = CLASS_BY_VALUE[mtype.value]
+    mclass = CLASS_BY_VALUE[mtype._value_]
     if mclass is MessageClass.REQUEST:
         return "req"
     if mclass is MessageClass.INV_INTERVENTION:
@@ -60,7 +63,7 @@ _SER_DELAY_BY_VALUE: tuple = (0,) + tuple(
 
 
 def channel_of(msg: Message) -> str:
-    return _CHANNEL_BY_VALUE[msg.mtype.value]
+    return _CHANNEL_BY_VALUE[msg.mtype._value_]
 
 
 class NetworkStats:
@@ -79,16 +82,16 @@ class NetworkStats:
         self._bytes_by_type: List[int] = [0] * size
 
     def record(self, msg: Message) -> None:
-        value = msg.mtype.value
+        value = msg.mtype._value_
         self._count_by_type[value] += 1
         self._bytes_by_type[value] += SIZE_BY_VALUE[value]
 
     def _by_class(self, per_type: List[int]) -> Dict[MessageClass, int]:
         out: Dict[MessageClass, int] = {}
         for mtype in MessageType:
-            n = per_type[mtype.value]
+            n = per_type[mtype._value_]
             if n:
-                mclass = CLASS_BY_VALUE[mtype.value]
+                mclass = CLASS_BY_VALUE[mtype._value_]
                 out[mclass] = out.get(mclass, 0) + n
         return out
 
@@ -114,7 +117,7 @@ class NetworkStats:
     def count_of_type(self, mtype: MessageType) -> int:
         """Messages sent of one exact type (e.g. for asserting a protocol
         mode never used part of the vocabulary)."""
-        return self._count_by_type[mtype.value]
+        return self._count_by_type[mtype._value_]
 
     def as_dict(self) -> Dict[str, int]:
         out = {f"msgs_{c.value}": n for c, n in sorted(
@@ -205,14 +208,14 @@ class Network:
         self._hooked = bool(self.post_send_hooks or self.post_deliver_hooks)
 
     def serialization_delay(self, msg: Message) -> int:
-        return self._SER_DELAY_BY_VALUE[msg.mtype.value]
+        return self._SER_DELAY_BY_VALUE[msg.mtype._value_]
 
     def send(self, msg: Message, extra_delay: int = 0) -> None:
         """Inject ``msg``; arrival after latency + serialization + extra."""
         handler = self._handlers.get(msg.dst)
         if handler is None:
             raise SimulationError(f"no handler registered for node {msg.dst}")
-        value = msg.mtype.value
+        value = msg.mtype._value_
         self.stats._count_by_type[value] += 1
         self.stats._bytes_by_type[value] += SIZE_BY_VALUE[value]
         if self.fault_seam is not None:

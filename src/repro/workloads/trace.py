@@ -64,7 +64,16 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.common.errors import ConfigError, ReproError
 from repro.cpu import ops
-from repro.cpu.ops import CasModify, FetchAddModify, Op, OpKind
+from repro.cpu.ops import (
+    OP_COMPUTE,
+    OP_FENCE,
+    OP_LOAD,
+    OP_RMW,
+    OP_STORE,
+    CasModify,
+    FetchAddModify,
+    Op,
+)
 
 __all__ = [
     "TraceFormatError", "TraceInfo", "TraceRef", "TraceWriter",
@@ -157,13 +166,13 @@ def _encode_op(buf: bytearray, op: Op, prev_addr: int) -> int:
     for ops the format cannot express (RMW with an arbitrary modify
     callable, negative values)."""
     kind = op.kind
-    if kind is OpKind.COMPUTE:
+    if kind is OP_COMPUTE:
         if op.cycles < 0:
             raise TraceFormatError("COMPUTE with negative cycles")
         buf.append(_K_COMPUTE)
         _append_uvarint(buf, op.cycles)
         return prev_addr
-    if kind is OpKind.FENCE:
+    if kind is OP_FENCE:
         buf.append(_K_FENCE)
         return prev_addr
     size_bits = _SIZE_LOG2.get(op.size)
@@ -173,16 +182,16 @@ def _encode_op(buf: bytearray, op: Op, prev_addr: int) -> int:
     if op.addr < 0:
         raise TraceFormatError(f"negative address {op.addr:#x}")
     delta = _zigzag(op.addr - prev_addr)
-    if kind is OpKind.LOAD:
+    if kind is OP_LOAD:
         buf.append(_K_LOAD | (size_bits << 3) | need)
         _append_uvarint(buf, delta)
-    elif kind is OpKind.STORE:
+    elif kind is OP_STORE:
         if op.value < 0:
             raise TraceFormatError("STORE with negative value")
         buf.append(_K_STORE | (size_bits << 3))
         _append_uvarint(buf, delta)
         _append_uvarint(buf, op.value)
-    elif kind is OpKind.RMW:
+    elif kind is OP_RMW:
         modify = op.modify
         if isinstance(modify, FetchAddModify):
             if modify.mask != (1 << (8 * op.size)) - 1:
@@ -368,6 +377,55 @@ def trace_info(path) -> TraceInfo:
         raise TraceFormatError(f"{path}: cannot read trace: {exc}") from exc
 
 
+#: The zlib stream header :meth:`TraceWriter._flush` emits (deflate, 32 KiB
+#: window, level 6).
+_ZLIB_HEADER = b"\x78\x9c"
+
+
+def _inflate(comp: bytes, path: str) -> bytes:
+    """Decompress one frame, rejecting damage that still decodes.
+
+    zlib's adler32 covers only the *decompressed* bytes, so flips in bits
+    the decoder ignores would pass: the header's level bits, the padding
+    after a leading stored block's 3-bit header, and the padding after
+    the final block.  The writer's streams carry zeros (and its one
+    header) there; anything else is corruption.  The stream must also end
+    exactly at the frame's end."""
+    inflater = zlib.decompressobj()
+    try:
+        payload = inflater.decompress(comp)
+    except zlib.error as exc:
+        raise TraceFormatError(
+            f"{path}: corrupt trace frame: {exc}") from exc
+    if not inflater.eof or inflater.unused_data:
+        raise TraceFormatError(
+            f"{path}: corrupt trace frame: zlib stream does not end at "
+            "the frame boundary")
+    if comp[:2] != _ZLIB_HEADER:
+        raise TraceFormatError(
+            f"{path}: corrupt trace frame: unexpected zlib header "
+            f"{comp[:2].hex()}")
+    first = comp[2]
+    if not first & 0x06 and first >> 3:
+        raise TraceFormatError(
+            f"{path}: corrupt trace frame: nonzero stored-block padding")
+    last = comp[-5]  # final deflate byte, just before the adler32
+    if last:
+        # Padding fills the bits above the stream's last bit, so it is all
+        # zero exactly when clearing the byte's highest set bit changes
+        # what the stream decodes to.
+        altered = bytearray(comp)
+        altered[-5] = last ^ (1 << (last.bit_length() - 1))
+        try:
+            same = zlib.decompress(bytes(altered)) == payload
+        except zlib.error:
+            same = False
+        if same:
+            raise TraceFormatError(
+                f"{path}: corrupt trace frame: nonzero deflate padding")
+    return payload
+
+
 def _iter_frames(fh, path: str, num_threads: int, want_tid=None):
     """Yield ``(tid, n_ops, payload)`` for each frame, decompressing only
     frames matching ``want_tid`` (payload is ``None`` for skipped frames).
@@ -406,11 +464,7 @@ def _iter_frames(fh, path: str, num_threads: int, want_tid=None):
         comp = fh.read(comp_len)
         if len(comp) < comp_len:
             raise TraceFormatError(f"{path}: truncated trace frame")
-        try:
-            payload = zlib.decompress(comp)
-        except zlib.error as exc:
-            raise TraceFormatError(
-                f"{path}: corrupt trace frame: {exc}") from exc
+        payload = _inflate(comp, path)
         if len(payload) != raw_len:
             raise TraceFormatError(
                 f"{path}: frame length mismatch (header says {raw_len} "
@@ -559,7 +613,7 @@ def _scan(path, keep_ops: bool, verify: bool = True):
             hashes[tid].update(payload)
             counts[tid] += n_ops
             for op in decoded:
-                name = op.kind.name if op.kind is not OpKind.RMW else (
+                name = op.kind.name if op.kind is not OP_RMW else (
                     "FETCH_ADD" if isinstance(op.modify, FetchAddModify)
                     else "CAS")
                 kind_counts[name] = kind_counts.get(name, 0) + 1

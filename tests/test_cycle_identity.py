@@ -13,6 +13,12 @@ added later, recorded before the block-indexed cache arrays and the
 folded core completion.  RC and FA make 4-5k L1 accesses each; these
 make 16k-36k, 93-99.5% of them hits, so they pin the hit path.
 
+Two groups carry an extra key and cover paths the others never run:
+``granularity`` entries (LT and RC under FSDetect and FSLite at 2- and
+4-byte tracking granularity) take the PAM granule-mask branch, and
+``core_model: "ooo"`` entries (RC, all modes) drive the out-of-order core.
+Both were recorded before the enum-free hot path.
+
 Any optimisation that changes one of these numbers changed simulator
 *behaviour*, not just speed — which would also silently invalidate the
 engine's result cache and every committed benchmark checksum.  Entries are
@@ -22,6 +28,7 @@ encoding itself drifts.
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -34,20 +41,39 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_identity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 #: Workloads whose runs are mostly L1 hits (the hit path's own guard).
 HIT_HEAVY_TAGS = ("LT", "SF", "LL")
+#: Coarse tracking granularities with their own golden entries.
+GRANULARITY_TAGS = ("LT", "RC")
+GRANULARITIES = (2, 4)
+FS_MODES = (ProtocolMode.FSDETECT, ProtocolMode.FSLITE)
 
 
 def _spec_for(entry: dict) -> RunSpec:
     config = SystemConfig()
     if entry["sanitizer"]:
         config = config.with_sanitizer(enabled=True)
+    if "granularity" in entry:
+        config = config.with_protocol(
+            tracking_granularity=entry["granularity"])
     return RunSpec(tag=entry["tag"], mode=ProtocolMode(entry["mode"]),
-                   scale=entry["scale"], config=config)
+                   scale=entry["scale"], config=config,
+                   core_model=entry.get("core_model", "inorder"))
 
 
 def _case_id(item) -> str:
     digest, entry = item
     san = "+san" if entry["sanitizer"] else ""
-    return f"{entry['tag']}-{entry['mode']}{san}"
+    gran = f"+gran{entry['granularity']}" if "granularity" in entry else ""
+    ooo = "+ooo" if entry.get("core_model") == "ooo" else ""
+    return f"{entry['tag']}-{entry['mode']}{san}{gran}{ooo}"
+
+
+def _rc_entry(mode: ProtocolMode) -> dict:
+    """The default-config RC golden entry (in-order, 1-byte granularity,
+    sanitizer off) for ``mode``."""
+    return next(e for e in GOLDEN.values()
+                if e["tag"] == "RC" and e["mode"] == mode.value
+                and not e["sanitizer"] and "granularity" not in e
+                and "core_model" not in e)
 
 
 @pytest.mark.parametrize("digest,entry", sorted(GOLDEN.items()),
@@ -75,9 +101,7 @@ GOLDEN_RC_EVENTS = {"mesi": 9680, "fsdetect": 10568, "fslite": 5456}
 def test_golden_event_count(mode):
     from repro.harness.runner import execute_spec_with_machine
 
-    entry = next(e for e in GOLDEN.values()
-                 if e["tag"] == "RC" and e["mode"] == mode.value
-                 and not e["sanitizer"])
+    entry = _rc_entry(mode)
     record, machine = execute_spec_with_machine(_spec_for(entry))
     assert record.cycles == entry["cycles"]
     assert machine.queue.executed == GOLDEN_RC_EVENTS[mode.value]
@@ -91,9 +115,7 @@ def test_observed_run_is_cycle_identical(mode):
     (Sampling piggybacks on message delivery; episode hooks only record.)"""
     from repro.common.config import ObsConfig
 
-    entry = next(e for e in GOLDEN.values()
-                 if e["tag"] == "RC" and e["mode"] == mode.value
-                 and not e["sanitizer"])
+    entry = _rc_entry(mode)
     spec = _spec_for(entry)
     observed = execute_spec(RunSpec(
         tag=spec.tag, mode=spec.mode, scale=spec.scale, config=spec.config,
@@ -112,9 +134,7 @@ def test_faults_package_inert_without_a_plan(mode):
     import repro.faults  # noqa: F401 — the import is the point
     from repro.faults import FaultInjector, FaultPlan  # noqa: F401
 
-    entry = next(e for e in GOLDEN.values()
-                 if e["tag"] == "RC" and e["mode"] == mode.value
-                 and not e["sanitizer"])
+    entry = _rc_entry(mode)
     spec = _spec_for(entry)
     record = execute_spec(spec)
     assert record.cycles == entry["cycles"]
@@ -130,9 +150,7 @@ def test_snapshot_restore_is_cycle_identical(digest, entry):
     digest for every golden spec (all modes, sanitizer off and on)."""
     from repro.harness.runner import build_warm_snapshot
 
-    base = _spec_for(entry)
-    spec = RunSpec(tag=base.tag, mode=base.mode, scale=base.scale,
-                   config=base.config, warmup=entry["cycles"] // 2)
+    spec = replace(_spec_for(entry), warmup=entry["cycles"] // 2)
     snap = build_warm_snapshot(spec)
     assert 0 < snap.cycle <= entry["cycles"]
     record = execute_spec(spec, warm=snap)
@@ -154,15 +172,24 @@ def test_warmup_zero_does_not_change_spec_digests():
 
 
 def test_golden_covers_all_modes_and_sanitizer_states():
-    """The fixture spans {RC, FA} x all modes x sanitizer {off, on}, plus
-    the hit-heavy {LT, SF, LL} x all modes with the sanitizer off."""
-    seen = {(e["tag"], e["mode"], e["sanitizer"]) for e in GOLDEN.values()}
-    expected = {(tag, mode.value, san)
+    """The fixture spans {RC, FA} x all modes x sanitizer {off, on}, the
+    hit-heavy {LT, SF, LL} x all modes, {LT, RC} x {FSDetect, FSLite} at
+    granularity {2, 4}, and the OoO core on RC x all modes (sanitizer off
+    for all but the first group)."""
+    seen = {(e["tag"], e["mode"], e["sanitizer"], e.get("granularity", 1),
+             e.get("core_model", "inorder")) for e in GOLDEN.values()}
+    expected = {(tag, mode.value, san, 1, "inorder")
                 for tag in ("RC", "FA")
                 for mode in ProtocolMode
                 for san in (False, True)}
-    expected |= {(tag, mode.value, False)
+    expected |= {(tag, mode.value, False, 1, "inorder")
                  for tag in HIT_HEAVY_TAGS
+                 for mode in ProtocolMode}
+    expected |= {(tag, mode.value, False, gran, "inorder")
+                 for tag in GRANULARITY_TAGS
+                 for mode in FS_MODES
+                 for gran in GRANULARITIES}
+    expected |= {("RC", mode.value, False, 1, "ooo")
                  for mode in ProtocolMode}
     assert seen == expected
     assert len(GOLDEN) == len(expected)

@@ -17,7 +17,8 @@ import pytest
 
 from repro.coherence.states import ProtocolMode
 from repro.harness import experiments as E
-from repro.harness.engine import CODE_VERSION, Engine, EngineError
+from repro.harness.engine import (Engine, EngineError, code_version,
+                                  source_fingerprint)
 from repro.harness.export import records_from_json, records_to_json
 from repro.harness.runner import RunRecord, RunSpec, execute_spec
 
@@ -130,12 +131,12 @@ class TestCache:
         Engine(cache_dir=tmp_path).run_one(spec)
         path = tmp_path / f"{spec.digest()}.json"
         stale = json.loads(path.read_text())
-        stale["code_version"] = f"{CODE_VERSION}-stale"
+        stale["code_version"] = f"{code_version()}-stale"
         path.write_text(json.dumps(stale))
         engine = Engine(cache_dir=tmp_path)
         engine.run_one(spec)
         assert engine.stats["executed"] == 1  # stale entry re-simulated
-        assert json.loads(path.read_text())["code_version"] == CODE_VERSION
+        assert json.loads(path.read_text())["code_version"] == code_version()
 
     def test_corrupt_entry_is_quarantined_and_recomputed(self, tmp_path,
                                                          caplog):
@@ -176,7 +177,7 @@ class TestCache:
         Engine(cache_dir=tmp_path).run_one(spec)
         path = tmp_path / f"{spec.digest()}.json"
         stale = json.loads(path.read_text())
-        stale["code_version"] = f"{CODE_VERSION}-stale"
+        stale["code_version"] = f"{code_version()}-stale"
         path.write_text(json.dumps(stale))
         engine = Engine(cache_dir=tmp_path)
         engine.run_one(spec)
@@ -425,19 +426,64 @@ class TestCliEngineFlags:
         assert "fslite" in out and "manual-fix" in out
 
 
+class TestCodeVersion:
+    """The cache stamp is a fingerprint of the behaviour packages' source,
+    so an edit that forgets to announce itself still invalidates every
+    cached result and warm snapshot."""
+
+    @staticmethod
+    def _copy_package(tmp_path):
+        import repro
+
+        root = tmp_path / "repro"
+        shutil.copytree(os.path.dirname(repro.__file__), root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    def test_code_version_is_this_source_fingerprint(self):
+        import pathlib
+
+        import repro
+
+        version = code_version()
+        assert version == source_fingerprint(
+            pathlib.Path(repro.__file__).resolve().parent)
+        assert len(version) == 64
+        assert code_version() is version  # computed once per process
+
+    @pytest.mark.parametrize("module", [
+        "coherence/l1_controller.py", "cpu/ops.py", "common/events.py",
+        "workloads/trace.py", "system/builder.py"])
+    def test_editing_a_behaviour_module_changes_the_key(self, tmp_path,
+                                                        module):
+        root = self._copy_package(tmp_path)
+        before = source_fingerprint(root)
+        with open(root / module, "a") as fh:
+            fh.write("\n# edited\n")
+        assert source_fingerprint(root) != before
+
+    def test_adding_a_behaviour_module_changes_the_key(self, tmp_path):
+        root = self._copy_package(tmp_path)
+        before = source_fingerprint(root)
+        (root / "core" / "extra.py").write_text("X = 1\n")
+        assert source_fingerprint(root) != before
+
+    def test_editing_a_non_behaviour_module_keeps_the_key(self, tmp_path):
+        root = self._copy_package(tmp_path)
+        before = source_fingerprint(root)
+        with open(root / "cli.py", "a") as fh:
+            fh.write("\n# edited\n")
+        assert source_fingerprint(root) == before
+
+
 class TestCacheCompatibility:
-    """The observability release bumps CODE_VERSION deliberately: cached
-    entries predating it are invalidated (re-simulated), but the *results*
-    they held are still reproduced bit-for-bit by the new code."""
+    """Cached entries stamped by older code are invalidated (re-simulated),
+    but the *results* they held are still reproduced bit-for-bit by the
+    new code."""
 
     FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data",
                                "engine_cache")
     FIXTURE_SPEC = RunSpec(tag="ww", mode=ProtocolMode.FSLITE, scale=0.5)
-
-    def test_code_version_bumped_for_obs(self):
-        # RunSpec grew the (conditionally serialized) obs field and records
-        # may carry extra["obs"]; the stamp marks the cache-format epoch.
-        assert CODE_VERSION == "3"
 
     def test_spec_digest_unchanged_without_obs(self):
         # The obs field is only serialized when set, so every pre-existing
@@ -457,10 +503,10 @@ class TestCacheCompatibility:
         engine = Engine(cache_dir=cache)
         engine.run_one(self.FIXTURE_SPEC)
         assert engine.stats["cache_hits"] == 0, \
-            "a version-2 entry must not replay under version 3"
+            "a version-2 entry must not replay under the source fingerprint"
         assert engine.stats["executed"] == 1
         with open(cache / (self.FIXTURE_SPEC.digest() + ".json")) as fh:
-            assert json.load(fh)["code_version"] == CODE_VERSION
+            assert json.load(fh)["code_version"] == code_version()
 
     def test_prechange_record_matches_fresh_run(self):
         # Behaviour preservation: the version-2 fixture's stats are exactly

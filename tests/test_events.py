@@ -41,6 +41,26 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             q.schedule(-1, _noop)
 
+    def test_schedule_at_past_rejected(self):
+        q = EventQueue()
+        q.schedule(5, _noop)
+        q.run()
+        with pytest.raises(SimulationError):
+            q.schedule_at(4, _noop)
+        assert q.empty()
+        q.schedule_at(5, _noop)  # "now" itself is allowed
+        assert not q.empty()
+
+    def test_schedule_and_schedule_at_share_tie_order(self):
+        q = EventQueue()
+        log = []
+        q.schedule(6, log.append, "a")
+        q.schedule_at(6, log.append, "b")
+        q.schedule(6, log.append, "c")
+        q.schedule_at(6, log.append, "d")
+        q.run()
+        assert log == ["a", "b", "c", "d"]
+
     def test_schedule_from_callback(self):
         q = EventQueue()
         log = []

@@ -13,6 +13,8 @@ Three families of properties:
   execute.
 """
 
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,6 +198,42 @@ def test_any_corruption_outside_meta_raises(tmp_path_factory, streams,
     bad.write_bytes(bytes(blob))
     with pytest.raises(TraceFormatError):
         verify_trace(bad)
+
+
+@pytest.mark.parametrize("stream", [
+    [ops.load(0, 1), ops.load(0x49, 1), ops.load(0, 1),
+     ops.fetch_add(0x20cc, 1), ops.load(0, 1)],
+    # Incompressible record bytes: zlib emits a stored block.
+    [ops.store(8 * i, (0x9E3779B97F4A7C15 * (i + 1)) % (1 << 64), size=8)
+     for i in range(6)],
+], ids=["fixed-block", "stored-block"])
+def test_flips_zlib_ignores_still_raise(tmp_path, stream):
+    """zlib checks its adler32 against the *decompressed* bytes only, so a
+    flip in the header's level bits or in padding bits decodes to the same
+    payload.  Every such flip inside a frame must still be rejected."""
+    path = tmp_path / "t.rtrace"
+    _write(path, [stream], chunk_ops=64)
+    blob = path.read_bytes()
+    start = blob.index(b"\x78\x9c", HEADER_SIZE)
+    end = len(blob) - 2  # end frame: marker + one count varint
+    comp = blob[start:end]
+    payload = zlib.decompress(comp)
+    ignored = 0
+    for pos in range(len(comp)):
+        for flip in range(1, 256):
+            damaged = bytearray(comp)
+            damaged[pos] ^= flip
+            try:
+                if zlib.decompress(bytes(damaged)) != payload:
+                    continue
+            except zlib.error:
+                continue
+            ignored += 1
+            bad = tmp_path / "bad.rtrace"
+            bad.write_bytes(blob[:start] + bytes(damaged) + blob[end:])
+            with pytest.raises(TraceFormatError):
+                verify_trace(bad)
+    assert ignored  # the header's level bits alone give three
 
 
 @settings(max_examples=30, deadline=None)
