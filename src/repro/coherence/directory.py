@@ -20,7 +20,6 @@ busy block queue FIFO and drain when the context resolves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Set
 
@@ -108,14 +107,19 @@ from repro.memsys.cache_array import CacheArray
 from repro.memsys.main_memory import MainMemory
 
 
-@dataclass
 class LlcLine:
-    data: bytearray
-    dirty: bool = False
-    state: DirState = DIR_I
-    owner: Optional[int] = None
-    sharers: Set[int] = field(default_factory=set)
-    prv_sharers: Set[int] = field(default_factory=set)
+    """One resident LLC block with its embedded directory entry (built
+    once per LLC fill)."""
+
+    __slots__ = ("data", "dirty", "state", "owner", "sharers", "prv_sharers")
+
+    def __init__(self, data: bytearray) -> None:
+        self.data = data
+        self.dirty = False
+        self.state: DirState = DIR_I
+        self.owner: Optional[int] = None
+        self.sharers: Set[int] = set()
+        self.prv_sharers: Set[int] = set()
 
     @property
     def holders(self) -> Set[int]:
@@ -146,25 +150,46 @@ class _QueueNow:
         self.queue = state
 
 
-@dataclass
 class BusyCtx:
-    kind: BusyKind
-    block: int
-    request: Optional[Message] = None
-    waiting: Set[int] = field(default_factory=set)
-    prospective: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None
-    requestor: Optional[int] = None
-    req_md: bool = False
-    upgrade: bool = False
-    conflict: bool = False
-    lw_snapshot: List[Optional[int]] = field(default_factory=list)
-    cause: Optional[TerminationCause] = None
-    #: Termination triggered by an LLC eviction merges into this buffer and
-    #: writes to memory instead of back into the LLC.
-    evict_data: Optional[bytearray] = None
-    #: Continuation invoked when the context resolves (fills, recalls).
-    then: Optional[Callable[[], None]] = None
+    """One in-flight multi-message transaction on a block (built once per
+    intervention, invalidation round, fetch, recall or PRV episode edge).
+
+    The constructor takes what every kind uses; the kind-specific fields
+    start empty and the code that opens the context sets the ones it
+    needs.
+    """
+
+    __slots__ = ("kind", "block", "request", "waiting", "prospective",
+                 "owner", "requestor", "req_md", "upgrade", "conflict",
+                 "lw_snapshot", "cause", "evict_data", "then")
+
+    def __init__(self, kind: BusyKind, block: int,
+                 request: Optional[Message] = None,
+                 waiting: Optional[Set[int]] = None) -> None:
+        self.kind = kind
+        self.block = block
+        #: The request this context serves (re-run when it resolves).
+        self.request = request
+        #: Cores whose response is still outstanding.
+        self.waiting: Set[int] = set() if waiting is None else waiting
+        #: PRV_INIT: the cores that will join the privatized episode.
+        self.prospective: Optional[Set[int]] = None
+        #: FWD: the owner the intervention went to.
+        self.owner: Optional[int] = None
+        self.requestor: Optional[int] = None
+        self.req_md = False
+        #: INV_COLLECT: answer with UPG_ACK rather than data.
+        self.upgrade = False
+        #: PRV_INIT: a metadata response reported true sharing.
+        self.conflict = False
+        #: PRV_TERM: per-granule last writers for the byte merge.
+        self.lw_snapshot: Optional[List[Optional[int]]] = None
+        self.cause: Optional[TerminationCause] = None
+        #: Termination triggered by an LLC eviction merges into this buffer
+        #: and writes to memory instead of back into the LLC.
+        self.evict_data: Optional[bytearray] = None
+        #: Continuation invoked when the context resolves (fills, recalls).
+        self.then: Optional[Callable[[], None]] = None
 
 
 class DirectorySlice:
@@ -191,6 +216,12 @@ class DirectorySlice:
         self.num_slices = num_slices
         self.block_size = config.block_size
         self.granularity = config.protocol.tracking_granularity
+        # Hot-path bindings, read per message instead of the config/mode
+        # attribute chains.
+        self._repairs = mode.repairs
+        self._tag_latency = config.llc.tag_latency
+        self._data_latency = config.llc.data_latency
+        self._chk_latency = config.protocol.conflict_check_latency
         # Per-slice LLC capacity: total size divided across slices; blocks
         # map to slices by low block-number bits, so consecutive blocks of a
         # slice are ``num_slices`` apart and the set index uses the full
@@ -203,6 +234,9 @@ class DirectorySlice:
             policy="lru",
             index_divisor=num_slices,
         )
+        #: The LLC's block index (never rebound): handlers find a line
+        #: with one dict probe.
+        self._llc_index = self.llc._index
         self.detector: Optional[FalseSharingDetector] = None
         if mode.detects:
             self.detector = FalseSharingDetector(
@@ -240,7 +274,7 @@ class DirectorySlice:
     # ----------------------------------------------------------- utilities
 
     def _line(self, block: int) -> LlcLine:
-        entry = self.llc.peek(block)
+        entry = self._llc_index.get(block)
         if entry is None:
             raise ProtocolError(f"block {block:#x} not resident in LLC")
         return entry.payload
@@ -249,17 +283,20 @@ class DirectorySlice:
         return granule_mask(byte_mask, self.granularity, self.block_size)
 
     def _send(self, mtype: MessageType, dst: int, block: int,
-              payload: Optional[dict] = None, delay: int = 0) -> None:
-        self.network.send(Message(
-            mtype, src=self.node_id, dst=dst, block_addr=block,
-            payload=payload or {}),
-            extra_delay=self.config.llc.tag_latency + delay)
+              payload: dict, delay: int = 0) -> None:
+        self.network.send(Message(mtype, self.node_id, dst, block, payload),
+                          extra_delay=self._tag_latency + delay)
 
-    def _data_payload(self, line: LlcLine, **extra) -> dict:
+    def _send_data(self, mtype: MessageType, dst: int, block: int,
+                   line: LlcLine, req_md: Optional[bool] = None,
+                   delay: int = 0) -> None:
+        """Send ``line``'s bytes (one LLC data access) after the data
+        latency plus ``delay``; ``req_md`` rides along when given."""
         self.stats[SLICE_LLC_DATA_ACCESSES] += 1
         payload = {"data": bytes(line.data)}
-        payload.update(extra)
-        return payload
+        if req_md is not None:
+            payload["req_md"] = req_md
+        self._send(mtype, dst, block, payload, self._data_latency + delay)
 
     def _is_blocked(self, block: int) -> bool:
         return block in self._busy
@@ -304,7 +341,7 @@ class DirectorySlice:
 
     def _process_request(self, msg: Message) -> None:
         block = msg.block_addr
-        if self._is_blocked(block):
+        if block in self._busy:
             self._enqueue(msg)
             return
         entry = self.llc.lookup(block)
@@ -320,8 +357,8 @@ class DirectorySlice:
             action = self.detector.classify(block)
             if action == DetectionAction.FLAG_FALSE_SHARING:
                 self.detector.report(block, self.queue.now,
-                                     privatized=self.mode.repairs)
-                if self.mode.repairs:
+                                     privatized=self._repairs)
+                if self._repairs:
                     self._start_prv_init(msg, line)
                     return
                 self.detector.apply_reset(block)
@@ -349,20 +386,14 @@ class DirectorySlice:
         if line.state is DIR_I:
             line.state = DIR_EM
             line.owner = core
-            self._send(MSG_DATA_E, core, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
+            self._send_data(MSG_DATA_E, core, block, line)
         elif line.state is DIR_S:
             line.sharers.add(core)
-            self._send(MSG_DATA, core, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
+            self._send_data(MSG_DATA, core, block, line)
         elif line.state is DIR_EM:
             if line.owner == core:
                 self.stats[SLICE_REGRANTS] += 1
-                self._send(MSG_DATA_E, core, block,
-                           self._data_payload(line),
-                           delay=self.config.llc.data_latency)
+                self._send_data(MSG_DATA_E, core, block, line)
                 return
             self._intervene(msg, line, MSG_FWD_GET)
         else:  # PRV
@@ -373,9 +404,7 @@ class DirectorySlice:
         if line.state is DIR_I:
             line.state = DIR_EM
             line.owner = core
-            self._send(MSG_DATA_E, core, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
+            self._send_data(MSG_DATA_E, core, block, line)
         elif line.state is DIR_S:
             # A GETX from a listed sharer means the core silently evicted
             # its copy and the directory info is stale; drop it and serve.
@@ -384,9 +413,7 @@ class DirectorySlice:
         elif line.state is DIR_EM:
             if line.owner == core:
                 self.stats[SLICE_REGRANTS] += 1
-                self._send(MSG_DATA_E, core, block,
-                           self._data_payload(line),
-                           delay=self.config.llc.data_latency)
+                self._send_data(MSG_DATA_E, core, block, line)
                 return
             self._intervene(msg, line, MSG_FWD_GETX)
         else:  # PRV
@@ -414,8 +441,8 @@ class DirectorySlice:
         # The requestor was invalidated while its upgrade was in flight:
         # convert to a GetX (gem5 MESI does the same).
         self.stats[SLICE_UPGRADES_CONVERTED] += 1
-        converted = Message(MSG_GETX, src=msg.src, dst=msg.dst,
-                            block_addr=block, payload=dict(msg.payload))
+        converted = Message(MSG_GETX, msg.src, msg.dst, block,
+                            dict(msg.payload))
         if line.state is DIR_I:
             self._do_getx(converted, line)
         elif line.state is DIR_S:
@@ -435,8 +462,10 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.count_invalidations(block, 1)
         self.stats[SLICE_INTERVENTIONS_SENT] += 1
-        ctx = BusyCtx(kind=BUSY_FWD, block=block, request=msg,
-                      owner=line.owner, requestor=msg.src, req_md=req_md)
+        ctx = BusyCtx(BUSY_FWD, block, msg)
+        ctx.owner = line.owner
+        ctx.requestor = msg.src
+        ctx.req_md = req_md
         self._busy[block] = ctx
         self._send(fwd, line.owner, block,
                    {"requestor": msg.src, "req_md": req_md})
@@ -449,9 +478,10 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.count_invalidations(block, len(targets))
         self.stats[SLICE_INVALIDATIONS_SENT] += len(targets)
-        ctx = BusyCtx(kind=BUSY_INV_COLLECT, block=block, request=msg,
-                      waiting=set(targets), requestor=core, req_md=req_md,
-                      upgrade=upgrade)
+        ctx = BusyCtx(BUSY_INV_COLLECT, block, msg, set(targets))
+        ctx.requestor = core
+        ctx.req_md = req_md
+        ctx.upgrade = upgrade
         self._busy[block] = ctx
         for sharer in targets:
             self._send(MSG_INV, sharer, block,
@@ -468,9 +498,8 @@ class DirectorySlice:
             self._send(MSG_UPG_ACK, ctx.requestor, ctx.block,
                        {"req_md": ctx.req_md})
         else:
-            self._send(MSG_DATA_E, ctx.requestor, ctx.block,
-                       self._data_payload(line, req_md=ctx.req_md),
-                       delay=self.config.llc.data_latency)
+            self._send_data(MSG_DATA_E, ctx.requestor, ctx.block, line,
+                            ctx.req_md)
         self._release_busy(ctx.block)
 
     def _finish_fwd(self, ctx: BusyCtx, owner_kept_copy: bool,
@@ -489,9 +518,8 @@ class DirectorySlice:
                 line.sharers.add(ctx.owner)
         if dir_serves_data:
             mtype = MSG_DATA_E if was_getx else MSG_DATA
-            self._send(mtype, ctx.requestor, ctx.block,
-                       self._data_payload(line, req_md=ctx.req_md),
-                       delay=self.config.llc.data_latency)
+            self._send_data(mtype, ctx.requestor, ctx.block, line,
+                            ctx.req_md)
         self._release_busy(ctx.block)
 
     # -- FSLite: privatization ---------------------------------------------------
@@ -502,9 +530,9 @@ class DirectorySlice:
         self.stats[SLICE_PRIVATIZATIONS] += 1
         if self.obs is not None:
             self.obs.prv_init(block, msg.src, set(holders), self.queue.now)
-        ctx = BusyCtx(kind=BUSY_PRV_INIT, block=block, request=msg,
-                      waiting=set(holders), prospective=set(holders),
-                      requestor=msg.src)
+        ctx = BusyCtx(BUSY_PRV_INIT, block, msg, set(holders))
+        ctx.prospective = set(holders)
+        ctx.requestor = msg.src
         self._busy[block] = ctx
         self._allocate_sam(block)
         if self.detector is not None:
@@ -524,7 +552,7 @@ class DirectorySlice:
             self._handle_sam_eviction(evicted_block, evicted_entry)
 
     def _handle_sam_eviction(self, block: int, entry) -> None:
-        llc_entry = self.llc.peek(block)
+        llc_entry = self._llc_index.get(block)
         if llc_entry is None or llc_entry.payload.state is not DIR_PRV:
             return
         if self._is_blocked(block):
@@ -580,9 +608,7 @@ class DirectorySlice:
         if msg.mtype is MSG_UPGRADE:
             self._send(MSG_UPG_ACK_PRV, msg.src, block, {})
         else:
-            self._send(MSG_DATA_PRV, msg.src, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
+            self._send_data(MSG_DATA_PRV, msg.src, block, line)
         self._release_busy(block)
 
     def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
@@ -610,10 +636,8 @@ class DirectorySlice:
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
             self.obs.prv_join(block, core, is_write, self.queue.now)
-        self._send(MSG_DATA_PRV, core, block,
-                   self._data_payload(line),
-                   delay=self.config.llc.data_latency
-                   + self.config.protocol.conflict_check_latency)
+        self._send_data(MSG_DATA_PRV, core, block, line,
+                        delay=self._chk_latency)
 
     def _do_chk(self, msg: Message, line: LlcLine, is_write: bool) -> None:
         """First-touch conflict check on a privatized block (Fig. 8)."""
@@ -637,11 +661,9 @@ class DirectorySlice:
             else:
                 sam_entry.record_read(core, gmask)
             if msg.mtype is MSG_UPGRADE:
-                self._send(MSG_UPG_ACK_PRV, core, block, {},
-                           delay=self.config.protocol.conflict_check_latency)
+                self._send(MSG_UPG_ACK_PRV, core, block, {}, self._chk_latency)
             else:
-                self._send(MSG_ACK_PRV, core, block, {},
-                           delay=self.config.protocol.conflict_check_latency)
+                self._send(MSG_ACK_PRV, core, block, {}, self._chk_latency)
         else:
             self.stats[SLICE_CHK_FAIL] += 1
             self.detector.record_conflict_abort(block)
@@ -660,7 +682,7 @@ class DirectorySlice:
         evict_data: Optional[bytearray] = None,
         then: Optional[Callable[[], None]] = None,
     ) -> None:
-        line_entry = self.llc.peek(block)
+        line_entry = self._llc_index.get(block)
         line = line_entry.payload if line_entry is not None else None
         sharers = set(prv_set) if prv_set is not None else (
             set(line.prv_sharers) if line is not None else set())
@@ -672,9 +694,11 @@ class DirectorySlice:
         if self.obs is not None:
             self.obs.term_start(block, cause._value_, set(sharers),
                                 lw_snapshot, self.queue.now)
-        ctx = BusyCtx(kind=BUSY_PRV_TERM, block=block, request=rerun,
-                      waiting=set(sharers), lw_snapshot=lw_snapshot,
-                      cause=cause, evict_data=evict_data, then=then)
+        ctx = BusyCtx(BUSY_PRV_TERM, block, rerun, set(sharers))
+        ctx.lw_snapshot = lw_snapshot
+        ctx.cause = cause
+        ctx.evict_data = evict_data
+        ctx.then = then
         self._busy[block] = ctx
         for core in sharers:
             self._send(MSG_INV_PRV, core, block, {})
@@ -726,7 +750,7 @@ class DirectorySlice:
 
     def _start_fetch(self, msg: Message) -> None:
         block = msg.block_addr
-        ctx = BusyCtx(kind=BUSY_FETCH, block=block, request=msg)
+        ctx = BusyCtx(BUSY_FETCH, block, msg)
         self._busy[block] = ctx
         self.stats[SLICE_MEMORY_FETCHES] += 1
         self.queue.schedule(self.config.memory_latency, self._fetch_done, ctx)
@@ -782,7 +806,7 @@ class DirectorySlice:
         for busy_block in self._busy:
             if self.llc.set_index_of(busy_block) != set_index:
                 continue
-            entry = self.llc.peek(busy_block)
+            entry = self._llc_index.get(busy_block)
             if entry is not None:
                 protected.append(entry.way)
         return protected
@@ -800,8 +824,8 @@ class DirectorySlice:
         """Invalidate private copies so an LLC victim can be evicted."""
         self.stats[SLICE_RECALLS] += 1
         holders = line.holders
-        ctx = BusyCtx(kind=BUSY_RECALL, block=block, waiting=set(holders),
-                      then=then)
+        ctx = BusyCtx(BUSY_RECALL, block, None, set(holders))
+        ctx.then = then
         self._busy[block] = ctx
         if line.state is DIR_EM:
             self._send(MSG_RECALL, line.owner, block, {})
@@ -824,7 +848,7 @@ class DirectorySlice:
             then()
 
     def _install_llc(self, block: int, data: bytearray) -> None:
-        self.llc.fill(block, LlcLine(data=data))
+        self.llc.fill(block, LlcLine(data))
         if self.detector is not None:
             # FC/IC initialize to zero when a block fills into the LLC.
             self.detector.drop_meta(block)
@@ -873,7 +897,7 @@ class DirectorySlice:
                     self._finish_recall(ctx)
                 return
             raise ProtocolError(f"PUTM during {ctx.kind} for {block:#x}")
-        entry = self.llc.peek(block)
+        entry = self._llc_index.get(block)
         if entry is None:
             # Terminating-eviction already wrote to memory; stale PUTM.
             self.stats[SLICE_STALE_PUTM] += 1
@@ -922,7 +946,7 @@ class DirectorySlice:
         if ctx is None:
             # Flush attached to TR_PRV that arrived after init finished, or
             # a stale downgrade; accept the data.
-            entry = self.llc.peek(block)
+            entry = self._llc_index.get(block)
             if entry is not None:
                 entry.payload.data = bytearray(data)
                 entry.payload.dirty = True
@@ -983,7 +1007,7 @@ class DirectorySlice:
         ctx = self._busy.get(block)
         if ctx is not None and ctx.kind is BUSY_PRV_TERM:
             return  # episode ending; metadata is obsolete
-        entry = self.llc.peek(block)
+        entry = self._llc_index.get(block)
         if entry is not None and entry.payload.state is DIR_PRV:
             return  # SAM already tracks PRV accesses via CHKs
         self.stats[SLICE_SAM_ACCESSES] += 1
@@ -1027,7 +1051,7 @@ class DirectorySlice:
         if ctx is None or ctx.kind is not BUSY_PRV_TERM:
             # A termination that no longer exists (the core's response
             # crossed the finish): merge against live SAM if still PRV.
-            entry = self.llc.peek(msg.block_addr)
+            entry = self._llc_index.get(msg.block_addr)
             if entry is not None and entry.payload.state is DIR_PRV:
                 sam_entry = self.detector.sam.peek(msg.block_addr)
                 if sam_entry is not None:

@@ -17,10 +17,8 @@ line in the array is always in a stable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.addr import bytes_touched
 from repro.common.config import SystemConfig
 from repro.common.errors import ProtocolError
 from repro.common.statkeys import (
@@ -114,21 +112,25 @@ class L1Line:
         self.dirty = dirty
 
 
-@dataclass
 class Mshr:
-    """One outstanding transaction for one block."""
+    """One outstanding transaction for one block (built once per miss)."""
 
-    block_addr: int
-    sent: MessageType
-    ops: List[Tuple[Op, CompletionCallback]] = field(default_factory=list)
-    #: Inv_PRV raced ahead of the data response (Fig. 11): drop the response
-    #: and reissue the request when it arrives.
-    aborted: bool = False
-    #: The line this CHK referred to was invalidated by a termination; the
-    #: directory will answer with a data response instead of Ack_PRV.
-    chk_line_lost: bool = False
-    #: A plain INV raced a GET fill: consume the data once, then drop it.
-    inv_after_fill: bool = False
+    __slots__ = ("block_addr", "sent", "ops", "aborted", "chk_line_lost",
+                 "inv_after_fill")
+
+    def __init__(self, block_addr: int, sent: MessageType,
+                 ops: List[Tuple[Op, CompletionCallback]]) -> None:
+        self.block_addr = block_addr
+        self.sent = sent
+        self.ops = ops
+        #: Inv_PRV raced ahead of the data response (Fig. 11): drop the
+        #: response and reissue the request when it arrives.
+        self.aborted = False
+        #: The line this CHK referred to was invalidated by a termination;
+        #: the directory will answer with a data response, not Ack_PRV.
+        self.chk_line_lost = False
+        #: A plain INV raced a GET fill: consume the data once, then drop it.
+        self.inv_after_fill = False
 
 
 class L1Controller:
@@ -164,19 +166,22 @@ class L1Controller:
         self.write_buffer = WriteBuffer(capacity=64)
         self._mshrs: Dict[int, Mshr] = {}
         # Hot-path bindings: block/offset masks (block size is a power of
-        # two), the mode's detect flag, the hit latency, and the PAM/write-
-        # buffer entry dicts (owned by those objects, never rebound) — the
-        # per-access path reads these instead of re-deriving them.
+        # two), the mode's detect flag, the tag/data latencies, and the PAM/
+        # write-buffer entry dicts (owned by those objects, never rebound) —
+        # the per-access and per-message paths read these instead of
+        # re-deriving them.
         self._offset_mask = self.block_size - 1
         self._base_mask = ~self._offset_mask
         self._detects = mode.detects
+        self._tag_latency = config.l1.tag_latency
         self._data_latency = config.l1.data_latency
         self._granularity = config.protocol.tracking_granularity
         self._pam_entries = self.pam._entries
         self._wb_entries = self.write_buffer._entries
         # The cache array's block index and per-set replacement policies
         # (also never rebound): a hit is one dict probe plus the set's
-        # ``touch``, with no ``CacheArray.lookup`` frame in between.
+        # ``touch``, with no ``CacheArray.lookup`` frame in between, and
+        # each message handler finds its line with one probe.
         self._cache_index = self.cache._index
         self._cache_policies = self.cache._policies
         self.stats: Dict[str, int] = dict.fromkeys(CORE_STAT_KEYS, 0)
@@ -333,33 +338,36 @@ class L1Controller:
 
     def _start_miss(self, block: int, line: Optional[L1Line], op: Op,
                     cb: CompletionCallback) -> None:
+        stats = self.stats
         if line is not None and line.state is L1_PRV:
             mtype = MSG_GETXCHK if op.is_write else MSG_GETCHK
-            self.stats[CORE_CHK_MISSES] += 1
-            self.stats[CORE_CHK_SENT] += 1
+            stats[CORE_CHK_MISSES] += 1
+            stats[CORE_CHK_SENT] += 1
         elif line is not None and line.state is L1_S and op.is_write:
             mtype = MSG_UPGRADE
-            self.stats[CORE_MISSES] += 1
-            self.stats[CORE_UPGRADE_SENT] += 1
+            stats[CORE_MISSES] += 1
+            stats[CORE_UPGRADE_SENT] += 1
         elif op.is_write:
             mtype = MSG_GETX
-            self.stats[CORE_MISSES] += 1
-            self.stats[CORE_GETX_SENT] += 1
+            stats[CORE_MISSES] += 1
+            stats[CORE_GETX_SENT] += 1
         else:
             mtype = MSG_GET
-            self.stats[CORE_MISSES] += 1
-            self.stats[CORE_GET_SENT] += 1
-        mshr = Mshr(block_addr=block, sent=mtype, ops=[(op, cb)])
+            stats[CORE_MISSES] += 1
+            stats[CORE_GET_SENT] += 1
+        mshr = Mshr(block, mtype, [(op, cb)])
         self._mshrs[block] = mshr
         self._send_request(mshr, op)
 
     def _send_request(self, mshr: Mshr, op: Op) -> None:
-        _, byte_mask = bytes_touched(op.addr, op.size, self.block_size)
+        # Ops are naturally aligned and ``CacheConfig`` keeps blocks at
+        # least 8 bytes, so the touched bytes never straddle the block.
+        byte_mask = ((1 << op.size) - 1) << (op.addr & self._offset_mask)
+        block = mshr.block_addr
         self.network.send(Message(
-            mshr.sent, src=self.core_id, dst=self.home_of(mshr.block_addr),
-            block_addr=mshr.block_addr,
-            payload={"touched_mask": byte_mask, "is_rmw": op.kind is OP_RMW},
-        ), extra_delay=self.config.l1.tag_latency)
+            mshr.sent, self.core_id, self.home_of(block), block,
+            {"touched_mask": byte_mask, "is_rmw": op.kind is OP_RMW}),
+            extra_delay=self._tag_latency)
 
     def _reissue(self, mshr: Mshr) -> None:
         """Reissue an aborted request (Fig. 11 race) as a plain GET/GETX."""
@@ -375,12 +383,11 @@ class L1Controller:
 
     def _fill(self, block: int, data: bytearray, state: L1State) -> L1Line:
         """Allocate the line (evicting a victim if needed)."""
-        line = L1Line(state=state, data=data)
-        evicted = self.cache.fill(
-            block, line, protected=self._protected_ways(block))
+        line = L1Line(state, data)
+        evicted = self.cache.fill(block, line, self._protected_ways(block))
         if evicted is not None:
-            self._evict(self.cache.addr_of(evicted), evicted.payload)
-        if self.mode.detects:
+            self._evict(evicted.block_addr, evicted.payload)
+        if self._detects:
             if block in self.pam:
                 raise ProtocolError("stale PAM entry at fill")
             self.pam.allocate(block)
@@ -389,14 +396,18 @@ class L1Controller:
         return line
 
     def _protected_ways(self, block: int) -> List[int]:
-        """Ways in this set that host blocks with in-flight transactions."""
+        """Ways in this set that host blocks with in-flight transactions.
+
+        ``block`` itself is skipped: it is the block being filled, which is
+        never resident (``_on_data`` raises if it is)."""
         set_index = self.cache.set_index_of(block)
+        index = self._cache_index
         protected = []
         for mshr_block in self._mshrs:
-            if self.cache.set_index_of(mshr_block) != set_index:
+            if mshr_block == block:
                 continue
-            entry = self.cache.peek(mshr_block)
-            if entry is not None:
+            entry = index.get(mshr_block)
+            if entry is not None and entry.set_index == set_index:
                 protected.append(entry.way)
         return protected
 
@@ -407,10 +418,8 @@ class L1Controller:
             self.write_buffer.insert(block, bytearray(line.data),
                                      prv=line.state is L1_PRV)
             self.network.send(Message(
-                MSG_PUTM, src=self.core_id, dst=self.home_of(block),
-                block_addr=block,
-                payload={"data": bytes(line.data),
-                         "prv": line.state is L1_PRV}))
+                MSG_PUTM, self.core_id, self.home_of(block), block,
+                {"data": bytes(line.data), "prv": line.state is L1_PRV}))
             # PRV metadata lives in the SAM already; M/E/S metadata may need
             # to be reported on eviction (SEND_MD, Section IV).
             if line.state is not L1_PRV:
@@ -422,18 +431,17 @@ class L1Controller:
             self._send_md_on_eviction(block)
 
     def _send_md_on_eviction(self, block: int) -> None:
-        if not self.mode.detects:
+        if not self._detects:
             return
         pentry = self.pam.invalidate(block)
         if pentry is not None and pentry.send_md and not pentry.empty:
             self.stats[CORE_REP_MD_SENT] += 1
             self.pam.md_sends += 1
             self.network.send(Message(
-                MSG_REP_MD, src=self.core_id,
-                dst=self.home_of(block), block_addr=block,
-                payload={"read_bits": pentry.read_bits,
-                         "write_bits": pentry.write_bits,
-                         "solicited": False}))
+                MSG_REP_MD, self.core_id, self.home_of(block), block,
+                {"read_bits": pentry.read_bits,
+                 "write_bits": pentry.write_bits,
+                 "solicited": False}))
 
     # ----------------------------------------------------- message handling
 
@@ -448,17 +456,17 @@ class L1Controller:
     def _fill_state_for(self, msg: Message, mshr: Mshr) -> L1State:
         wants_write = mshr.sent in (MSG_GETX, MSG_GETXCHK,
                                     MSG_UPGRADE)
-        if msg.mtype is MSG_DATA_PRV:
+        mtype = msg.mtype
+        if mtype is MSG_DATA_PRV:
             return L1_PRV
-        if msg.mtype is MSG_DATA:
-            return L1_M if wants_write else L1_S
-        if msg.mtype is MSG_DATA_E:
+        if mtype is MSG_DATA_E:
             return L1_M if wants_write else L1_E
-        # DATA_TO_REQ: forwarded by the old owner.
+        # DATA, or DATA_TO_REQ forwarded by the old owner.
         return L1_M if wants_write else L1_S
 
     def _on_data(self, msg: Message) -> None:
-        mshr = self._mshrs.get(msg.block_addr)
+        block = msg.block_addr
+        mshr = self._mshrs.get(block)
         if mshr is None:
             raise ProtocolError(
                 f"stray data response at core {self.core_id}: {msg}")
@@ -468,20 +476,20 @@ class L1Controller:
             # directory regrants idempotently.
             self._reissue(mshr)
             return
-        data = bytearray(msg.payload["data"])
+        payload = msg.payload
+        data = bytearray(payload["data"])
         state = self._fill_state_for(msg, mshr)
-        existing = self.cache.peek(msg.block_addr)
-        if existing is not None:
+        if block in self._cache_index:
             # A CHK answered with data after termination: the line was
             # invalidated by Inv_PRV before this response, so a live line
             # here is a protocol bug.
             raise ProtocolError("data response for a resident line")
-        line = self._fill(msg.block_addr, data, state)
-        if msg.payload.get("req_md") and self.mode.detects:
-            pentry = self.pam.get(msg.block_addr)
+        line = self._fill(block, data, state)
+        if self._detects and payload.get("req_md"):
+            pentry = self._pam_entries.get(block)
             if pentry is not None:
                 pentry.send_md = True
-        self._complete_mshr(msg.block_addr, mshr, line)
+        self._complete_mshr(block, mshr, line)
 
     def _complete_mshr(self, block: int, mshr: Mshr, line: L1Line) -> None:
         """Grant arrived: the first op performs immediately (it is globally
@@ -489,13 +497,12 @@ class L1Controller:
         del self._mshrs[block]
         (first_op, first_cb) = mshr.ops[0]
         rest = mshr.ops[1:]
-        latency = self.config.l1.data_latency
         result = self._perform(block, line, first_op)
         if mshr.inv_after_fill:
             # Consume-then-drop (IS_I): the invalidation was already
             # acknowledged; the fill satisfies exactly one access.
-            self._invalidate_line(block, send_md=False)
-        self.queue.schedule(latency, first_cb, result)
+            self._invalidate_line(block, False)
+        self.queue.schedule(self._data_latency, first_cb, result)
         # Replay queued ops *now* (hits apply synchronously) so that an op
         # issued later by a multi-outstanding core can never apply before
         # an older queued op — program order per core is preserved.
@@ -505,10 +512,11 @@ class L1Controller:
     # -- upgrade / CHK acks -----------------------------------------------------
 
     def _on_upg_ack(self, msg: Message) -> None:
-        mshr = self._mshrs.get(msg.block_addr)
+        block = msg.block_addr
+        mshr = self._mshrs.get(block)
         if mshr is None:
             raise ProtocolError(f"stray upgrade ack: {msg}")
-        entry = self.cache.peek(msg.block_addr)
+        entry = self._cache_index.get(block)
         if entry is None or mshr.aborted:
             # Invalidated while the upgrade was in flight (Fig. 12 race):
             # reissue as GetX.
@@ -517,21 +525,22 @@ class L1Controller:
         line = entry.payload
         line.state = (L1_PRV if msg.mtype is MSG_UPG_ACK_PRV
                       else L1_M)
-        if msg.payload.get("req_md") and self.mode.detects:
-            pentry = self.pam.get(msg.block_addr)
+        if self._detects and msg.payload.get("req_md"):
+            pentry = self._pam_entries.get(block)
             if pentry is not None:
                 pentry.send_md = True
-        self._complete_mshr(msg.block_addr, mshr, line)
+        self._complete_mshr(block, mshr, line)
 
     def _on_ack_prv(self, msg: Message) -> None:
-        mshr = self._mshrs.get(msg.block_addr)
+        block = msg.block_addr
+        mshr = self._mshrs.get(block)
         if mshr is None:
             raise ProtocolError(f"stray Ack_PRV: {msg}")
-        entry = self.cache.peek(msg.block_addr)
+        entry = self._cache_index.get(block)
         if entry is None or entry.payload.state is not L1_PRV or mshr.aborted:
             self._reissue(mshr)
             return
-        self._complete_mshr(msg.block_addr, mshr, entry.payload)
+        self._complete_mshr(block, mshr, entry.payload)
 
     # -- invalidations and interventions ------------------------------------------
 
@@ -543,185 +552,175 @@ class L1Controller:
         the block is still on the wire, so a privatization init must not
         conclude (and serve possibly-stale data) before the PUTM lands.
         """
-        if not self.mode.detects:
+        if not self._detects:
             return
-        pentry = self.pam.get(block)
+        pentry = self._pam_entries.get(block)
         dst = self.home_of(block)
         if pentry is not None:
             self.stats[CORE_REP_MD_SENT] += 1
             self.network.send(Message(
-                MSG_REP_MD, src=self.core_id, dst=dst,
-                block_addr=block,
-                payload={"read_bits": pentry.read_bits,
-                         "write_bits": pentry.write_bits,
-                         "solicited": solicited,
-                         "putm_in_flight": putm_in_flight}))
+                MSG_REP_MD, self.core_id, dst, block,
+                {"read_bits": pentry.read_bits,
+                 "write_bits": pentry.write_bits,
+                 "solicited": solicited,
+                 "putm_in_flight": putm_in_flight}))
         else:
             self.stats[CORE_PHANTOM_SENT] += 1
             self.network.send(Message(
-                MSG_PHANTOM_MD, src=self.core_id, dst=dst,
-                block_addr=block, payload={"solicited": solicited,
-                                           "putm_in_flight": putm_in_flight}))
+                MSG_PHANTOM_MD, self.core_id, dst, block,
+                {"solicited": solicited, "putm_in_flight": putm_in_flight}))
 
     def _invalidate_line(self, block: int, send_md: bool,
                          solicited: bool = True) -> None:
         if send_md:
-            self._metadata_response(block, solicited=solicited)
+            self._metadata_response(block, solicited)
         self.cache.invalidate(block)
         self.pam.invalidate(block)
 
     def _on_inv(self, msg: Message) -> None:
         self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
+        block = msg.block_addr
         req_md = bool(msg.payload.get("req_md"))
-        mshr = self._mshrs.get(msg.block_addr)
-        entry = self.cache.peek(msg.block_addr)
+        mshr = self._mshrs.get(block)
+        entry = self._cache_index.get(block)
         if mshr is not None and mshr.sent is MSG_UPGRADE:
             # Our upgrade lost the race; the directory converts it to a
             # GetX and answers with data, so just drop the S copy.
             if entry is not None:
-                self._invalidate_line(msg.block_addr, send_md=req_md)
+                self._invalidate_line(block, req_md)
         elif mshr is not None and mshr.sent is MSG_GET and entry is None:
             # INV overtook the data response of a GET: consume then drop.
             if req_md:
-                self._metadata_response(msg.block_addr)
+                self._metadata_response(block)
             mshr.inv_after_fill = True
         elif mshr is not None and entry is None:
             # Stale sharer info (silent eviction) while a GETX/CHK is in
             # flight: acknowledge and carry on.
             if req_md:
-                self._metadata_response(msg.block_addr)
+                self._metadata_response(block)
         elif entry is not None:
-            self._invalidate_line(msg.block_addr, send_md=req_md)
+            self._invalidate_line(block, req_md)
         else:
             # Silently evicted earlier; stale sharer info at the directory.
             if req_md:
-                self._metadata_response(msg.block_addr)
+                self._metadata_response(block)
         self.network.send(Message(
-            MSG_INV_ACK, src=self.core_id, dst=msg.src,
-            block_addr=msg.block_addr,
-            payload={"requestor": msg.payload.get("requestor")}),
-            extra_delay=self.config.l1.tag_latency)
+            MSG_INV_ACK, self.core_id, msg.src, block,
+            {"requestor": msg.payload.get("requestor")}),
+            extra_delay=self._tag_latency)
 
     def _on_fwd_get(self, msg: Message) -> None:
         self.stats[CORE_INTERVENTIONS_RECEIVED] += 1
+        block = msg.block_addr
         req_md = bool(msg.payload.get("req_md"))
         requestor = msg.payload["requestor"]
-        entry = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
-        if entry is not None and entry.payload.state in (L1_M, L1_E):
-            line = entry.payload
-            self.network.send(Message(
-                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data), "req_md": req_md}),
-                extra_delay=delay)
+        entry = self._cache_index.get(block)
+        delay = self._data_latency
+        send = self.network.send
+        core = self.core_id
+        line = entry.payload if entry is not None else None
+        if line is not None and (line.state is L1_M or line.state is L1_E):
+            # One immutable copy serves both messages; receivers copy it
+            # into a bytearray.
+            data = bytes(line.data)
+            send(Message(MSG_DATA_TO_REQ, core, requestor, block,
+                         {"data": data, "req_md": req_md}),
+                 extra_delay=delay)
             if line.state is L1_M or line.dirty:
-                self.network.send(Message(
-                    MSG_DATA_WB, src=self.core_id, dst=msg.src,
-                    block_addr=msg.block_addr,
-                    payload={"data": bytes(line.data), "requestor": requestor}),
-                    extra_delay=delay)
+                send(Message(MSG_DATA_WB, core, msg.src, block,
+                             {"data": data, "requestor": requestor}),
+                     extra_delay=delay)
             else:
-                self.network.send(Message(
-                    MSG_XFER_ACK, src=self.core_id, dst=msg.src,
-                    block_addr=msg.block_addr,
-                    payload={"requestor": requestor}), extra_delay=delay)
+                send(Message(MSG_XFER_ACK, core, msg.src, block,
+                             {"requestor": requestor}),
+                     extra_delay=delay)
             line.state = L1_S
             line.dirty = False
-            if req_md and self.mode.detects:
-                self._metadata_response(msg.block_addr)
-                pentry = self.pam.get(msg.block_addr)
+            if req_md and self._detects:
+                self._metadata_response(block)
+                pentry = self._pam_entries.get(block)
                 if pentry is not None:
                     pentry.send_md = True
-        elif msg.block_addr in self.write_buffer:
-            wb = self.write_buffer.get(msg.block_addr)
-            self.network.send(Message(
-                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "req_md": req_md}),
-                extra_delay=delay)
-            self.network.send(Message(
-                MSG_DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "requestor": requestor,
-                         "from_wb": True}), extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
+            return
+        wb = self._wb_entries.get(block)
+        if wb is not None:
+            data = bytes(wb.data)
+            send(Message(MSG_DATA_TO_REQ, core, requestor, block,
+                         {"data": data, "req_md": req_md}),
+                 extra_delay=delay)
+            send(Message(MSG_DATA_WB, core, msg.src, block,
+                         {"data": data, "requestor": requestor,
+                          "from_wb": True}),
+                 extra_delay=delay)
         else:
             # Clean silent eviction (the ordered forward network guarantees
             # no grant is in flight behind this): the LLC copy is valid.
-            self.network.send(Message(
-                MSG_ACK_NO_DATA, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"requestor": requestor}), extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
+            send(Message(MSG_ACK_NO_DATA, core, msg.src, block,
+                         {"requestor": requestor}),
+                 extra_delay=delay)
+        if req_md:
+            self._metadata_response(block)
 
     def _on_fwd_getx(self, msg: Message) -> None:
         self.stats[CORE_INTERVENTIONS_RECEIVED] += 1
+        block = msg.block_addr
         req_md = bool(msg.payload.get("req_md"))
         requestor = msg.payload["requestor"]
-        entry = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
-        if entry is not None and entry.payload.state in (L1_M, L1_E):
-            line = entry.payload
-            self.network.send(Message(
-                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data), "req_md": req_md}),
-                extra_delay=delay)
+        entry = self._cache_index.get(block)
+        delay = self._data_latency
+        send = self.network.send
+        core = self.core_id
+        line = entry.payload if entry is not None else None
+        if line is not None and (line.state is L1_M or line.state is L1_E):
+            data = bytes(line.data)
+            send(Message(MSG_DATA_TO_REQ, core, requestor, block,
+                         {"data": data, "req_md": req_md}),
+                 extra_delay=delay)
             # The transfer ack carries the data so the LLC copy is always
             # fresh; this is what makes drop-and-reissue races safe.
-            self.network.send(Message(
-                MSG_DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data), "requestor": requestor,
-                         "xfer": True}), extra_delay=delay)
-            self._invalidate_line(msg.block_addr, send_md=req_md)
-        elif msg.block_addr in self.write_buffer:
-            wb = self.write_buffer.get(msg.block_addr)
-            self.network.send(Message(
-                MSG_DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "req_md": req_md}),
-                extra_delay=delay)
-            self.network.send(Message(
-                MSG_DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "requestor": requestor,
-                         "xfer": True, "from_wb": True}),
-                extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
+            send(Message(MSG_DATA_WB, core, msg.src, block,
+                         {"data": data, "requestor": requestor,
+                          "xfer": True}),
+                 extra_delay=delay)
+            self._invalidate_line(block, req_md)
+            return
+        wb = self._wb_entries.get(block)
+        if wb is not None:
+            data = bytes(wb.data)
+            send(Message(MSG_DATA_TO_REQ, core, requestor, block,
+                         {"data": data, "req_md": req_md}),
+                 extra_delay=delay)
+            send(Message(MSG_DATA_WB, core, msg.src, block,
+                         {"data": data, "requestor": requestor,
+                          "xfer": True, "from_wb": True}),
+                 extra_delay=delay)
         else:
-            self.network.send(Message(
-                MSG_ACK_NO_DATA, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"requestor": requestor}), extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
+            send(Message(MSG_ACK_NO_DATA, core, msg.src, block,
+                         {"requestor": requestor}),
+                 extra_delay=delay)
+        if req_md:
+            self._metadata_response(block)
 
     # -- privatization ------------------------------------------------------------
 
     def _on_tr_prv(self, msg: Message) -> None:
-        entry = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
+        block = msg.block_addr
+        entry = self._cache_index.get(block)
         if entry is not None:
             line = entry.payload
             if line.state is L1_M or line.dirty:
                 # Flush so the LLC copy is fresh at privatization start.
                 self.network.send(Message(
-                    MSG_DATA_WB, src=self.core_id, dst=msg.src,
-                    block_addr=msg.block_addr,
-                    payload={"data": bytes(line.data), "tr_prv": True}),
-                    extra_delay=delay)
+                    MSG_DATA_WB, self.core_id, msg.src, block,
+                    {"data": bytes(line.data), "tr_prv": True}),
+                    extra_delay=self._data_latency)
                 line.dirty = False
-            self._metadata_response(msg.block_addr)
-            pentry = self.pam.get(msg.block_addr)
+            self._metadata_response(block)
+            pentry = self._pam_entries.get(block)
             if pentry is not None:
                 pentry.read_bits = 0
                 pentry.write_bits = 0
-            mshr = self._mshrs.get(msg.block_addr)
+            mshr = self._mshrs.get(block)
             if mshr is None or mshr.sent is not MSG_UPGRADE:
                 line.state = L1_PRV
         else:
@@ -730,10 +729,8 @@ class L1Controller:
             # directory holds the privatization open until the data lands —
             # otherwise DATA_PRV would serve a stale LLC copy and the late
             # PUTM would be dropped as stale.
-            self._metadata_response(
-                msg.block_addr,
-                putm_in_flight=msg.block_addr in self.write_buffer)
-            mshr = self._mshrs.get(msg.block_addr)
+            self._metadata_response(block, True, block in self._wb_entries)
+            mshr = self._mshrs.get(block)
             if mshr is not None and mshr.sent in (MSG_GET,
                                                   MSG_GETX):
                 # Our fill response is in flight while the block privatizes:
@@ -743,24 +740,23 @@ class L1Controller:
 
     def _on_inv_prv(self, msg: Message) -> None:
         self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
-        entry = self.cache.peek(msg.block_addr)
-        mshr = self._mshrs.get(msg.block_addr)
-        delay = self.config.l1.data_latency
+        block = msg.block_addr
+        entry = self._cache_index.get(block)
+        mshr = self._mshrs.get(block)
         if entry is not None:
-            line = entry.payload
             self.network.send(Message(
-                MSG_PRV_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data)}), extra_delay=delay)
-            self.cache.invalidate(msg.block_addr)
-            self.pam.invalidate(msg.block_addr)
+                MSG_PRV_WB, self.core_id, msg.src, block,
+                {"data": bytes(entry.payload.data)}),
+                extra_delay=self._data_latency)
+            self.cache.invalidate(block)
+            self.pam.invalidate(block)
             if mshr is not None:
                 if mshr.sent in (MSG_GETCHK, MSG_GETXCHK):
                     # The directory answers the CHK with data post-termination.
                     mshr.chk_line_lost = True
                 elif mshr.sent is MSG_UPGRADE:
                     mshr.aborted = True
-        elif msg.block_addr in self.write_buffer:
+        elif block in self._wb_entries:
             # Our PRV eviction writeback is in flight; the PUTM carries the
             # data and will complete the termination at the directory. A
             # CTRL_WB here would let the termination finish first and the
@@ -768,9 +764,8 @@ class L1Controller:
             pass
         else:
             self.network.send(Message(
-                MSG_CTRL_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr, payload={}),
-                extra_delay=self.config.l1.tag_latency)
+                MSG_CTRL_WB, self.core_id, msg.src, block, {}),
+                extra_delay=self._tag_latency)
             if mshr is not None and mshr.sent in (
                     MSG_GET, MSG_GETX, MSG_UPGRADE):
                 mshr.aborted = True
@@ -778,18 +773,16 @@ class L1Controller:
     # -- recalls and writeback acks ------------------------------------------------
 
     def _on_recall(self, msg: Message) -> None:
-        entry = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
+        block = msg.block_addr
+        entry = self._cache_index.get(block)
         if entry is not None and (entry.payload.state is L1_M
                                   or entry.payload.dirty):
             self.network.send(Message(
-                MSG_DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(entry.payload.data), "recall": True}),
-                extra_delay=delay)
-            self._invalidate_line(msg.block_addr,
-                                  send_md=bool(msg.payload.get("req_md")))
-        elif msg.block_addr in self.write_buffer:
+                MSG_DATA_WB, self.core_id, msg.src, block,
+                {"data": bytes(entry.payload.data), "recall": True}),
+                extra_delay=self._data_latency)
+            self._invalidate_line(block, bool(msg.payload.get("req_md")))
+        elif block in self._wb_entries:
             # Our eviction PUTM is still on the wire (wb channel); the
             # directory counts it as this recall's response and merges its
             # data (see ``_on_putm``'s RECALL arm), so stay silent.  An
@@ -799,16 +792,15 @@ class L1Controller:
             pass
         else:
             if entry is not None:
-                self._invalidate_line(msg.block_addr,
-                                      send_md=bool(msg.payload.get("req_md")))
+                self._invalidate_line(block, bool(msg.payload.get("req_md")))
             self.network.send(Message(
-                MSG_ACK_NO_DATA, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr, payload={"recall": True}),
-                extra_delay=self.config.l1.tag_latency)
+                MSG_ACK_NO_DATA, self.core_id, msg.src, block,
+                {"recall": True}),
+                extra_delay=self._tag_latency)
 
     def _on_wb_ack(self, msg: Message) -> None:
-        if msg.block_addr in self.write_buffer:
-            entry = self.write_buffer.remove(msg.block_addr)
+        entry = self._wb_entries.pop(msg.block_addr, None)
+        if entry is not None:
             for op, cb in entry.meta.get("pending_ops", []):
                 self.access(op, cb)
 

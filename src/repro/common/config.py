@@ -35,6 +35,9 @@ class CacheConfig:
 
     def __post_init__(self) -> None:
         _require(_is_pow2(self.block_size), "block_size must be a power of two")
+        # An aligned access of up to 8 bytes then never straddles a block,
+        # which the L1's touched-byte mask relies on.
+        _require(self.block_size >= 8, "block_size must be at least 8 bytes")
         _require(self.size_bytes % (self.associativity * self.block_size) == 0,
                  "cache size must be a whole number of sets")
         _require(self.associativity >= 1, "associativity must be >= 1")

@@ -82,10 +82,8 @@ class FalseSharingDetector:
     def meta_for(self, block_addr: int) -> DirEntryMeta:
         meta = self._meta.get(block_addr)
         if meta is None:
-            meta = DirEntryMeta(
-                counter_max=self.config.counter_max,
-                hysteresis_max=self.config.hysteresis_max,
-            )
+            meta = DirEntryMeta(self.config.counter_max,
+                                self.config.hysteresis_max)
             self._meta[block_addr] = meta
             if self.obs is not None:
                 self.obs.counting_started(block_addr, self.now())
@@ -145,12 +143,8 @@ class FalseSharingDetector:
             self.true_sharing_detections += 1
             if len(self.conflict_log) < self.conflict_log_limit:
                 self.conflict_log.append(TrueSharingConflict(
-                    block_addr=block_addr,
-                    cycle=self.now(),
-                    core=core,
-                    granule_mask=entry.last_conflict_mask,
-                    is_write=entry.last_conflict_write,
-                ))
+                    block_addr, self.now(), core, entry.last_conflict_mask,
+                    entry.last_conflict_write))
         return conflict, evicted_block, evicted_entry
 
     # -- the detection decision -------------------------------------------------
@@ -209,13 +203,7 @@ class FalseSharingDetector:
 
     def _record_contended(self, block_addr: int, meta: DirEntryMeta,
                           sam_entry: Optional[SamEntry]) -> None:
-        cores: set = set()
-        if sam_entry is not None:
-            for granule in range(sam_entry.num_granules):
-                writer = sam_entry.last_writer[granule]
-                if writer is not None:
-                    cores.add(writer)
-                cores |= sam_entry.reader_cores(granule)
+        cores = sam_entry.accessor_cores() if sam_entry is not None else set()
         self.contended_lines.append(ContendedLineReport(
             block_addr=block_addr, cycle=self.now(), fc=meta.fc,
             ic=meta.ic, cores=frozenset(cores)))
@@ -237,13 +225,7 @@ class FalseSharingDetector:
         """Record a detected false-sharing instance."""
         meta = self.meta_for(block_addr)
         sam_entry = self.sam.peek(block_addr)
-        cores: set = set()
-        if sam_entry is not None:
-            for granule in range(sam_entry.num_granules):
-                writer = sam_entry.last_writer[granule]
-                if writer is not None:
-                    cores.add(writer)
-                cores |= sam_entry.reader_cores(granule)
+        cores = sam_entry.accessor_cores() if sam_entry is not None else set()
         rep = FalseSharingReport(
             block_addr=block_addr,
             cycle=cycle,

@@ -83,6 +83,21 @@ class SamEntry:
             return set() if last is None else {last}
         return set(iter_set_bits(self.readers[granule]))
 
+    def accessor_cores(self) -> Set[int]:
+        """Every core recorded on any granule: the last writers plus the
+        readers (:meth:`reader_cores` over all granules, in one pass)."""
+        cores = set(self.last_writer)
+        cores.discard(None)
+        if self.reader_opt:
+            cores.update(self.last_reader)
+            cores.discard(None)
+        else:
+            readers = 0
+            for bits in self.readers:
+                readers |= bits
+            cores.update(iter_set_bits(readers))
+        return cores
+
     # -- REP_MD ingestion (FSDetect true-sharing conditions, Section IV) ----
 
     def update_from_md(self, core: int, read_bits: int, write_bits: int) -> bool:
@@ -250,11 +265,7 @@ class SamTable:
         existing = self._array.peek(block_addr)
         if existing is not None:
             return existing.payload, None, None
-        payload = SamEntry(
-            num_granules=self.num_granules,
-            num_cores=self.num_cores,
-            reader_opt=self.reader_opt,
-        )
+        payload = SamEntry(self.num_granules, self.num_cores, self.reader_opt)
         evicted = self._array.fill(block_addr, payload)
         self.allocations += 1
         if evicted is None:

@@ -48,21 +48,29 @@ from repro.harness.export import record_from_dict, record_to_dict
 from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
                                   execute_spec, warm_digest)
 
-#: Subpackages of :mod:`repro` whose source defines simulated behaviour:
-#: protocol engines, timing, workloads and the machine builder.
-BEHAVIOUR_PACKAGES = ("common", "cpu", "coherence", "core", "memsys",
-                      "interconnect", "system", "workloads")
+#: Source (relative to the :mod:`repro` package; a directory stands for
+#: every ``.py`` file under it) that decides what a cached ``RunRecord``
+#: holds: the simulated behaviour (protocol engines, timing, workloads, the
+#: machine builder), the energy model behind ``stats.energy``, the
+#: observers behind ``extra["obs"]``, the sanitizer behind
+#: ``extra["sanitizer_blocks_checked"]``, and the runner that assembles
+#: the record.
+BEHAVIOUR_SOURCES = ("common", "cpu", "coherence", "core", "energy",
+                     "memsys", "interconnect", "obs", "system", "workloads",
+                     "check/sanitizer.py", "harness/runner.py")
 
 _PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def source_fingerprint(root: pathlib.Path) -> str:
-    """sha256 over every ``.py`` file of :data:`BEHAVIOUR_PACKAGES` under
+    """sha256 over every ``.py`` file of :data:`BEHAVIOUR_SOURCES` under
     ``root`` (the ``repro`` package directory), paths included, in sorted
     order."""
     h = hashlib.sha256()
-    for package in BEHAVIOUR_PACKAGES:
-        for path in sorted((root / package).rglob("*.py")):
+    for source in BEHAVIOUR_SOURCES:
+        top = root / source
+        paths = sorted(top.rglob("*.py")) if top.is_dir() else [top]
+        for path in paths:
             h.update(path.relative_to(root).as_posix().encode("utf-8"))
             h.update(b"\0")
             h.update(path.read_bytes())

@@ -42,19 +42,20 @@ def _pow2_bits(value: int) -> Optional[int]:
 class CacheEntry(Generic[T]):
     """One way of one set: a frame holding a block address and a payload.
 
-    ``__slots__``: large arrays hold hundreds of thousands of frames.
+    ``__slots__``: large arrays hold hundreds of thousands of frames.  The
+    frame's position comes first so :meth:`CacheArray._materialize` builds
+    empty frames from a two-argument positional call.
     """
 
-    __slots__ = ("valid", "block_addr", "payload", "way", "set_index")
+    __slots__ = ("way", "set_index", "valid", "block_addr", "payload")
 
-    def __init__(self, valid: bool = False, block_addr: int = -1,
-                 payload: Optional[T] = None, way: int = -1,
-                 set_index: int = -1) -> None:
+    def __init__(self, way: int, set_index: int, valid: bool = False,
+                 block_addr: int = -1, payload: Optional[T] = None) -> None:
+        self.way = way
+        self.set_index = set_index
         self.valid = valid
         self.block_addr = block_addr
         self.payload = payload
-        self.way = way
-        self.set_index = set_index
 
 
 class CacheArray(Generic[T]):
@@ -111,8 +112,7 @@ class CacheArray(Generic[T]):
             % self.num_sets
 
     def _materialize(self, set_index: int) -> List[CacheEntry[T]]:
-        ways = [CacheEntry(way=w, set_index=set_index)
-                for w in range(self.ways)]
+        ways = [CacheEntry(w, set_index) for w in range(self.ways)]
         self._sets[set_index] = ways
         self._policies[set_index] = self._policy_factory(self.ways)
         return ways
@@ -162,13 +162,8 @@ class CacheArray(Generic[T]):
         victim = self.choose_victim(block_addr, protected)
         evicted: Optional[CacheEntry[T]] = None
         if victim.valid:
-            evicted = CacheEntry(
-                valid=True,
-                block_addr=victim.block_addr,
-                payload=victim.payload,
-                way=victim.way,
-                set_index=victim.set_index,
-            )
+            evicted = CacheEntry(victim.way, victim.set_index, True,
+                                 victim.block_addr, victim.payload)
             del self._index[victim.block_addr]
         victim.valid = True
         victim.block_addr = block_addr

@@ -1,31 +1,27 @@
 """A small write buffer.
 
-Two users:
-
-* L1 controllers park evicted dirty blocks here until the directory
-  acknowledges the writeback — this is what makes the *phantom message*
-  race of Section V-D possible (a late intervention finds the block in the
-  writeback buffer, not the cache).
-* LLC slices park evicted PRV blocks here while collecting ``Prv_WB``
-  responses so the byte-merge can complete before the block goes to memory
-  (Section V-C, "Eviction of a Directory Entry or LLC Block").
+L1 controllers park evicted dirty blocks here until the directory
+acknowledges the writeback — this is what makes the *phantom message* race
+of Section V-D possible (a late intervention finds the block in the
+writeback buffer, not the cache).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
-@dataclass
 class WriteBufferEntry:
-    block_addr: int
-    data: bytearray
-    dirty: bool = True
-    #: Number of outstanding responses still expected (PRV merge use).
-    pending_responses: int = 0
-    #: Arbitrary per-entry annotations (e.g. last-writer map snapshots).
-    meta: dict = field(default_factory=dict)
+    """One buffered writeback (built once per dirty eviction)."""
+
+    __slots__ = ("block_addr", "data", "meta")
+
+    def __init__(self, block_addr: int, data: bytearray, meta: dict) -> None:
+        self.block_addr = block_addr
+        self.data = data
+        #: Per-entry annotations: ``prv`` (a PRV block's writeback) and
+        #: ``pending_ops`` (accesses parked until the WB_ACK).
+        self.meta = meta
 
 
 class WriteBuffer:
@@ -42,7 +38,7 @@ class WriteBuffer:
             raise ValueError(f"block {block_addr:#x} already buffered")
         if len(self._entries) >= self.capacity:
             raise OverflowError("write buffer full")
-        entry = WriteBufferEntry(block_addr=block_addr, data=data, meta=meta)
+        entry = WriteBufferEntry(block_addr, data, meta)
         self._entries[block_addr] = entry
         self.inserts += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))

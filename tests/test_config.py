@@ -25,6 +25,17 @@ class TestCacheConfig:
         with pytest.raises(ConfigError):
             CacheConfig(size_bytes=1024, associativity=2, block_size=48)
 
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    def test_rejects_block_smaller_than_widest_access(self, block_size):
+        # An aligned 8-byte access must never straddle a block.
+        with pytest.raises(ConfigError, match="at least 8"):
+            CacheConfig(size_bytes=1024, associativity=2,
+                        block_size=block_size)
+
+    def test_accepts_eight_byte_block(self):
+        assert CacheConfig(size_bytes=1024, associativity=2,
+                           block_size=8).num_blocks == 128
+
     def test_rejects_fractional_sets(self):
         with pytest.raises(ConfigError):
             CacheConfig(size_bytes=1000, associativity=3)

@@ -19,6 +19,12 @@ Two groups carry an extra key and cover paths the others never run:
 ``core_model: "ooo"`` entries (RC, all modes) drive the out-of-order core.
 Both were recorded before the enum-free hot path.
 
+The miss-heavy ``ml`` (false sharing over 64 lines at once: SAM
+allocations, REP_MD traffic) and ``CA`` (a private region that spills the
+L1: thousands of LLC fills from memory) under MESI and FSDetect pin the
+coherence miss path; they were recorded before the positional per-message
+construction.
+
 Any optimisation that changes one of these numbers changed simulator
 *behaviour*, not just speed — which would also silently invalidate the
 engine's result cache and every committed benchmark checksum.  Entries are
@@ -41,6 +47,10 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_identity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 #: Workloads whose runs are mostly L1 hits (the hit path's own guard).
 HIT_HEAVY_TAGS = ("LT", "SF", "LL")
+#: Miss-heavy workloads (the coherence miss path's own guard) and the
+#: modes they were recorded under.
+MISS_HEAVY_TAGS = ("ml", "CA")
+MISS_HEAVY_MODES = (ProtocolMode.MESI, ProtocolMode.FSDETECT)
 #: Coarse tracking granularities with their own golden entries.
 GRANULARITY_TAGS = ("LT", "RC")
 GRANULARITIES = (2, 4)
@@ -173,9 +183,10 @@ def test_warmup_zero_does_not_change_spec_digests():
 
 def test_golden_covers_all_modes_and_sanitizer_states():
     """The fixture spans {RC, FA} x all modes x sanitizer {off, on}, the
-    hit-heavy {LT, SF, LL} x all modes, {LT, RC} x {FSDetect, FSLite} at
-    granularity {2, 4}, and the OoO core on RC x all modes (sanitizer off
-    for all but the first group)."""
+    hit-heavy {LT, SF, LL} x all modes, the miss-heavy {ml, CA} x {MESI,
+    FSDetect}, {LT, RC} x {FSDetect, FSLite} at granularity {2, 4}, and
+    the OoO core on RC x all modes (sanitizer off for all but the first
+    group)."""
     seen = {(e["tag"], e["mode"], e["sanitizer"], e.get("granularity", 1),
              e.get("core_model", "inorder")) for e in GOLDEN.values()}
     expected = {(tag, mode.value, san, 1, "inorder")
@@ -185,6 +196,9 @@ def test_golden_covers_all_modes_and_sanitizer_states():
     expected |= {(tag, mode.value, False, 1, "inorder")
                  for tag in HIT_HEAVY_TAGS
                  for mode in ProtocolMode}
+    expected |= {(tag, mode.value, False, 1, "inorder")
+                 for tag in MISS_HEAVY_TAGS
+                 for mode in MISS_HEAVY_MODES}
     expected |= {(tag, mode.value, False, gran, "inorder")
                  for tag in GRANULARITY_TAGS
                  for mode in FS_MODES

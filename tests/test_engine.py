@@ -453,7 +453,12 @@ class TestCodeVersion:
 
     @pytest.mark.parametrize("module", [
         "coherence/l1_controller.py", "cpu/ops.py", "common/events.py",
-        "workloads/trace.py", "system/builder.py"])
+        "workloads/trace.py", "system/builder.py",
+        # Not simulated behaviour, but each writes part of a cached
+        # record: stats.energy, extra["obs"], the sanitizer's extras, and
+        # the record itself.
+        "energy/model.py", "obs/episodes.py", "check/sanitizer.py",
+        "harness/runner.py"])
     def test_editing_a_behaviour_module_changes_the_key(self, tmp_path,
                                                         module):
         root = self._copy_package(tmp_path)

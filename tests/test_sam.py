@@ -237,6 +237,40 @@ def test_property_update_from_md_matches_all_granule_loop(
         assert fast.overflow == ref.overflow
 
 
+def reference_accessor_cores(e):
+    """The per-granule loop ``FalseSharingDetector.report`` and
+    ``_record_contended`` ran before ``SamEntry.accessor_cores``."""
+    cores = set()
+    for granule in range(e.num_granules):
+        writer = e.last_writer[granule]
+        if writer is not None:
+            cores.add(writer)
+        cores |= e.reader_cores(granule)
+    return cores
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(_HISTORY_STEP, max_size=16),
+       st.booleans())
+def test_property_accessor_cores_matches_per_granule_loop(
+        reader_opt, history, cleared_midway):
+    """Over random histories of REP_MD merges, PRV-state record_* calls
+    and resets, in both reader encodings, the one-pass accessor set equals
+    the union of every granule's last writer and reader set."""
+    e = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
+    assert e.accessor_cores() == set()
+    for step, (kind, core, a, b) in enumerate(history):
+        if kind == "md":
+            e.update_from_md(core, a, b)
+        elif kind == "read":
+            e.record_read(core, a)
+        else:
+            e.record_write(core, a)
+        if cleared_midway and step == len(history) // 2:
+            e.clear()
+        assert e.accessor_cores() == reference_accessor_cores(e)
+
+
 class TestLifecycle:
     def test_clear_resets_everything(self):
         e = entry()
