@@ -12,7 +12,9 @@ Four tools live here:
 * :mod:`repro.check.fuzz` — a random protocol tester that drives
   randomized per-line load/store/RMW/evict streams across the three
   protocol modes with the sanitizer enabled, and delta-debugs any failing
-  schedule down to a minimal reproducing pytest case.
+  schedule down to a minimal reproducing pytest case.  It also holds the
+  campaign core the fuzz, diff and chaos campaigns share: the one
+  schedule executor, case rotation, shrink session and repro renderer.
 * :mod:`repro.check.refmodel` — a timing-agnostic, transient-state-free
   atomic machine: a second, independent implementation of the protocol's
   observable semantics (final memory image + ground-truth access sets)
@@ -30,14 +32,17 @@ from repro.check.sanitizer import InvariantViolation, Sanitizer
 from repro.check.mutations import MUTATIONS, mutation_context
 from repro.check.fuzz import (
     CampaignResult,
+    Case,
+    Finding,
     FuzzFailure,
-    FuzzFinding,
     FuzzOp,
-    FuzzReport,
+    RunReport,
+    ShrinkSession,
+    execute,
     fuzz_campaign,
     fuzz_config,
     make_schedule,
-    render_pytest_repro,
+    render_repro,
     run_schedule,
     schedule_to_ops,
     shrink_schedule,
@@ -65,14 +70,17 @@ __all__ = [
     "MUTATIONS",
     "mutation_context",
     "CampaignResult",
+    "Case",
+    "Finding",
     "FuzzFailure",
-    "FuzzFinding",
     "FuzzOp",
-    "FuzzReport",
+    "RunReport",
+    "ShrinkSession",
+    "execute",
     "fuzz_campaign",
     "fuzz_config",
     "make_schedule",
-    "render_pytest_repro",
+    "render_repro",
     "run_schedule",
     "schedule_to_ops",
     "shrink_schedule",

@@ -36,22 +36,28 @@ CLI: ``python -m repro diff`` (``--smoke`` is the CI gate).
 
 from __future__ import annotations
 
-import random
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.check.fuzz import (
     FAMILIES,
+    Case,
+    CampaignResult,
     FuzzFailure,
     FuzzOp,
+    ShrinkSession,
+    _split,
+    campaign_cases,
+    execute,
     fuzz_config,
-    make_schedule,
-    render_schedule,
-    shrink_schedule,
+    reference_run,
+    render_repro,
+    schedule_campaign,
+    schedule_to_ops,
 )
 from repro.check.mutations import MUTATIONS, mutation_context
-from repro.check.refmodel import RefResult, run_programs_atomic, run_reference
-from repro.check.sanitizer import InvariantViolation, Sanitizer
+from repro.check.refmodel import RefResult, run_programs_atomic
 from repro.coherence.states import DirState, L1State, ProtocolMode
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
@@ -98,6 +104,15 @@ class DiffReport:
             return (f"no divergence over {self.blocks_compared} block(s), "
                     f"modes {[m.value for m in self.modes_run]}")
         return "\n".join(d.describe() for d in self.divergences)
+
+    @property
+    def failure(self) -> Optional[FuzzFailure]:
+        """The report as a campaign failure: the first divergence's kind,
+        every divergence's description."""
+        if self.ok:
+            return None
+        return FuzzFailure("differential", self.divergences[0].kind,
+                           self.describe())
 
 
 # ------------------------------------------------------------ per-machine
@@ -255,71 +270,6 @@ def differential_check(
 # ------------------------------------------------------------- cross-mode
 
 
-def _run_detailed(
-    schedule: List[FuzzOp],
-    mode: ProtocolMode,
-    num_threads: int,
-    config: SystemConfig,
-    mutation: Optional[str],
-    sanitize: bool,
-    max_events: int,
-    replay=None,
-    per_thread=None,
-) -> Tuple[Machine, Optional[FuzzFailure]]:
-    """Execute a schedule on the detailed simulator with assertion-free
-    programs (the differential oracle is the only judge); never raises for
-    protocol failures.  ``replay`` resumes from / records into a
-    :class:`repro.check.replay.PrefixReplayCache` (bit-for-bit neutral).
-    ``per_thread`` (when given) is the pre-split ``check_loads=False``
-    translation — :func:`run_differential` shares one across all modes."""
-    from repro.check.fuzz import _SchedulePrograms, _translate
-
-    with mutation_context(mutation):
-        if per_thread is None:
-            per_thread, _ = _translate(schedule, num_threads, config,
-                                       check_loads=False)
-        factory = _SchedulePrograms(per_thread)
-        machine = None
-        resume = False
-        checkpoint_every = on_checkpoint = None
-        if replay is not None:
-            from repro.check.replay import CheckpointHook, thread_keys
-
-            keys = thread_keys(per_thread)
-            context = ("diff", mode.value, num_threads, bool(sanitize),
-                       mutation, replay.config_key(config))
-            hit = replay.lookup(context, keys)
-            if hit is not None:
-                machine = replay.restore(hit, factory)
-                resume = True
-            if replay.should_record(context, resumed=resume):
-                checkpoint_every = replay.checkpoint_every
-                on_checkpoint = CheckpointHook(replay, context, keys)
-        if machine is None:
-            machine = build_machine(config, mode)
-            machine.attach_programs(program_factory=factory)
-            if sanitize:
-                machine.extras["sanitizer"] = Sanitizer(machine).attach()
-        sanitizer = machine.extras.get("sanitizer")
-        try:
-            try:
-                Simulator(machine, max_events=max_events).run(
-                    resume=resume, checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint)
-                if sanitizer is not None:
-                    sanitizer.check_all()
-            except InvariantViolation as exc:
-                return machine, FuzzFailure(
-                    "invariant", type(exc).__name__, str(exc))
-            except (ReproError, AssertionError) as exc:
-                return machine, FuzzFailure(
-                    "run", type(exc).__name__, str(exc))
-        finally:
-            if sanitizer is not None:
-                sanitizer.detach()
-    return machine, None
-
-
 def run_differential(
     schedule: List[FuzzOp],
     modes: Optional[List[ProtocolMode]] = None,
@@ -348,33 +298,25 @@ def run_differential(
     # so there is no reason to pay the O(n) translation 1 + len(modes)
     # times per call (mutations rewrite protocol behaviour, never the
     # schedule translation).
-    from repro.check.fuzz import schedule_to_ops
-
-    flat, _ = schedule_to_ops(schedule, num_threads, config,
-                              check_loads=False)
-    per_thread: List[List[tuple]] = [[] for _ in range(num_threads)]
-    for tid, op, expected, label in flat:
-        per_thread[tid].append((op, expected, label))
-    if replay is not None:
-        ref = replay.ref_run(schedule, num_threads, config, flat=flat)
-    else:
-        ref = run_reference(schedule, num_threads, config, flat=flat)
+    flat, expectations = schedule_to_ops(schedule, num_threads, config,
+                                         check_loads=False)
+    translated = (_split(flat, num_threads), expectations)
+    ref = reference_run(schedule, num_threads, config, replay, flat=flat)
+    checks = dict(check_verdicts=check_verdicts,
+                  check_counters=check_counters)
     report = DiffReport(modes_run=list(modes))
     images: List[Tuple[ProtocolMode, object]] = []
     for mode in modes:
-        machine, failure = _run_detailed(
-            schedule, mode, num_threads, config, mutation, sanitize,
-            max_events, replay=replay, per_thread=per_thread)
-        if failure is not None:
+        run, image, per_mode = execute(
+            schedule, mode, num_threads, config, sanitize=sanitize,
+            mutation=mutation, max_events=max_events, check_loads=False,
+            differential=checks, reference=ref, replay=replay,
+            translated=translated)
+        if per_mode is None:
             report.divergences.append(Divergence(
-                "run", mode, None, failure.describe()))
+                "run", mode, None, run.failure.describe()))
             continue
-        image = flush_machine_memory(machine)
         images.append((mode, image))
-        per_mode = differential_check(
-            machine, ref, image=image,
-            check_verdicts=check_verdicts,
-            check_counters=check_counters)
         report.divergences.extend(per_mode.divergences)
         report.blocks_compared += per_mode.blocks_compared
     if len(images) >= 2:
@@ -395,65 +337,10 @@ def run_differential(
 # --------------------------------------------------------------- campaign
 
 
-@dataclass
-class DiffFinding:
-    """One diverging campaign schedule, shrunk and rendered."""
-
-    case_seed: int
-    family: str
-    modes: List[ProtocolMode]
-    mutation: Optional[str]
-    detail: str
-    schedule: List[FuzzOp]
-    shrunk: List[FuzzOp]
-    repro_source: str
-
-
-@dataclass
-class DiffCampaignResult:
-    iterations: int
-    findings: List[DiffFinding] = field(default_factory=list)
-    blocks_compared: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def render_diff_repro(
-    schedule: List[FuzzOp],
-    modes: List[ProtocolMode],
-    mutation: Optional[str],
-    detail: str,
-    case_seed: Optional[int] = None,
-) -> str:
-    """Render a diverging schedule as a ready-to-paste pytest case (fails
-    while the divergence exists, goes green once fixed)."""
-    name_bits = [m.value for m in modes]
-    if mutation:
-        name_bits.append(mutation.replace("-", "_"))
-    if case_seed is not None:
-        name_bits.append(f"seed{case_seed}")
-    name = "test_diff_repro_" + "_".join(name_bits)
-    mode_list = ", ".join(f"ProtocolMode.{m.name}" for m in modes)
-    mutation_arg = f",\n        mutation={mutation!r}" if mutation else ""
-    first_line = detail.splitlines()[0] if detail else ""
-    header = (f"# Shrunk from a {len(schedule)}-op diverging schedule.\n"
-              f"# Divergence: {first_line}")
-    return f'''{header}
-from repro.check.diff import run_differential
-from repro.check.fuzz import FuzzOp
-from repro.coherence.states import ProtocolMode
-
-
-def {name}():
-    schedule = [
-{render_schedule(schedule)}
-    ]
-    report = run_differential(
-        schedule, modes=[{mode_list}]{mutation_arg})
-    assert report.ok, report.describe()
-'''
+#: Renders a diff repro: ``render_diff_repro(schedule, modes, mutation,
+#: detail, case_seed=None, ...)``.  ``benchmarks/e2e`` renders its mutation
+#: hunts through this name.
+render_diff_repro = functools.partial(render_repro, "diff")
 
 
 def diff_campaign(
@@ -468,64 +355,29 @@ def diff_campaign(
     shrink: bool = True,
     shrink_budget: int = 400,
     replay: bool = True,
-    progress: Optional[Callable[[int, str, DiffReport], None]] = None,
-) -> DiffCampaignResult:
+    progress: Optional[Callable[[int, Case, DiffReport], None]] = None,
+) -> CampaignResult:
     """Run ``iterations`` random schedules through the full differential
     oracle (every mode, cross-mode metamorphic comparison); shrink and
     render any divergence.  ``replay=False`` shrinks cold (the benchmark
     baseline).  Fully deterministic for a given ``seed`` — the replay
     cache never changes results, only wall clock."""
     modes = list(modes or ProtocolMode)
-    families = list(families or FAMILIES)
-    rng = random.Random(seed)
     config = fuzz_config(num_threads)
-    result = DiffCampaignResult(iterations=iterations)
-    for index in range(iterations):
-        case_seed = rng.randrange(1 << 32)
-        family = families[index % len(families)]
-        schedule = make_schedule(
-            family, random.Random(case_seed), num_threads=num_threads,
-            num_lines=num_lines, length=length)
-        report = run_differential(schedule, modes=modes,
-                                  num_threads=num_threads, config=config,
-                                  mutation=mutation)
-        result.blocks_compared += report.blocks_compared
-        if progress is not None:
-            progress(index, family, report)
-        if report.ok:
-            continue
-        shrunk = schedule
-        if shrink:
-            # One prefix-replay cache per shrink session (each mode gets
-            # its own context inside it); exact candidate repeats return
-            # their memoized report.
-            from repro.check.replay import PrefixReplayCache, \
-                shrink_evaluator
+    axes = (("family", list(families or FAMILIES)),)
 
-            cache = PrefixReplayCache() if replay else None
-            evaluate = shrink_evaluator(
-                cache,
-                lambda candidate, rc: run_differential(
-                    candidate, modes=modes, num_threads=num_threads,
-                    config=config, mutation=mutation, replay=rc))
+    def run(case, schedule, cache):
+        return run_differential(schedule, modes=modes,
+                                num_threads=num_threads, config=config,
+                                mutation=mutation, replay=cache)
 
-            def still_fails(candidate: List[FuzzOp]) -> bool:
-                return not evaluate(candidate).ok
-            shrunk = shrink_schedule(schedule, still_fails,
-                                     budget=shrink_budget)
-            final = evaluate(shrunk)
-        else:
-            final = run_differential(shrunk, modes=modes,
-                                     num_threads=num_threads, config=config,
-                                     mutation=mutation)
-        detail = (final if not final.ok else report).describe()
-        result.findings.append(DiffFinding(
-            case_seed=case_seed, family=family, modes=list(modes),
-            mutation=mutation, detail=detail, schedule=schedule,
-            shrunk=shrunk,
-            repro_source=render_diff_repro(
-                shrunk, modes, mutation, detail, case_seed=case_seed)))
-    return result
+    return schedule_campaign(
+        "diff", iterations,
+        campaign_cases(iterations, seed, axes, num_threads, num_lines,
+                       length),
+        run, modes=modes, mutation=mutation, shrink=shrink,
+        shrink_budget=shrink_budget, replay=replay, progress=progress,
+        num_threads=num_threads)
 
 
 # ------------------------------------------------------- mutation escapes
@@ -577,6 +429,8 @@ class MutationEscape:
     detail: str = ""
     schedule: List[FuzzOp] = field(default_factory=list)
     shrunk: List[FuzzOp] = field(default_factory=list)
+    #: The shrunk divergence as a ready-to-paste pytest case.
+    repro_source: str = ""
 
 
 def hunt_mutation_escape(
@@ -601,46 +455,36 @@ def hunt_mutation_escape(
     if mutation == COUNTER_MUTATION:
         config = counter_probe_config()
         mode, family, threads = ProtocolMode.FSDETECT, "n/a", 1
-        candidates = iter([(0, counter_probe_schedule())])
+        candidates = iter([(Case(0, 0, family), counter_probe_schedule())])
         max_attempts = 1
     else:
         family, mode = MUTATION_PROBES[mutation]
         threads = num_threads
         config = fuzz_config(threads)
-        rng = random.Random(seed)
+        candidates = campaign_cases(
+            max_attempts, seed, (("family", [family]),),
+            num_threads=threads, length=length)
 
-        def _gen():
-            for _ in range(max_attempts):
-                case_seed = rng.randrange(1 << 32)
-                yield case_seed, make_schedule(
-                    family, random.Random(case_seed), num_threads=threads,
-                    length=length)
-        candidates = _gen()
-
-    from repro.check.replay import PrefixReplayCache, shrink_evaluator
-
-    cache = PrefixReplayCache() if replay else None
-    evaluate = shrink_evaluator(
-        cache,
+    session = ShrinkSession(
         lambda candidate, rc: run_differential(
             candidate, modes=[mode], num_threads=threads,
-            config=config, mutation=mutation, replay=rc))
-
-    def diverges(candidate: List[FuzzOp]) -> bool:
-        if not candidate:
-            return False
-        return not evaluate(candidate).ok
-
-    for attempt, (case_seed, schedule) in enumerate(candidates, start=1):
-        if not diverges(schedule):
+            config=config, mutation=mutation, replay=rc),
+        replay)
+    for attempt, (case, schedule) in enumerate(candidates, start=1):
+        if not session.fails(schedule):
             continue
-        shrunk = (shrink_schedule(schedule, diverges, budget=shrink_budget)
-                  if shrink else schedule)
-        detail = evaluate(shrunk).describe()
+        shrunk = (session.shrink(schedule, shrink_budget) if shrink
+                  else schedule)
+        detail = session.evaluate(shrunk).describe()
         return MutationEscape(
             mutation=mutation, caught=True, mode=mode, family=family,
-            case_seed=case_seed, attempts=attempt, detail=detail,
-            schedule=schedule, shrunk=shrunk)
+            case_seed=case.case_seed, attempts=attempt, detail=detail,
+            schedule=schedule, shrunk=shrunk,
+            repro_source=render_diff_repro(
+                shrunk, [mode], mutation, detail, case.case_seed,
+                num_threads=threads,
+                config_factory=("counter_probe_config"
+                                if mutation == COUNTER_MUTATION else None)))
     return MutationEscape(mutation=mutation, caught=False, mode=mode,
                           family=family, attempts=max_attempts)
 
@@ -694,24 +538,32 @@ def diff_workload(spec, compare_bytes: bool = True) -> DiffReport:
         report.divergences.append(Divergence(
             "workload-verify", spec.mode, None, str(exc)))
     if compare_bytes:
-        image = flush_machine_memory(machine)
-        gran = atomic.granularity
-        for block in atomic.blocks():
-            pairs = atomic.single_accessor_granules(block)
-            if not pairs:
-                continue
-            want = atomic.image().get(block)
-            got = bytes(image.get(block))
-            report.blocks_compared += 1
-            for granule, core in pairs:
-                lo = granule * gran
-                if got[lo:lo + gran] != want[lo:lo + gran]:
-                    report.divergences.append(Divergence(
-                        "memory", spec.mode, block,
-                        f"single-accessor granule {granule} (core {core}): "
-                        f"machine {got[lo:lo + gran].hex()} != reference "
-                        f"{want[lo:lo + gran].hex()}"))
+        _compare_single_accessor_granules(
+            report, spec.mode, flush_machine_memory(machine), atomic)
     return report
+
+
+def _compare_single_accessor_granules(report: DiffReport, mode, image,
+                                      atomic) -> None:
+    """Byte-compare ``image`` with the atomic machine on every granule only
+    one core ever touched (its final content is interleaving-independent,
+    so the comparison is sound on racy workloads and traces)."""
+    gran = atomic.granularity
+    for block in atomic.blocks():
+        pairs = atomic.single_accessor_granules(block)
+        if not pairs:
+            continue
+        want = atomic.image().get(block)
+        got = bytes(image.get(block))
+        report.blocks_compared += 1
+        for granule, core in pairs:
+            lo = granule * gran
+            if got[lo:lo + gran] != want[lo:lo + gran]:
+                report.divergences.append(Divergence(
+                    "memory", mode, block,
+                    f"single-accessor granule {granule} (core {core}): "
+                    f"machine {got[lo:lo + gran].hex()} != reference "
+                    f"{want[lo:lo + gran].hex()}"))
 
 
 def diff_trace(
@@ -755,7 +607,6 @@ def diff_trace(
             f"match config.block_size={config.block_size}B")
     atomic = run_programs_atomic(TraceWorkload(path).programs(), config)
     ref = RefResult(machine=atomic)
-    gran = atomic.granularity
     report = DiffReport(modes_run=list(modes))
     factory = TracePrograms(info.path, info.digest, info.num_threads,
                             info.block_size)
@@ -774,20 +625,6 @@ def diff_trace(
             machine, ref, check_memory=False,
             check_verdicts=check_verdicts, check_counters=check_counters)
         report.divergences.extend(per_mode.divergences)
-        image = flush_machine_memory(machine)
-        for block in atomic.blocks():
-            pairs = atomic.single_accessor_granules(block)
-            if not pairs:
-                continue
-            want = atomic.image().get(block)
-            got = bytes(image.get(block))
-            report.blocks_compared += 1
-            for granule, core in pairs:
-                lo = granule * gran
-                if got[lo:lo + gran] != want[lo:lo + gran]:
-                    report.divergences.append(Divergence(
-                        "memory", mode, block,
-                        f"single-accessor granule {granule} (core {core}): "
-                        f"machine {got[lo:lo + gran].hex()} != reference "
-                        f"{want[lo:lo + gran].hex()}"))
+        _compare_single_accessor_granules(
+            report, mode, flush_machine_memory(machine), atomic)
     return report

@@ -1,8 +1,8 @@
-"""Random protocol tester with schedule shrinking.
+"""Random protocol tester, and the campaign core fuzz, diff and chaos share.
 
 Generates randomized per-line load/store/RMW/evict schedules, runs them on
 a deliberately stress-prone machine (tiny caches, tiny SAM, τP = 1) with
-the online sanitizer attached, and checks three failure channels:
+the online sanitizer attached, and checks four failure channels:
 
 1. the run itself (invariant violations, protocol errors, deadlocks, and
    in-program load-value assertions),
@@ -27,15 +27,21 @@ Schedule families:
 * ``mixed``    — both in the same lines: privatization attempts keep
   colliding with true sharing (abort/terminate churn).
 
-A failing schedule is shrunk to a minimal reproducing program and rendered
-as a ready-to-paste pytest case by :func:`render_pytest_repro`.
+The campaign core lives here too, because all three campaign verbs build
+on these schedules: :func:`execute` is the one schedule executor behind
+:func:`run_schedule`, :func:`repro.check.diff.run_differential` and
+:func:`repro.faults.chaos.run_chaos_case`; :func:`campaign_cases` is the
+one case rotation; :class:`ShrinkSession` is the one ddmin session; and
+:func:`render_repro` renders every failure as a ready-to-paste pytest
+case that re-runs it with every argument that shaped it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.check.mutations import mutation_context
 from repro.check.sanitizer import InvariantViolation, Sanitizer
@@ -45,6 +51,15 @@ from repro.common.errors import ReproError
 from repro.cpu.ops import Op, compute, fetch_add, load, store
 from repro.system.builder import build_machine
 from repro.system.simulator import Simulator, flush_machine_memory
+from repro.system.stats import SimStats
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FiredFault
+    from repro.faults.plan import FaultPlan
+
+# The replay cache, the fault injector and the fault plans are imported
+# where they are used: a fault-free run without a replay cache (every
+# harness and sanitizer user of this package) never loads them.
 
 #: Base address of the fuzzed lines (arbitrary, away from zero).
 BASE = 0x40000
@@ -86,37 +101,84 @@ class FuzzFailure:
 
 
 @dataclass
-class FuzzReport:
-    """Outcome of one schedule execution."""
+class RunReport:
+    """Outcome of one schedule execution, fault-free or under a plan."""
 
     ok: bool
     failure: Optional[FuzzFailure] = None
     cycles: int = 0
     blocks_checked: int = 0
+    #: Blocks the differential stage compared against the reference.
+    blocks_compared: int = 0
+    stats: Optional[SimStats] = None
+    fired: List[FiredFault] = field(default_factory=list)
+
+    def fired_by_kind(self) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for fault in self.fired:
+            out[fault.kind] = out.get(fault.kind, 0) + 1
+        return out
 
 
 @dataclass
-class FuzzFinding:
-    """One failing fuzz case, shrunk and rendered."""
+class Case:
+    """One campaign case: its position, seed and rotation labels."""
 
+    index: int
     case_seed: int
-    family: str
-    mode: ProtocolMode
-    mutation: Optional[str]
-    failure: FuzzFailure
-    schedule: List[FuzzOp]
-    shrunk: List[FuzzOp]
-    repro_source: str
+    family: str  # schedule family
+    mode: Optional[ProtocolMode] = None  # None: the case runs every mode
+    fault_family: Optional[str] = None
+
+
+@dataclass
+class Finding(Case):
+    """One failing campaign case, shrunk and rendered."""
+
+    mutation: Optional[str] = None
+    failure: Optional[FuzzFailure] = None
+    schedule: List[FuzzOp] = field(default_factory=list)
+    #: What ddmin shrank: the schedule, or (chaos) the fired-fault script.
+    shrunk: list = field(default_factory=list)
+    repro_source: str = ""
+    #: Chaos only: the repro's plan (None when the fault-free twin
+    #: failed) and the faults the failing run fired.
+    plan: Optional[FaultPlan] = None
+    fired: List[FiredFault] = field(default_factory=list)
 
 
 @dataclass
 class CampaignResult:
     iterations: int
-    findings: List[FuzzFinding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
+    #: Chaos only: the surviving cases and their degradation reports.
+    cases: list = field(default_factory=list)
+    blocks_compared: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
+
+    def family_fired(self) -> Dict[str, int]:
+        """Total effective faults per fault family across surviving cases."""
+        from repro.faults.plan import CHAOS_FAMILIES
+
+        out = dict.fromkeys(CHAOS_FAMILIES, 0)
+        for case in self.cases:
+            out[case.fault_family] += case.report.total_fired
+        return out
+
+    def family_degraded(self) -> Dict[str, bool]:
+        """Per fault family: did some case fire faults *and* measure a
+        nonzero degradation delta vs its twin?  (The acceptance check that
+        injection is real, not vacuous.)"""
+        from repro.faults.plan import CHAOS_FAMILIES
+
+        out = dict.fromkeys(CHAOS_FAMILIES, False)
+        for case in self.cases:
+            if case.report.degraded:
+                out[case.fault_family] = True
+        return out
 
 
 # --------------------------------------------------------------- machine
@@ -216,7 +278,7 @@ def schedule_to_ops(
     single-writer slots exactly and shared words as sums.
 
     This is the single schedule→:class:`Op` translation: the detailed
-    simulator's thread programs (:func:`_build_programs`) and the atomic
+    simulator's thread programs (:func:`execute`) and the atomic
     reference model (:mod:`repro.check.refmodel`) both consume it, so the
     two machines execute the *same* operation footprint by construction.
 
@@ -342,6 +404,16 @@ class _SchedulePrograms:
         self.per_thread = state
 
 
+def _split(flat, num_threads: int
+           ) -> List[List[Tuple[Op, Optional[int], str]]]:
+    """Per-thread ``(op, expected, label)`` item lists of a flat stream."""
+    per_thread: List[List[Tuple[Op, Optional[int], str]]] = [
+        [] for _ in range(num_threads)]
+    for tid, op, expected, label in flat:
+        per_thread[tid].append((op, expected, label))
+    return per_thread
+
+
 def _translate(
     schedule: List[FuzzOp],
     num_threads: int,
@@ -352,28 +424,176 @@ def _translate(
     """Per-thread translated item lists plus the expected final image."""
     flat, expectations = schedule_to_ops(
         schedule, num_threads, config, check_loads=check_loads)
-    per_thread: List[List[Tuple[Op, Optional[int], str]]] = [
-        [] for _ in range(num_threads)]
-    for tid, op, expected, label in flat:
-        per_thread[tid].append((op, expected, label))
-    return per_thread, expectations
+    return _split(flat, num_threads), expectations
 
 
-def _build_programs(
+def reference_run(schedule, num_threads: int, config: SystemConfig,
+                  replay=None, flat=None):
+    """The atomic reference's result for ``schedule``, resumed from the
+    replay cache's reference snapshots when one is given."""
+    if replay is not None:
+        return replay.ref_run(schedule, num_threads, config, flat=flat)
+    # Imported here: the reference model imports this module's translation.
+    from repro.check.refmodel import run_reference
+
+    return run_reference(schedule, num_threads, config, flat=flat)
+
+
+def execute(
     schedule: List[FuzzOp],
+    mode: ProtocolMode,
     num_threads: int,
     config: SystemConfig,
+    plan: Optional[FaultPlan] = None,
+    sanitize: bool = True,
+    mutation: Optional[str] = None,
+    max_events: int = 5_000_000,
     check_loads: bool = True,
-) -> Tuple[list, List[Tuple[int, int, str]]]:
-    """Translate a schedule into thread programs plus the expected final
-    image (see :func:`schedule_to_ops` for the model and ``check_loads``).
+    differential: Optional[dict] = None,
+    reference=None,
+    replay=None,
+    translated=None,
+):
+    """Execute one schedule; never raises for protocol failures.
 
-    Returns ``(programs, expectations)`` where each expectation is
-    ``(addr, want_value, label)`` for one 8-byte word.
+    The one executor behind :func:`run_schedule`,
+    :func:`repro.check.diff.run_differential` and
+    :func:`repro.faults.chaos.run_chaos_case`.  In order it translates the
+    schedule, resumes from or records into the ``replay`` cache, builds the
+    machine with ``plan``'s :class:`~repro.faults.injector.FaultInjector`
+    (if any) and then the sanitizer attached, runs it, and judges it:
+
+    * ``InvariantViolation`` fails stage ``"invariant"``; any other
+      :class:`ReproError` or an in-program ``AssertionError`` fails stage
+      ``"run"``;
+    * with ``check_loads`` the flushed image must match the schedule's
+      expected values (stage ``"final-image"``).  ``check_loads=False``
+      builds assertion-free programs (same op stream) and skips this check,
+      so only external oracles judge the run;
+    * ``differential`` (a dict of :func:`repro.check.diff.
+      differential_check` options) compares the machine against the atomic
+      reference (``reference``, or computed here) — stage
+      ``"differential"``.
+
+    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) resumes
+    the run from the deepest memoized snapshot whose per-thread op prefix
+    (and, under a scripted plan, decided-fault prefix) matches, and
+    checkpoints this run for later candidates — results are bit-for-bit
+    identical to a cold run.  It is ignored under unscripted plans, whose
+    rates draw injector RNG the cache's guards do not model.
+    ``translated`` is a precomputed :func:`_translate` result.
+
+    Returns ``(report, image, diff)``: the flushed image and the
+    :class:`~repro.check.diff.DiffReport` are None when the run failed
+    before them (``diff`` also when ``differential`` is None).
     """
-    per_thread, expectations = _translate(
-        schedule, num_threads, config, check_loads=check_loads)
-    return _SchedulePrograms(per_thread)(), expectations
+    if replay is not None and plan is not None and plan.script is None:
+        replay = None  # unscripted plans draw RNG; prefix reuse is unsound
+    with mutation_context(mutation):
+        per_thread, expectations = translated or _translate(
+            schedule, num_threads, config, check_loads=check_loads)
+        factory = _SchedulePrograms(per_thread)
+        machine = None
+        resume = False
+        on_checkpoint = None
+        if replay is not None:
+            from repro.check.replay import (
+                CheckpointHook,
+                fault_script_set,
+                thread_keys,
+            )
+
+            keys = thread_keys(per_thread)
+            script = fault_script_set(plan)
+            plan_key = ((plan.delay_cycles, plan.state_period)
+                        if plan is not None else None)
+            context = (mode.value, num_threads, bool(sanitize), mutation,
+                       bool(check_loads), plan_key, replay.config_key(config))
+            hit = replay.lookup(context, keys, fault_script=script)
+            if hit is not None:
+                machine = replay.restore(hit, factory)
+                resume = True
+                restored = machine.extras.get("injector")
+                if restored is not None:
+                    # The snapshot carries the script it was recorded
+                    # under; swap in the candidate's (the decided prefix
+                    # is identical by the guard, the future differs).
+                    restored.plan = plan
+                    restored._script = {(e.kind, e.opportunity)
+                                        for e in plan.script}
+            if replay.should_record(context, resumed=resume):
+                on_checkpoint = CheckpointHook(replay, context, keys,
+                                               fault_script=script)
+        if machine is None:
+            machine = build_machine(config, mode)
+            machine.attach_programs(program_factory=factory)
+            # Injector first: its state faults land before the sanitizer's
+            # per-delivery checks of the same message, so corruption is
+            # judged at the earliest possible instant.
+            if plan is not None:
+                from repro.faults.injector import FaultInjector
+
+                machine.extras["injector"] = \
+                    FaultInjector(machine, plan).attach()
+            if sanitize:
+                machine.extras["sanitizer"] = Sanitizer(machine).attach()
+        injector = machine.extras.get("injector")
+        sanitizer = machine.extras.get("sanitizer")
+        failure = None
+        try:
+            try:
+                result = Simulator(machine, max_events=max_events).run(
+                    resume=resume,
+                    checkpoint_every=(replay.checkpoint_every
+                                      if on_checkpoint else None),
+                    on_checkpoint=on_checkpoint)
+                if sanitizer is not None:
+                    sanitizer.check_all()
+            except InvariantViolation as exc:
+                failure = FuzzFailure(
+                    "invariant", type(exc).__name__, str(exc))
+            except (ReproError, AssertionError) as exc:
+                failure = FuzzFailure("run", type(exc).__name__, str(exc))
+        finally:
+            if sanitizer is not None:
+                sanitizer.detach()
+            fired = []
+            if injector is not None:
+                fired = list(injector.fired)
+                injector.detach()
+        if failure is not None:
+            return RunReport(False, failure, fired=fired), None, None
+        image = flush_machine_memory(machine)
+        if check_loads:
+            for addr, want, label in expectations:
+                base = addr & ~(config.block_size - 1)
+                data = image.get(base, bytes(config.block_size))
+                off = addr - base
+                got = int.from_bytes(data[off:off + SLOT], "little")
+                if got != want:
+                    return RunReport(False, FuzzFailure(
+                        "final-image", "mismatch",
+                        f"{label}: final value {got:#x}, expected "
+                        f"{want:#x}"), fired=fired), image, None
+        diff = None
+        if differential is not None:
+            # Imported lazily: repro.check.diff imports this module.
+            from repro.check.diff import differential_check
+
+            ref = (reference if reference is not None
+                   else reference_run(schedule, num_threads, config, replay))
+            diff = differential_check(machine, ref, image=image,
+                                      **differential)
+            if diff.divergences:
+                first = diff.divergences[0]
+                return RunReport(False, FuzzFailure(
+                    "differential", first.kind, first.detail),
+                    fired=fired), image, diff
+        return RunReport(
+            True, cycles=result.cycles,
+            blocks_checked=sanitizer.blocks_checked if sanitizer else 0,
+            blocks_compared=diff.blocks_compared if diff else 0,
+            stats=result.stats, fired=fired), image, diff
 
 
 def run_schedule(
@@ -387,8 +607,9 @@ def run_schedule(
     differential: bool = False,
     check_loads: bool = True,
     replay=None,
-) -> FuzzReport:
-    """Execute one schedule; never raises for protocol failures.
+) -> RunReport:
+    """Execute one fault-free schedule through :func:`execute`; never
+    raises for protocol failures.
 
     ``differential=True`` additionally replays the schedule on the atomic
     reference model (:mod:`repro.check.refmodel`) and compares final memory,
@@ -398,83 +619,16 @@ def run_schedule(
     assertion-free programs (same op stream) so failures can only come from
     external oracles.
 
-    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) resumes
-    the run from the deepest memoized snapshot whose per-thread op prefix
-    matches this schedule, and checkpoints this run for later candidates —
-    results are bit-for-bit identical to a cold run.  Shrink loops pass one
-    cache per session; one-shot callers leave it None.
+    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) makes the
+    run resume from and record shared-prefix snapshots (see
+    :func:`execute`).  Shrink loops pass one cache per session; one-shot
+    callers leave it None.
     """
-    config = config or fuzz_config(num_threads)
-    with mutation_context(mutation):
-        per_thread, expectations = _translate(
-            schedule, num_threads, config, check_loads=check_loads)
-        factory = _SchedulePrograms(per_thread)
-        machine = None
-        resume = False
-        checkpoint_every = on_checkpoint = None
-        if replay is not None:
-            from repro.check.replay import CheckpointHook, thread_keys
-
-            keys = thread_keys(per_thread)
-            context = ("fuzz", mode.value, num_threads, bool(sanitize),
-                       mutation, bool(check_loads),
-                       replay.config_key(config))
-            hit = replay.lookup(context, keys)
-            if hit is not None:
-                machine = replay.restore(hit, factory)
-                resume = True
-            if replay.should_record(context, resumed=resume):
-                checkpoint_every = replay.checkpoint_every
-                on_checkpoint = CheckpointHook(replay, context, keys)
-        if machine is None:
-            machine = build_machine(config, mode)
-            machine.attach_programs(program_factory=factory)
-            if sanitize:
-                machine.extras["sanitizer"] = Sanitizer(machine).attach()
-        sanitizer = machine.extras.get("sanitizer")
-        try:
-            try:
-                result = Simulator(machine, max_events=max_events).run(
-                    resume=resume, checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint)
-                if sanitizer is not None:
-                    sanitizer.check_all()
-            except InvariantViolation as exc:
-                return FuzzReport(False, FuzzFailure(
-                    "invariant", type(exc).__name__, str(exc)))
-            except (ReproError, AssertionError) as exc:
-                return FuzzReport(False, FuzzFailure(
-                    "run", type(exc).__name__, str(exc)))
-        finally:
-            if sanitizer is not None:
-                sanitizer.detach()
-        image = flush_machine_memory(machine)
-        for addr, want, label in expectations:
-            base = addr & ~(config.block_size - 1)
-            data = image.get(base, bytes(config.block_size))
-            off = addr - base
-            got = int.from_bytes(data[off:off + SLOT], "little")
-            if got != want:
-                return FuzzReport(False, FuzzFailure(
-                    "final-image", "mismatch",
-                    f"{label}: final value {got:#x}, expected {want:#x}"))
-        if differential:
-            # Imported lazily: repro.check.diff imports this module.
-            from repro.check.diff import differential_check
-            from repro.check.refmodel import run_reference
-
-            if replay is not None:
-                ref = replay.ref_run(schedule, num_threads, config)
-            else:
-                ref = run_reference(schedule, num_threads, config)
-            diff = differential_check(machine, ref)
-            if diff.divergences:
-                first = diff.divergences[0]
-                return FuzzReport(False, FuzzFailure(
-                    "differential", first.kind, first.detail))
-        return FuzzReport(
-            True, cycles=result.cycles,
-            blocks_checked=sanitizer.blocks_checked if sanitizer else 0)
+    return execute(
+        schedule, mode, num_threads, config or fuzz_config(num_threads),
+        sanitize=sanitize, mutation=mutation, max_events=max_events,
+        check_loads=check_loads, differential={} if differential else None,
+        replay=replay)[0]
 
 
 # ------------------------------------------------------------- shrinking
@@ -535,6 +689,34 @@ def shrink_schedule(
     return current
 
 
+class ShrinkSession:
+    """One ddmin session: a prefix-replay cache (none with
+    ``replay=False``, the cold baseline), the memoizing
+    :func:`~repro.check.replay.shrink_evaluator` over it, and
+    :func:`shrink_schedule` driven by that evaluator.
+
+    ``run(candidate, cache)`` executes one candidate (resuming from the
+    session's replay ``cache``, None when cold) and returns a report with
+    ``ok``; ``evaluator_options`` pass through to the evaluator.  One
+    cache serves the whole session, so every candidate resumes from the
+    prefixes its predecessors recorded — the cache never changes results,
+    only wall clock.
+    """
+
+    def __init__(self, run, replay: bool = True,
+                 **evaluator_options) -> None:
+        from repro.check.replay import PrefixReplayCache, shrink_evaluator
+
+        cache = PrefixReplayCache() if replay else None
+        self.evaluate = shrink_evaluator(cache, run, **evaluator_options)
+
+    def fails(self, candidate: Sequence) -> bool:
+        return bool(candidate) and not self.evaluate(candidate).ok
+
+    def shrink(self, items: Sequence, budget: int) -> list:
+        return shrink_schedule(items, self.fails, budget=budget)
+
+
 # ------------------------------------------------------------- rendering
 
 
@@ -551,39 +733,98 @@ def render_schedule(schedule: List[FuzzOp], indent: str = "        ") -> str:
     return "\n".join(lines)
 
 
-def render_pytest_repro(
-    schedule: List[FuzzOp],
-    mode: ProtocolMode,
-    mutation: Optional[str],
-    failure: FuzzFailure,
-    case_seed: Optional[int] = None,
-) -> str:
-    """Render a failing schedule as a ready-to-paste pytest case.
+#: Per campaign verb: how a repro's header describes the failing input and
+#: labels its headline, the module and function the repro calls, and the
+#: separator between that call's keyword arguments.
+_REPRO_FORMS = {
+    "fuzz": ("a {n}-op failing fuzz schedule", "Failure",
+             "repro.check.fuzz", "run_schedule", ", "),
+    "diff": ("a {n}-op diverging schedule", "Divergence",
+             "repro.check.diff", "run_differential", ",\n        "),
+    "chaos": ("a failing chaos case ({n}-op schedule)", "Failure",
+              "repro.faults.chaos", "run_chaos_case", ", "),
+}
 
-    The generated test asserts the schedule *passes*, so it fails while
-    the reproduced bug exists and goes green once it is fixed.
+
+def render_repro(
+    verb: str,
+    schedule: List[FuzzOp],
+    modes: List[ProtocolMode],
+    mutation: Optional[str],
+    headline: str,
+    case_seed: Optional[int] = None,
+    plan: Optional[FaultPlan] = None,
+    shrunken_sam: bool = False,
+    differential: bool = False,
+    num_threads: int = 4,
+    config_factory: Optional[str] = None,
+) -> str:
+    """Render a failing case of campaign ``verb`` (fuzz, diff or chaos) as
+    a ready-to-paste pytest case.
+
+    The test re-runs the case with every argument that shaped it: the
+    mode(s), the fault plan (chaos), the shrunken SAM, the mutation, the
+    differential oracle, the thread count and the probe config
+    (``config_factory`` names a zero-argument factory in
+    :mod:`repro.check.diff`).  Arguments at their defaults are left out.
+    The test asserts the case *passes*, so it fails while the reproduced
+    bug exists and goes green once it is fixed.  Only the first line of
+    ``headline`` goes into the header comment.
     """
-    name_bits = [mode.value]
+    source, label, module, function, separator = _REPRO_FORMS[verb]
+    name_bits = [m.value for m in modes]
     if mutation:
         name_bits.append(mutation.replace("-", "_"))
     if case_seed is not None:
         name_bits.append(f"seed{case_seed}")
-    name = "test_fuzz_repro_" + "_".join(name_bits)
-    mutation_arg = f", mutation={mutation!r}" if mutation else ""
-    header = (f"# Shrunk from a {len(schedule)}-op failing fuzz schedule.\n"
-              f"# Failure: {failure.stage}/{failure.kind}")
-    return f'''{header}
-from repro.check.fuzz import FuzzOp, run_schedule
-from repro.coherence.states import ProtocolMode
+    imports = {"repro.check.fuzz": {"FuzzOp"},
+               "repro.coherence.states": {"ProtocolMode"}}
+    imports.setdefault(module, set()).add(function)
+    if verb == "diff":
+        modes_src = ", ".join(f"ProtocolMode.{m.name}" for m in modes)
+        args = [f"modes=[{modes_src}]"]
+    else:
+        args = [f"mode=ProtocolMode.{modes[0].name}"]
+    plan_line = ""
+    if verb == "chaos":
+        args.append("plan=plan")
+        plan_src = "None"
+        if plan is not None:
+            from repro.faults.plan import render_plan
+
+            plan_src = render_plan(plan)
+            imports["repro.faults"] = {"FaultEvent", "FaultPlan"}
+        plan_line = f"    plan = {plan_src}\n"
+    if shrunken_sam:
+        args.append("shrunken_sam=True")
+    if mutation:
+        args.append(f"mutation={mutation!r}")
+    if differential:
+        args.append("differential=True")
+    if num_threads != 4:
+        args.append(f"num_threads={num_threads}")
+    if config_factory:
+        args.append(f"config={config_factory}()")
+        imports.setdefault("repro.check.diff", set()).add(config_factory)
+    import_lines = "\n".join(
+        f"from {mod} import {', '.join(sorted(names))}"
+        for mod, names in sorted(imports.items()))
+    name = "_".join(name_bits)
+    first_line = headline.splitlines()[0] if headline else ""
+    describe = ("report.describe()" if verb == "diff"
+                else "report.failure.describe()")
+    return f'''# Shrunk from {source.format(n=len(schedule))}.
+# {label}: {first_line}
+{import_lines}
 
 
-def {name}():
+def test_{verb}_repro_{name}():
     schedule = [
 {render_schedule(schedule)}
     ]
-    report = run_schedule(
-        schedule, mode=ProtocolMode.{mode.name}{mutation_arg})
-    assert report.ok, report.failure.describe()
+{plan_line}    report = {function}(
+        schedule, {separator.join(args)})
+    assert report.ok, {describe}
 '''
 
 
@@ -591,6 +832,89 @@ def {name}():
 
 
 FAMILIES = ("disjoint", "shared", "mixed")
+
+
+def campaign_cases(
+    iterations: int,
+    seed: int,
+    axes: Sequence[Tuple[str, Sequence]],
+    num_threads: int = 4,
+    num_lines: int = 3,
+    length: int = 80,
+) -> Iterator[Tuple[Case, List[FuzzOp]]]:
+    """The case rotation every campaign runs.
+
+    Yields ``iterations`` ``(case, schedule)`` pairs.  Each case draws a
+    32-bit case seed from ``seed``'s stream and reads its labels off a
+    mixed-radix grid over ``axes`` — ``(Case field, values)`` pairs, the
+    fastest-rotating first; its schedule is generated from the case seed
+    in the case's ``family``.  Same arguments, same cases in the same
+    order.
+    """
+    rng = random.Random(seed)
+    for index in range(iterations):
+        case_seed = rng.randrange(1 << 32)
+        labels = {}
+        digit = index
+        for name, values in axes:
+            labels[name] = values[digit % len(values)]
+            digit //= len(values)
+        case = Case(index, case_seed, **labels)
+        yield case, make_schedule(
+            case.family, random.Random(case_seed), num_threads=num_threads,
+            num_lines=num_lines, length=length)
+
+
+def schedule_campaign(
+    verb: str,
+    iterations: int,
+    cases: Iterator[Tuple[Case, List[FuzzOp]]],
+    run: Callable,
+    modes: Optional[List[ProtocolMode]] = None,
+    mutation: Optional[str] = None,
+    shrink: bool = True,
+    shrink_budget: int = 400,
+    replay: bool = True,
+    progress: Optional[Callable] = None,
+    **render,
+) -> CampaignResult:
+    """The fuzz and diff campaign loop: run every case's schedule, then
+    ddmin-shrink and render each failure.
+
+    ``run(case, schedule, cache)`` executes one schedule of ``case``
+    (resuming from the replay ``cache`` when one is given) and returns a
+    report with ``ok``, ``failure`` and ``blocks_compared``.
+    The repro runs ``modes`` (default: the case's mode) with the
+    ``render`` options of :func:`render_repro`.  ``progress(index, case,
+    report)`` sees every case's first run.
+    """
+    result = CampaignResult(iterations=iterations)
+    for case, schedule in cases:
+        def case_run(candidate, cache=None):
+            return run(case, candidate, cache)
+
+        report = case_run(schedule)
+        result.blocks_compared += report.blocks_compared
+        if progress is not None:
+            progress(case.index, case, report)
+        if report.ok:
+            continue
+        if shrink:
+            session = ShrinkSession(case_run, replay)
+            shrunk = session.shrink(schedule, shrink_budget)
+            final = session.evaluate(shrunk)
+        else:
+            shrunk, final = schedule, case_run(schedule)
+        failure = (report if final.ok else final).failure
+        headline = (failure.detail if verb == "diff"
+                    else f"{failure.stage}/{failure.kind}")
+        result.findings.append(Finding(
+            **vars(case), mutation=mutation, failure=failure,
+            schedule=schedule, shrunk=shrunk,
+            repro_source=render_repro(
+                verb, shrunk, modes or [case.mode], mutation, headline,
+                case.case_seed, **render)))
+    return result
 
 
 def fuzz_campaign(
@@ -606,67 +930,30 @@ def fuzz_campaign(
     shrink_budget: int = 400,
     differential: bool = False,
     replay: bool = True,
-    progress: Optional[Callable[[int, str, ProtocolMode, FuzzReport],
-                                None]] = None,
+    progress: Optional[Callable[[int, Case, RunReport], None]] = None,
 ) -> CampaignResult:
     """Run ``iterations`` random schedules; shrink and render any failure.
 
+    Schedule families rotate fastest, then protocol modes.
     ``differential=True`` adds the atomic-reference-model oracle to every
     run (including shrink re-executions).  ``replay=False`` disables the
     prefix-replay cache during shrinking (cold re-execution; the benchmark
     baseline).  Fully deterministic for a given ``seed`` and parameter
     set — the replay cache never changes results, only wall clock.
     """
-    modes = modes or list(ProtocolMode)
-    families = families or list(FAMILIES)
-    rng = random.Random(seed)
-    result = CampaignResult(iterations=iterations)
-    for index in range(iterations):
-        case_seed = rng.randrange(1 << 32)
-        family = families[index % len(families)]
-        mode = modes[(index // len(families)) % len(modes)]
-        schedule = make_schedule(
-            family, random.Random(case_seed), num_threads=num_threads,
-            num_lines=num_lines, length=length)
-        report = run_schedule(schedule, mode=mode, num_threads=num_threads,
-                              mutation=mutation, differential=differential)
-        if progress is not None:
-            progress(index, family, mode, report)
-        if report.ok:
-            continue
-        shrunk = schedule
-        cache = None
-        if shrink:
-            # One prefix-replay cache per shrink session: ddmin candidates
-            # share long per-thread prefixes, so most re-runs resume from a
-            # memoized snapshot instead of cycle zero — and exact repeats
-            # (ddmin's fixed-point pass) return their memoized report.
-            from repro.check.replay import PrefixReplayCache, \
-                shrink_evaluator
+    config = fuzz_config(num_threads)
+    axes = (("family", families or list(FAMILIES)),
+            ("mode", modes or list(ProtocolMode)))
 
-            cache = PrefixReplayCache() if replay else None
-            shrink_config = fuzz_config(num_threads)
-            evaluate = shrink_evaluator(
-                cache,
-                lambda candidate, rc: run_schedule(
-                    candidate, mode=mode, num_threads=num_threads,
-                    config=shrink_config, mutation=mutation,
-                    differential=differential, replay=rc))
+    def run(case, schedule, cache):
+        return run_schedule(schedule, mode=case.mode, num_threads=num_threads,
+                            config=config, mutation=mutation,
+                            differential=differential, replay=cache)
 
-            def still_fails(candidate: List[FuzzOp]) -> bool:
-                return not evaluate(candidate).ok
-            shrunk = shrink_schedule(schedule, still_fails,
-                                     budget=shrink_budget)
-            final = evaluate(shrunk)
-        else:
-            final = run_schedule(shrunk, mode=mode, num_threads=num_threads,
-                                 mutation=mutation,
-                                 differential=differential)
-        failure = final.failure or report.failure
-        result.findings.append(FuzzFinding(
-            case_seed=case_seed, family=family, mode=mode,
-            mutation=mutation, failure=failure, schedule=schedule,
-            shrunk=shrunk,
-            repro_source=render_pytest_repro(
-                shrunk, mode, mutation, failure, case_seed=case_seed)))
-    return result
+    return schedule_campaign(
+        "fuzz", iterations,
+        campaign_cases(iterations, seed, axes, num_threads, num_lines,
+                       length),
+        run, mutation=mutation, shrink=shrink, shrink_budget=shrink_budget,
+        replay=replay, progress=progress, num_threads=num_threads,
+        differential=differential)

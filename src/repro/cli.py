@@ -102,6 +102,44 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_CACHE_DIR or ~/.cache/repro/engine)")
 
 
+def _add_campaign_args(parser: argparse.ArgumentParser, noun: str,
+                       cases: str, iterations: int, shrink_budget: int,
+                       smoke_help: str) -> None:
+    """The flags the fuzz, chaos and diff campaigns share; ``noun`` names
+    one campaign case and ``cases`` describes what ``--iterations``
+    counts."""
+    parser.add_argument("--iterations", type=int, default=iterations,
+                        metavar="N",
+                        help=f"number of {cases} (default {iterations})")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign seed; same seed, same campaign")
+    parser.add_argument("--protocol", default="all",
+                        choices=["all"] + [m.value for m in ProtocolMode],
+                        help="protocol mode(s) to run (default all)")
+    parser.add_argument("--mutate", metavar="NAME", default=None,
+                        choices=sorted(MUTATIONS),
+                        help="inject a known protocol mutation, so the "
+                             "campaign should fail "
+                             f"({', '.join(sorted(MUTATIONS))})")
+    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--lines", type=int, default=3,
+                        help="distinct cache lines per schedule (default 3)")
+    parser.add_argument("--length", type=int, default=80,
+                        help="ops per schedule (default 80)")
+    parser.add_argument("--no-shrink", action="store_true",
+                        help=f"report raw failing {noun}s without "
+                             "delta-debugging them")
+    parser.add_argument("--shrink-budget", type=int, default=shrink_budget,
+                        metavar="N",
+                        help="max re-executions the shrinker may spend "
+                             f"(default {shrink_budget})")
+    parser.add_argument("--smoke", action="store_true", help=smoke_help)
+    parser.add_argument("--out", metavar="PATH",
+                        help="write generated pytest repros to PATH")
+    parser.add_argument("--quiet", action="store_true",
+                        help=f"suppress per-{noun} progress output")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -158,53 +196,23 @@ def _parser() -> argparse.ArgumentParser:
 
     fuzz_p = sub.add_parser("fuzz", help="random protocol testing with the "
                                          "online sanitizer")
-    fuzz_p.add_argument("--iterations", type=int, default=30, metavar="N",
-                        help="number of random schedules (default 30)")
-    fuzz_p.add_argument("--seed", type=int, default=0,
-                        help="campaign seed; same seed, same campaign")
-    fuzz_p.add_argument("--protocol", default="all",
-                        choices=["all"] + [m.value for m in ProtocolMode],
-                        help="protocol mode(s) to fuzz (default all)")
+    _add_campaign_args(fuzz_p, "schedule", "random schedules", 30, 400,
+                       "small fixed CI campaign (one 40-op schedule per "
+                       "mode x family pair)")
     fuzz_p.add_argument("--family", default="all",
                         choices=["all"] + list(FAMILIES),
                         help="schedule family (default all)")
-    fuzz_p.add_argument("--mutate", metavar="NAME", default=None,
-                        choices=sorted(MUTATIONS),
-                        help="inject a known protocol mutation "
-                             f"({', '.join(sorted(MUTATIONS))})")
-    fuzz_p.add_argument("--threads", type=int, default=4)
-    fuzz_p.add_argument("--lines", type=int, default=3,
-                        help="distinct cache lines per schedule (default 3)")
-    fuzz_p.add_argument("--length", type=int, default=80,
-                        help="ops per schedule (default 80)")
-    fuzz_p.add_argument("--no-shrink", action="store_true",
-                        help="report raw failing schedules without "
-                             "delta-debugging them")
-    fuzz_p.add_argument("--shrink-budget", type=int, default=400,
-                        metavar="N", help="max schedule re-executions the "
-                                          "shrinker may spend (default 400)")
     fuzz_p.add_argument("--differential", action="store_true",
                         help="additionally judge every schedule against "
                              "the atomic reference model (repro.check.diff)")
-    fuzz_p.add_argument("--smoke", action="store_true",
-                        help="small fixed CI campaign (one 40-op schedule "
-                             "per mode x family pair)")
-    fuzz_p.add_argument("--out", metavar="PATH",
-                        help="write generated pytest repros to PATH")
-    fuzz_p.add_argument("--quiet", action="store_true",
-                        help="suppress per-schedule progress output")
 
     chaos_p = sub.add_parser(
         "chaos", help="fault-injection campaigns with graceful-degradation "
                       "checking")
-    chaos_p.add_argument("--iterations", type=int, default=18, metavar="N",
-                         help="number of (schedule, fault plan) cases "
-                              "(default 18)")
-    chaos_p.add_argument("--seed", type=int, default=0,
-                         help="campaign seed; same seed, same campaign")
-    chaos_p.add_argument("--protocol", default="all",
-                         choices=["all"] + [m.value for m in ProtocolMode],
-                         help="protocol mode(s) to stress (default all)")
+    _add_campaign_args(chaos_p, "case", "(schedule, fault plan) cases", 18,
+                       250, "small fixed CI campaign (one 40-op case per "
+                            "mode x fault-family pair; also requires every "
+                            "family to show degradation)")
     chaos_p.add_argument("--fault-family", default="all",
                          choices=["all"] + list(CHAOS_FAMILIES),
                          help="fault family: message, metadata or pressure "
@@ -212,56 +220,23 @@ def _parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--intensity", type=float, default=1.0,
                          help="scale factor on every fault rate "
                               "(default 1.0)")
-    chaos_p.add_argument("--threads", type=int, default=4)
-    chaos_p.add_argument("--lines", type=int, default=3,
-                         help="distinct cache lines per schedule "
-                              "(default 3)")
-    chaos_p.add_argument("--length", type=int, default=80,
-                         help="ops per schedule (default 80)")
-    chaos_p.add_argument("--mutate", metavar="NAME", default=None,
-                         choices=sorted(MUTATIONS),
-                         help="additionally inject a known protocol "
-                              "mutation (the campaign should then fail)")
-    chaos_p.add_argument("--no-shrink", action="store_true",
-                         help="report raw fired-fault scripts without "
-                              "delta-debugging them")
-    chaos_p.add_argument("--shrink-budget", type=int, default=250,
-                         metavar="N",
-                         help="max re-executions the shrinker may spend "
-                              "(default 250)")
     chaos_p.add_argument("--differential", action="store_true",
                          help="additionally judge every faulted run's "
                               "memory/metadata against the atomic "
                               "reference model (verdict and counter "
                               "checks stay off: faults may corrupt those)")
-    chaos_p.add_argument("--smoke", action="store_true",
-                         help="small fixed CI campaign (one 40-op case per "
-                              "mode x fault-family pair; also requires "
-                              "every family to show degradation)")
-    chaos_p.add_argument("--out", metavar="PATH",
-                         help="write generated pytest repros to PATH")
-    chaos_p.add_argument("--quiet", action="store_true",
-                         help="suppress per-case progress output")
 
     diff_p = sub.add_parser(
         "diff", help="differential conformance campaigns against the "
                      "atomic reference model")
-    diff_p.add_argument("--iterations", type=int, default=30, metavar="N",
-                        help="number of random schedules, each replayed on "
-                             "every selected mode (default 30)")
-    diff_p.add_argument("--seed", type=int, default=0,
-                        help="campaign seed; same seed, same campaign")
-    diff_p.add_argument("--protocol", default="all",
-                        choices=["all"] + [m.value for m in ProtocolMode],
-                        help="protocol mode(s) to compare (default all; "
-                             "cross-mode checks need at least two)")
+    _add_campaign_args(diff_p, "schedule", "random schedules, each replayed "
+                       "on every selected mode", 30, 400,
+                       "CI gate: 51 seeded 40-op schedules x 3 modes with "
+                       "zero divergences, plus every seeded mutation caught "
+                       "and shrunk to <=10 ops")
     diff_p.add_argument("--family", default="all",
                         choices=["all"] + list(FAMILIES),
                         help="schedule family (default all)")
-    diff_p.add_argument("--mutate", metavar="NAME", default=None,
-                        choices=sorted(MUTATIONS),
-                        help="inject a known protocol mutation (the "
-                             "campaign should then find divergences)")
     diff_p.add_argument("--workload", metavar="TAG", default=None,
                         choices=sorted(REGISTRY),
                         help="instead of random schedules, differentially "
@@ -269,25 +244,6 @@ def _parser() -> argparse.ArgumentParser:
                              "selected mode")
     diff_p.add_argument("--scale", type=float, default=0.5,
                         help="workload scale for --workload (default 0.5)")
-    diff_p.add_argument("--threads", type=int, default=4)
-    diff_p.add_argument("--lines", type=int, default=3,
-                        help="distinct cache lines per schedule (default 3)")
-    diff_p.add_argument("--length", type=int, default=80,
-                        help="ops per schedule (default 80)")
-    diff_p.add_argument("--no-shrink", action="store_true",
-                        help="report raw diverging schedules without "
-                             "delta-debugging them")
-    diff_p.add_argument("--shrink-budget", type=int, default=400,
-                        metavar="N", help="max schedule re-executions the "
-                                          "shrinker may spend (default 400)")
-    diff_p.add_argument("--smoke", action="store_true",
-                        help="CI gate: 51 seeded 40-op schedules x 3 modes "
-                             "with zero divergences, plus every seeded "
-                             "mutation caught and shrunk to <=10 ops")
-    diff_p.add_argument("--out", metavar="PATH",
-                        help="write generated pytest repros to PATH")
-    diff_p.add_argument("--quiet", action="store_true",
-                        help="suppress per-schedule progress output")
 
     prof_p = sub.add_parser("profile", help="profile one workload run "
                                             "under cProfile")
@@ -520,51 +476,50 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_fuzz(args) -> int:
-    modes = (list(ProtocolMode) if args.protocol == "all"
-             else [ProtocolMode(args.protocol)])
-    families = list(FAMILIES) if args.family == "all" else [args.family]
-    iterations, length = args.iterations, args.length
-    if args.smoke:
-        # One schedule per (mode, family) pair: small, fixed, deterministic.
-        modes, families = list(ProtocolMode), list(FAMILIES)
-        iterations, length = len(modes) * len(families), 40
+def _campaign_modes(args) -> List[ProtocolMode]:
+    return (list(ProtocolMode) if args.protocol == "all"
+            else [ProtocolMode(args.protocol)])
 
-    def progress(i, family, mode, report):
-        status = "ok" if report.ok else report.failure.describe()
-        print(f"[{i + 1}/{iterations}] {mode.value:9s} {family:9s} "
-              f"{status}", file=sys.stderr)
 
-    result = fuzz_campaign(
+def _campaign_kwargs(args, smoke_iterations: int, describe) -> dict:
+    """The campaign keyword arguments the shared flags give.
+
+    ``--smoke`` (the small, fixed, deterministic CI campaign) runs every
+    mode, ``smoke_iterations`` cases and 40-op schedules.  Unless
+    ``--quiet``, progress goes to stderr, ``describe(case, report)``
+    giving the text after each case's counter."""
+    iterations = smoke_iterations if args.smoke else args.iterations
+
+    def progress(index, case, report):
+        print(f"[{index + 1}/{iterations}] {describe(case, report)}",
+              file=sys.stderr)
+
+    return dict(
         iterations=iterations,
         seed=args.seed,
-        modes=modes,
-        families=families,
+        modes=list(ProtocolMode) if args.smoke else _campaign_modes(args),
         num_threads=args.threads,
         num_lines=args.lines,
-        length=length,
+        length=40 if args.smoke else args.length,
         mutation=args.mutate,
-        differential=args.differential,
         shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget,
         progress=None if args.quiet else progress,
     )
-    if result.ok:
-        oracle = " + differential oracle" if args.differential else ""
-        print(f"fuzz: {result.iterations} schedule(s), no failures"
-              f"{oracle} (seed {args.seed})")
-        return 0
-    print(f"fuzz: {len(result.findings)} failing schedule(s) out of "
+
+
+def _report_findings(args, result, noun: str, describe) -> int:
+    """Print a failing campaign's findings, then its pytest repros to
+    ``--out`` or stdout; ``describe(finding)`` gives each finding's lines
+    after its case seed.  Returns the exit code."""
+    print(f"{args.command}: {len(result.findings)} {noun} out of "
           f"{result.iterations} (seed {args.seed})")
-    sources = []
     for f in result.findings:
-        print(f"\ncase seed {f.case_seed}: {f.mode.value}/{f.family}"
-              + (f" +{f.mutation}" if f.mutation else ""))
-        print(f"  {f.failure.describe()}")
-        print(f"  schedule: {len(f.schedule)} op(s), "
-              f"shrunk to {len(f.shrunk)}")
-        sources.append(f.repro_source)
-    repros = "\n\n".join(sources)
+        heading, *details = describe(f)
+        print(f"\ncase seed {f.case_seed}: {heading}")
+        for line in details:
+            print(f"  {line}")
+    repros = "\n\n".join(f.repro_source for f in result.findings)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(repros + "\n")
@@ -575,44 +530,60 @@ def _cmd_fuzz(args) -> int:
     return 1
 
 
+def _shrunk_schedule(f) -> str:
+    return f"schedule: {len(f.schedule)} op(s), shrunk to {len(f.shrunk)}"
+
+
+def _mutation_note(f) -> str:
+    return f" +{f.mutation}" if f.mutation else ""
+
+
+def _families(args) -> List[str]:
+    return (list(FAMILIES) if args.smoke or args.family == "all"
+            else [args.family])
+
+
+def _cmd_fuzz(args) -> int:
+    def describe(case, report):
+        status = "ok" if report.ok else report.failure.describe()
+        return f"{case.mode.value:9s} {case.family:9s} {status}"
+
+    # --smoke: one schedule per (mode, family) pair.
+    result = fuzz_campaign(
+        families=_families(args), differential=args.differential,
+        **_campaign_kwargs(args, len(ProtocolMode) * len(FAMILIES),
+                           describe))
+    if result.ok:
+        oracle = " + differential oracle" if args.differential else ""
+        print(f"fuzz: {result.iterations} schedule(s), no failures"
+              f"{oracle} (seed {args.seed})")
+        return 0
+    return _report_findings(args, result, "failing schedule(s)", lambda f: (
+        f"{f.mode.value}/{f.family}{_mutation_note(f)}",
+        f.failure.describe(), _shrunk_schedule(f)))
+
+
 def _cmd_chaos(args) -> int:
     from repro.faults.chaos import chaos_campaign
 
-    modes = (list(ProtocolMode) if args.protocol == "all"
-             else [ProtocolMode(args.protocol)])
-    fault_families = (list(CHAOS_FAMILIES) if args.fault_family == "all"
+    fault_families = (list(CHAOS_FAMILIES)
+                      if args.smoke or args.fault_family == "all"
                       else [args.fault_family])
-    iterations, length = args.iterations, args.length
-    if args.smoke:
-        # One case per (mode, fault family) pair: small, fixed,
-        # deterministic — the CI gate.
-        modes, fault_families = list(ProtocolMode), list(CHAOS_FAMILIES)
-        iterations, length = len(modes) * len(fault_families), 40
 
-    def progress(i, fault_family, mode, report):
+    def describe(case, report):
         if report.ok:
             fired = sum(report.fired_by_kind().values())
             status = f"ok ({fired} fault(s) fired)"
         else:
             status = report.failure.describe()
-        print(f"[{i + 1}/{iterations}] {mode.value:9s} {fault_family:9s} "
-              f"{status}", file=sys.stderr)
+        return f"{case.mode.value:9s} {case.fault_family:9s} {status}"
 
+    # --smoke: one case per (mode, fault family) pair — the CI gate.
     result = chaos_campaign(
-        iterations=iterations,
-        seed=args.seed,
-        modes=modes,
-        fault_families=fault_families,
-        num_threads=args.threads,
-        num_lines=args.lines,
-        length=length,
-        intensity=args.intensity,
-        mutation=args.mutate,
+        fault_families=fault_families, intensity=args.intensity,
         differential=args.differential,
-        shrink=not args.no_shrink,
-        shrink_budget=args.shrink_budget,
-        progress=None if args.quiet else progress,
-    )
+        **_campaign_kwargs(args, len(ProtocolMode) * len(CHAOS_FAMILIES),
+                           describe))
     fired = result.family_fired()
     degraded = result.family_degraded()
     for family in sorted(fired):
@@ -631,29 +602,13 @@ def _cmd_chaos(args) -> int:
                   f"degradation: {', '.join(missing)}", file=sys.stderr)
             return 1
         return 0
-    print(f"chaos: {len(result.findings)} failing case(s) out of "
-          f"{result.iterations} (seed {args.seed})")
-    sources = []
-    for f in result.findings:
-        print(f"\ncase seed {f.case_seed}: {f.mode.value}/"
-              f"{f.fault_family} on a {f.schedule_family} schedule")
-        print(f"  {f.failure.describe()}")
-        if f.plan is None:
-            print("  fault-free twin failed: plain protocol bug "
-                  "(see fuzz repro)")
-        else:
-            print(f"  {len(f.fired)} fault(s) fired, script shrunk to "
-                  f"{len(f.shrunk_events)} event(s)")
-        sources.append(f.repro_source)
-    repros = "\n\n".join(sources)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(repros + "\n")
-        print(f"\npytest repro(s) written to {args.out}")
-    else:
-        print("\n# --- minimal pytest repro(s) ---\n")
-        print(repros)
-    return 1
+    return _report_findings(args, result, "failing case(s)", lambda f: (
+        f"{f.mode.value}/{f.fault_family} on a {f.family} schedule",
+        f.failure.describe(),
+        "fault-free twin failed: plain protocol bug (see fuzz repro)"
+        if f.plan is None else
+        f"{len(f.fired)} fault(s) fired, script shrunk to "
+        f"{len(f.shrunk)} event(s)"))
 
 
 def _cmd_diff(args) -> int:
@@ -663,14 +618,11 @@ def _cmd_diff(args) -> int:
         mutation_escape_sweep,
     )
 
-    modes = (list(ProtocolMode) if args.protocol == "all"
-             else [ProtocolMode(args.protocol)])
-
     if args.workload is not None:
         # Workload-level differential check: detailed machine vs atomic
         # round-robin execution of the same generator programs.
         failures = 0
-        for mode in modes:
+        for mode in _campaign_modes(args):
             spec = RunSpec(tag=args.workload, mode=mode, scale=args.scale,
                            num_threads=args.threads, seed=args.seed)
             report = diff_workload(spec)
@@ -681,60 +633,27 @@ def _cmd_diff(args) -> int:
             failures += 0 if report.ok else 1
         return 1 if failures else 0
 
-    families = list(FAMILIES) if args.family == "all" else [args.family]
-    iterations, length = args.iterations, args.length
-    if args.smoke:
-        # The CI gate: 51 seeded schedules, every one replayed on all
-        # three modes and the atomic reference — then the mutation-escape
-        # sweep proving the oracle catches every seeded protocol bug.
-        modes, families = list(ProtocolMode), list(FAMILIES)
-        iterations, length = 51, 40
-
-    def progress(i, family, report):
+    def describe(case, report):
         status = ("ok" if report.ok
                   else report.divergences[0].describe())
-        print(f"[{i + 1}/{iterations}] {family:9s} "
-              f"{report.blocks_compared:3d} block(s) {status}",
-              file=sys.stderr)
+        return (f"{case.family:9s} {report.blocks_compared:3d} block(s) "
+                f"{status}")
 
-    result = diff_campaign(
-        iterations=iterations,
-        seed=args.seed,
-        modes=modes,
-        families=families,
-        num_threads=args.threads,
-        num_lines=args.lines,
-        length=length,
-        mutation=args.mutate,
-        shrink=not args.no_shrink,
-        shrink_budget=args.shrink_budget,
-        progress=None if args.quiet else progress,
-    )
+    # --smoke, the CI gate: 51 seeded schedules, every one replayed on all
+    # three modes and the atomic reference — then the mutation-escape
+    # sweep proving the oracle catches every seeded protocol bug.
+    kwargs = _campaign_kwargs(args, 51, describe)
+    result = diff_campaign(families=_families(args), **kwargs)
     exit_code = 0
     if result.ok:
         print(f"diff: {result.iterations} schedule(s) x "
-              f"{len(modes)} mode(s), {result.blocks_compared} block "
-              f"comparison(s), no divergence (seed {args.seed})")
+              f"{len(kwargs['modes'])} mode(s), {result.blocks_compared} "
+              f"block comparison(s), no divergence (seed {args.seed})")
     else:
-        exit_code = 1
-        print(f"diff: {len(result.findings)} diverging schedule(s) out of "
-              f"{result.iterations} (seed {args.seed})")
-        sources = []
-        for f in result.findings:
-            print(f"\ncase seed {f.case_seed}: {f.family}"
-                  + (f" +{f.mutation}" if f.mutation else ""))
-            print(f"  {f.detail.splitlines()[0]}")
-            print(f"  schedule: {len(f.schedule)} op(s), "
-                  f"shrunk to {len(f.shrunk)}")
-            sources.append(f.repro_source)
-        repros = "\n\n".join(sources)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(repros + "\n")
-            print(f"\npytest repro(s) written to {args.out}")
-        else:
-            print("\n# --- minimal pytest repro(s) ---\n")
-            print(repros)
+        exit_code = _report_findings(
+            args, result, "diverging schedule(s)", lambda f: (
+                f"{f.family}{_mutation_note(f)}",
+                f.failure.detail.splitlines()[0], _shrunk_schedule(f)))
     if args.smoke:
         # Second half of the gate: the oracle must have teeth.  Every
         # seeded mutation caught by the differential comparison alone,

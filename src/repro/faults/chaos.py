@@ -22,32 +22,31 @@ shrinkable list), and rendered as a ready-to-paste pytest repro.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
 from repro.check.fuzz import (
     FAMILIES,
-    FuzzFailure,
+    Case,
+    CampaignResult,
+    Finding,
     FuzzOp,
-    _SchedulePrograms,
-    _translate,
+    RunReport,
+    ShrinkSession,
+    campaign_cases,
+    execute,
     fuzz_config,
-    make_schedule,
-    render_schedule,
-    shrink_schedule,
+    render_repro,
 )
-from repro.check.mutations import mutation_context
-from repro.check.sanitizer import InvariantViolation, Sanitizer
 from repro.coherence.states import ProtocolMode
 from repro.common.config import SystemConfig
-from repro.common.errors import ReproError
 from repro.faults.degradation import DegradationReport
-from repro.faults.injector import FaultInjector, FiredFault
-from repro.faults.plan import CHAOS_FAMILIES, FaultEvent, FaultPlan, family_plan
-from repro.system.builder import build_machine
-from repro.system.simulator import Simulator, flush_machine_memory
-from repro.system.stats import SimStats
+from repro.faults.plan import CHAOS_FAMILIES, FaultPlan, family_plan
+
+#: The differential oracle's checks under fault injection: faults may
+#: legitimately corrupt detection accuracy and counter state, so verdict
+#: and counter checks stay off.
+FAULTED_CHECKS = dict(check_verdicts=False, check_counters=False)
 
 
 def chaos_config(num_threads: int = 4,
@@ -58,23 +57,6 @@ def chaos_config(num_threads: int = 4,
     if shrunken_sam:
         config = config.with_protocol(sam_sets=1, sam_ways=2)
     return config
-
-
-@dataclass
-class ChaosRunReport:
-    """Outcome of one (schedule, plan) execution."""
-
-    ok: bool
-    failure: Optional[FuzzFailure] = None
-    cycles: int = 0
-    stats: Optional[SimStats] = None
-    fired: List[FiredFault] = field(default_factory=list)
-
-    def fired_by_kind(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for fault in self.fired:
-            out[fault.kind] = out.get(fault.kind, 0) + 1
-        return out
 
 
 def run_chaos_case(
@@ -89,9 +71,9 @@ def run_chaos_case(
     max_events: int = 5_000_000,
     differential: bool = False,
     replay=None,
-) -> ChaosRunReport:
-    """Execute one schedule under ``plan`` (None = fault-free twin);
-    never raises for protocol failures.
+) -> RunReport:
+    """Execute one schedule under ``plan`` (None = fault-free twin) through
+    :func:`repro.check.fuzz.execute`; never raises for protocol failures.
 
     With ``differential`` the atomic reference model additionally judges
     the final state (:func:`repro.check.diff.differential_check`).  Verdict
@@ -108,107 +90,11 @@ def run_chaos_case(
     script; results are bit-for-bit identical to a cold run.
     """
     config = config or chaos_config(num_threads, shrunken_sam=shrunken_sam)
-    if replay is not None and plan is not None and plan.script is None:
-        replay = None  # unscripted plans draw RNG; prefix reuse is unsound
-    with mutation_context(mutation):
-        per_thread, expectations = _translate(schedule, num_threads, config)
-        factory = _SchedulePrograms(per_thread)
-        machine = None
-        resume = False
-        checkpoint_every = on_checkpoint = None
-        if replay is not None:
-            from repro.check.replay import (
-                CheckpointHook,
-                fault_script_set,
-                thread_keys,
-            )
-
-            keys = thread_keys(per_thread)
-            script = fault_script_set(plan)
-            plan_key = ((plan.delay_cycles, plan.state_period)
-                        if plan is not None else None)
-            context = ("chaos", mode.value, num_threads, bool(sanitize),
-                       mutation, plan_key, replay.config_key(config))
-            hit = replay.lookup(context, keys, fault_script=script)
-            if hit is not None:
-                machine = replay.restore(hit, factory)
-                resume = True
-                restored = machine.extras.get("injector")
-                if restored is not None:
-                    # The snapshot carries the script it was recorded
-                    # under; swap in the candidate's (the decided prefix
-                    # is identical by the guard, the future differs).
-                    restored.plan = plan
-                    restored._script = {(e.kind, e.opportunity)
-                                        for e in plan.script}
-            if replay.should_record(context, resumed=resume):
-                checkpoint_every = replay.checkpoint_every
-                on_checkpoint = CheckpointHook(replay, context, keys,
-                                               fault_script=script)
-        if machine is None:
-            machine = build_machine(config, mode)
-            machine.attach_programs(program_factory=factory)
-            # Injector first: its state faults land before the sanitizer's
-            # per-delivery checks of the same message, so corruption is
-            # judged at the earliest possible instant.
-            if plan is not None:
-                machine.extras["injector"] = \
-                    FaultInjector(machine, plan).attach()
-            if sanitize:
-                machine.extras["sanitizer"] = Sanitizer(machine).attach()
-        injector = machine.extras.get("injector")
-        sanitizer = machine.extras.get("sanitizer")
-        fired: List[FiredFault] = []
-        try:
-            try:
-                result = Simulator(machine, max_events=max_events).run(
-                    resume=resume, checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint)
-                if sanitizer is not None:
-                    sanitizer.check_all()
-            except InvariantViolation as exc:
-                return ChaosRunReport(False, FuzzFailure(
-                    "invariant", type(exc).__name__, str(exc)),
-                    fired=list(injector.fired) if injector else [])
-            except (ReproError, AssertionError) as exc:
-                return ChaosRunReport(False, FuzzFailure(
-                    "run", type(exc).__name__, str(exc)),
-                    fired=list(injector.fired) if injector else [])
-        finally:
-            if sanitizer is not None:
-                sanitizer.detach()
-            if injector is not None:
-                fired = list(injector.fired)
-                injector.detach()
-        image = flush_machine_memory(machine)
-        for addr, want, label in expectations:
-            base = addr & ~(config.block_size - 1)
-            data = image.get(base, bytes(config.block_size))
-            off = addr - base
-            got = int.from_bytes(data[off:off + 8], "little")
-            if got != want:
-                return ChaosRunReport(False, FuzzFailure(
-                    "final-image", "mismatch",
-                    f"{label}: final value {got:#x}, expected {want:#x}"),
-                    fired=fired)
-        if differential:
-            from repro.check.diff import differential_check
-            from repro.check.refmodel import run_reference
-
-            if replay is not None:
-                ref = replay.ref_run(schedule, num_threads, config)
-            else:
-                ref = run_reference(schedule, num_threads, config)
-            diff = differential_check(machine, ref, image=image,
-                                      check_verdicts=False,
-                                      check_counters=False)
-            if diff.divergences:
-                first = diff.divergences[0]
-                return ChaosRunReport(False, FuzzFailure(
-                    "differential", first.kind, first.describe()),
-                    fired=fired)
-        return ChaosRunReport(True, cycles=result.cycles,
-                              stats=result.stats, fired=fired)
+    return execute(
+        schedule, mode, num_threads, config, plan, sanitize=sanitize,
+        mutation=mutation, max_events=max_events,
+        differential=FAULTED_CHECKS if differential else None,
+        replay=replay)[0]
 
 
 # -------------------------------------------------------------- campaign
@@ -226,111 +112,6 @@ class ChaosCase:
     report: DegradationReport
 
 
-@dataclass
-class ChaosFinding:
-    """One failing campaign case, shrunk and rendered."""
-
-    case_seed: int
-    fault_family: str
-    schedule_family: str
-    mode: ProtocolMode
-    failure: FuzzFailure
-    plan: Optional[FaultPlan]
-    fired: List[FiredFault]
-    shrunk_events: Tuple[FaultEvent, ...]
-    repro_source: str
-
-
-@dataclass
-class ChaosCampaignResult:
-    iterations: int
-    cases: List[ChaosCase] = field(default_factory=list)
-    findings: List[ChaosFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def family_fired(self) -> Dict[str, int]:
-        """Total effective faults per fault family across surviving cases."""
-        out = dict.fromkeys(CHAOS_FAMILIES, 0)
-        for case in self.cases:
-            out[case.fault_family] += case.report.total_fired
-        return out
-
-    def family_degraded(self) -> Dict[str, bool]:
-        """Per fault family: did some case fire faults *and* measure a
-        nonzero degradation delta vs its twin?  (The acceptance check that
-        injection is real, not vacuous.)"""
-        out = dict.fromkeys(CHAOS_FAMILIES, False)
-        for case in self.cases:
-            if case.report.degraded:
-                out[case.fault_family] = True
-        return out
-
-
-def render_plan(plan: FaultPlan, indent: str = "    ") -> str:
-    """Render a plan as constructor source (scripted plans render their
-    script; rate fields render only when nonzero/non-default)."""
-    args: List[str] = [f"seed={plan.seed}"]
-    defaults = FaultPlan()
-    for name in ("delay_cycles", "state_period"):
-        if getattr(plan, name) != getattr(defaults, name):
-            args.append(f"{name}={getattr(plan, name)}")
-    if plan.script is not None:
-        events = ", ".join(f"FaultEvent({e.kind!r}, {e.opportunity})"
-                           for e in plan.script)
-        args.append(f"script=({events}{',' if plan.script else ''})")
-    else:
-        for kind in plan.active_kinds():
-            args.append(f"{kind}={getattr(plan, kind)}")
-    return f"FaultPlan({', '.join(args)})"
-
-
-def render_chaos_repro(
-    schedule: List[FuzzOp],
-    mode: ProtocolMode,
-    plan: Optional[FaultPlan],
-    failure: FuzzFailure,
-    case_seed: int,
-    shrunken_sam: bool = False,
-    mutation: Optional[str] = None,
-    differential: bool = False,
-) -> str:
-    """Render a failing chaos case as a ready-to-paste pytest case.
-
-    The generated test asserts the case *passes*, so it fails while the
-    reproduced bug exists and goes green once it is fixed.
-    """
-    name = f"test_chaos_repro_{mode.value}_seed{case_seed}"
-    header = (f"# Shrunk from a failing chaos case "
-              f"({len(schedule)}-op schedule).\n"
-              f"# Failure: {failure.stage}/{failure.kind}")
-    plan_import = ("from repro.faults import FaultEvent, FaultPlan\n"
-                   if plan is not None else "")
-    plan_src = render_plan(plan) if plan is not None else "None"
-    extra = ", shrunken_sam=True" if shrunken_sam else ""
-    if mutation:
-        extra += f", mutation={mutation!r}"
-    if differential:
-        extra += ", differential=True"
-    return f'''{header}
-from repro.check.fuzz import FuzzOp
-from repro.coherence.states import ProtocolMode
-{plan_import}from repro.faults.chaos import run_chaos_case
-
-
-def {name}():
-    schedule = [
-{render_schedule(schedule)}
-    ]
-    plan = {plan_src}
-    report = run_chaos_case(
-        schedule, mode=ProtocolMode.{mode.name}, plan=plan{extra})
-    assert report.ok, report.failure.describe()
-'''
-
-
 def chaos_campaign(
     iterations: int = 18,
     seed: int = 0,
@@ -345,9 +126,8 @@ def chaos_campaign(
     shrink: bool = True,
     shrink_budget: int = 250,
     replay: bool = True,
-    progress: Optional[Callable[[int, str, ProtocolMode, ChaosRunReport],
-                                None]] = None,
-) -> ChaosCampaignResult:
+    progress: Optional[Callable[[int, Case, RunReport], None]] = None,
+) -> CampaignResult:
     """Run ``iterations`` (schedule, fault plan) cases; every failure is
     shrunk to a minimal fired-fault script and rendered as a pytest repro.
 
@@ -356,96 +136,73 @@ def chaos_campaign(
     resource-pressure cases additionally run with a shrunken (2-entry)
     SAM so displacement pressure is constant.
     """
-    modes = modes or list(ProtocolMode)
-    fault_families = fault_families or list(CHAOS_FAMILIES)
-    rng = random.Random(seed)
-    result = ChaosCampaignResult(iterations=iterations)
-    for index in range(iterations):
-        case_seed = rng.randrange(1 << 32)
-        fault_family = fault_families[index % len(fault_families)]
-        mode = modes[(index // len(fault_families)) % len(modes)]
-        schedule_family = FAMILIES[
-            (index // (len(fault_families) * len(modes))) % len(FAMILIES)]
-        shrunken_sam = fault_family == "pressure"
-        schedule = make_schedule(
-            schedule_family, random.Random(case_seed),
-            num_threads=num_threads, num_lines=num_lines, length=length)
-        plan = family_plan(fault_family, seed=case_seed,
+    axes = (("fault_family", fault_families or list(CHAOS_FAMILIES)),
+            ("mode", modes or list(ProtocolMode)),
+            ("family", FAMILIES))
+    result = CampaignResult(iterations=iterations)
+    for case, schedule in campaign_cases(iterations, seed, axes, num_threads,
+                                         num_lines, length):
+        shrunken_sam = case.fault_family == "pressure"
+        plan = family_plan(case.fault_family, seed=case.case_seed,
                            intensity=intensity)
-
         case_config = chaos_config(num_threads, shrunken_sam=shrunken_sam)
 
-        def run(the_plan: Optional[FaultPlan],
-                replay=None) -> ChaosRunReport:
+        def run(the_plan: Optional[FaultPlan], cache=None) -> RunReport:
             return run_chaos_case(
-                schedule, mode=mode, plan=the_plan,
+                schedule, mode=case.mode, plan=the_plan,
                 num_threads=num_threads, config=case_config,
                 shrunken_sam=shrunken_sam,
                 mutation=mutation, differential=differential,
-                replay=replay)
+                replay=cache)
 
         twin = run(None)
         faulted = run(plan)
         if progress is not None:
-            progress(index, fault_family, mode, faulted)
-        if not twin.ok:
-            # The schedule fails with *no* faults: a plain protocol bug the
-            # fuzzer's oracles caught.  Report it without a fault plan.
-            result.findings.append(ChaosFinding(
-                case_seed=case_seed, fault_family=fault_family,
-                schedule_family=schedule_family, mode=mode,
-                failure=twin.failure, plan=None, fired=[],
-                shrunk_events=(),
-                repro_source=render_chaos_repro(
-                    schedule, mode, None, twin.failure, case_seed,
-                    shrunken_sam=shrunken_sam, mutation=mutation,
-                    differential=differential)))
-            continue
-        if faulted.ok:
+            progress(case.index, case, faulted)
+        if twin.ok and faulted.ok:
             result.cases.append(ChaosCase(
-                index=index, case_seed=case_seed,
-                fault_family=fault_family,
-                schedule_family=schedule_family, mode=mode,
+                index=case.index, case_seed=case.case_seed,
+                fault_family=case.fault_family,
+                schedule_family=case.family, mode=case.mode,
                 report=DegradationReport.from_stats(
                     faulted.stats, twin.stats, faulted.fired_by_kind())))
             continue
-        # Faulted run failed: convert the fired faults to a script, verify
-        # the scripted replay still fails, then ddmin the event list.  All
-        # scripted re-runs share one prefix-replay cache: the schedule is
-        # fixed, so candidates diverge only where their fault scripts do.
-        from repro.check.replay import PrefixReplayCache, shrink_evaluator
-
-        cache = PrefixReplayCache() if replay else None
-        events = [f.event() for f in faulted.fired]
-        evaluate = shrink_evaluator(
-            cache,
-            lambda candidate, rc: run(
-                replace(plan, script=tuple(candidate)), replay=rc),
-            key_of=lambda candidate: tuple(
-                (e.kind, e.opportunity) for e in candidate),
-            # Candidates are fault-event lists over a fixed full-length
-            # schedule: anchoring always pays regardless of list size, and
-            # truncating the event list would change the script semantics,
-            # so the anchor replays it whole.
-            min_anchor=0, anchor_fraction=1.0)
-
-        def still_fails(candidate: List[FaultEvent]) -> bool:
-            return not evaluate(candidate).ok
-
-        shrunk = list(events)
-        replayable = bool(events) and still_fails(events)
-        if replayable and shrink:
-            shrunk = shrink_schedule(events, still_fails,
-                                     budget=shrink_budget)
-        repro_plan = (replace(plan, script=tuple(shrunk)) if replayable
-                      else plan)
-        result.findings.append(ChaosFinding(
-            case_seed=case_seed, fault_family=fault_family,
-            schedule_family=schedule_family, mode=mode,
-            failure=faulted.failure, plan=repro_plan,
-            fired=faulted.fired, shrunk_events=tuple(shrunk),
-            repro_source=render_chaos_repro(
-                schedule, mode, repro_plan, faulted.failure, case_seed,
-                shrunken_sam=shrunken_sam, mutation=mutation,
-                differential=differential)))
+        if not twin.ok:
+            # The schedule fails with *no* faults: a plain protocol bug the
+            # fuzzer's oracles caught.  Report it without a fault plan.
+            failing, repro_plan, shrunk = twin, None, []
+        else:
+            # Faulted run failed: convert the fired faults to a script,
+            # verify the scripted replay still fails, then ddmin the event
+            # list.  All scripted re-runs share one prefix-replay cache:
+            # the schedule is fixed, so candidates diverge only where their
+            # fault scripts do.
+            session = ShrinkSession(
+                lambda candidate, cache: run(
+                    replace(plan, script=tuple(candidate)), cache),
+                replay,
+                key_of=lambda candidate: tuple(
+                    (e.kind, e.opportunity) for e in candidate),
+                # Candidates are fault-event lists over a fixed full-length
+                # schedule: anchoring always pays regardless of list size,
+                # and truncating the event list would change the script
+                # semantics, so the anchor replays it whole.
+                min_anchor=0, anchor_fraction=1.0)
+            shrunk = [f.event() for f in faulted.fired]
+            replayable = session.fails(shrunk)
+            if replayable and shrink:
+                shrunk = session.shrink(shrunk, shrink_budget)
+            failing = faulted
+            repro_plan = (replace(plan, script=tuple(shrunk)) if replayable
+                          else plan)
+        failure = failing.failure
+        result.findings.append(Finding(
+            **vars(case), mutation=mutation, failure=failure,
+            schedule=schedule, shrunk=shrunk, plan=repro_plan,
+            fired=failing.fired,
+            repro_source=render_repro(
+                "chaos", schedule, [case.mode], mutation,
+                f"{failure.stage}/{failure.kind}", case.case_seed,
+                plan=repro_plan, shrunken_sam=shrunken_sam,
+                differential=differential, num_threads=num_threads)))
     return result

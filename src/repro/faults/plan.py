@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -179,3 +179,21 @@ def family_plan(family: str, seed: int = 0,
     raise ConfigError(
         f"unknown fault family {family!r}; expected one of "
         f"{', '.join(CHAOS_FAMILIES)}")
+
+
+def render_plan(plan: FaultPlan) -> str:
+    """Render a plan as constructor source (scripted plans render their
+    script; rate fields render only when nonzero/non-default)."""
+    args: List[str] = [f"seed={plan.seed}"]
+    defaults = FaultPlan()
+    for name in ("delay_cycles", "state_period"):
+        if getattr(plan, name) != getattr(defaults, name):
+            args.append(f"{name}={getattr(plan, name)}")
+    if plan.script is not None:
+        events = ", ".join(f"FaultEvent({e.kind!r}, {e.opportunity})"
+                           for e in plan.script)
+        args.append(f"script=({events}{',' if plan.script else ''})")
+    else:
+        for kind in plan.active_kinds():
+            args.append(f"{kind}={getattr(plan, kind)}")
+    return f"FaultPlan({', '.join(args)})"

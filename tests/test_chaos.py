@@ -11,16 +11,11 @@ import random
 
 import pytest
 
-from repro.check.fuzz import shrink_schedule
+from repro.check.fuzz import CampaignResult, render_repro, shrink_schedule
 from repro.coherence.states import ProtocolMode
 from repro.faults import CHAOS_FAMILIES, FaultEvent, FaultPlan, family_plan
-from repro.faults.chaos import (
-    ChaosCampaignResult,
-    chaos_campaign,
-    chaos_config,
-    render_chaos_repro,
-    render_plan,
-)
+from repro.faults.chaos import chaos_campaign, chaos_config
+from repro.faults.plan import render_plan
 
 
 class TestCampaign:
@@ -108,11 +103,10 @@ class TestShrinking:
         from repro.check.fuzz import FuzzOp, make_schedule
         schedule = make_schedule("disjoint", random.Random(3), length=10)
         plan = FaultPlan(script=(FaultEvent("dup_md", 0),))
-        from repro.check.fuzz import FuzzFailure
-        source = render_chaos_repro(
-            schedule, ProtocolMode.FSLITE, plan,
-            FuzzFailure("invariant", "InvariantViolation", "synthetic"),
-            case_seed=1, shrunken_sam=True)
+        source = render_repro(
+            "chaos", schedule, [ProtocolMode.FSLITE], None,
+            "invariant/InvariantViolation", case_seed=1, plan=plan,
+            shrunken_sam=True)
         assert "def test_chaos_repro_fslite_seed1" in source
         assert "shrunken_sam=True" in source
         compile(source, "<chaos-repro>", "exec")
@@ -128,7 +122,7 @@ class TestConfig:
         assert tiny.l1 == base.l1  # only the SAM shrinks
 
     def test_result_family_maps_cover_all_families(self):
-        result = ChaosCampaignResult(iterations=0)
+        result = CampaignResult(iterations=0)
         assert set(result.family_fired()) == set(CHAOS_FAMILIES)
         assert set(result.family_degraded()) == set(CHAOS_FAMILIES)
 

@@ -41,16 +41,31 @@ def test_clean_schedules_have_no_divergence(family):
     assert report.blocks_compared > 0
 
 
+def _detailed_machine(schedule, mode, config, sanitize):
+    """A finished detailed run of ``schedule`` with assertion-free
+    programs (the sanitizer, when attached, must stay clean)."""
+    from repro.check.fuzz import _SchedulePrograms, _translate
+    from repro.check.sanitizer import Sanitizer
+    from repro.system.builder import build_machine
+    from repro.system.simulator import Simulator
+
+    machine = build_machine(config, mode)
+    per_thread, _ = _translate(schedule, 4, config, check_loads=False)
+    machine.attach_programs(program_factory=_SchedulePrograms(per_thread))
+    sanitizer = Sanitizer(machine).attach() if sanitize else None
+    Simulator(machine).run()
+    if sanitizer is not None:
+        sanitizer.check_all()
+        sanitizer.detach()
+    return machine
+
+
 def test_differential_check_post_run():
     """differential_check layers onto an existing detailed run."""
-    from repro.check.diff import _run_detailed
-
     schedule = make_schedule("mixed", random.Random(3), length=40)
     config = fuzz_config(4)
-    machine, failure = _run_detailed(
-        schedule, ProtocolMode.FSLITE, 4, config, mutation=None,
-        sanitize=True, max_events=5_000_000)
-    assert failure is None
+    machine = _detailed_machine(schedule, ProtocolMode.FSLITE, config,
+                                sanitize=True)
     ref = run_reference(schedule, 4, config)
     report = differential_check(machine, ref)
     assert report.ok, report.describe()
@@ -59,15 +74,12 @@ def test_differential_check_post_run():
 def test_memory_divergence_is_reported():
     """Corrupting one byte of the detailed machine's result must produce a
     memory divergence (the comparison is not vacuous)."""
-    from repro.check.diff import _run_detailed
     from repro.system.simulator import flush_machine_memory
 
     schedule = [FuzzOp(0, "store", line=0, offset=0, size=8, value=0x42)]
     config = fuzz_config(4)
-    machine, failure = _run_detailed(
-        schedule, ProtocolMode.MESI, 4, config, mutation=None,
-        sanitize=False, max_events=5_000_000)
-    assert failure is None
+    machine = _detailed_machine(schedule, ProtocolMode.MESI, config,
+                                sanitize=False)
     ref = run_reference(schedule, 4, config)
     image = dict(flush_machine_memory(machine))
     base = 0x40000

@@ -13,7 +13,7 @@ from repro.check.fuzz import (
     FuzzOp,
     fuzz_campaign,
     make_schedule,
-    render_pytest_repro,
+    render_repro,
     run_schedule,
     shrink_schedule,
 )
@@ -125,8 +125,8 @@ def test_render_pytest_repro_roundtrip():
     report = run_schedule(schedule)
     assert report.ok
     failure = FuzzFailure("final-image", "mismatch", "demo failure")
-    source = render_pytest_repro(schedule, ProtocolMode.FSLITE, None,
-                                 failure=failure, case_seed=123)
+    source = render_repro("fuzz", schedule, [ProtocolMode.FSLITE], None,
+                          f"{failure.stage}/{failure.kind}", case_seed=123)
     namespace = {}
     exec(compile(source, "<repro>", "exec"), namespace)
     test_fn = next(v for k, v in namespace.items()

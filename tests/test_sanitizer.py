@@ -69,10 +69,10 @@ def test_violation_carries_structured_context():
         from repro.system.builder import build_machine
 
         machine = build_machine(config, ProtocolMode.FSLITE)
-        from repro.check.fuzz import _build_programs
+        from repro.check.fuzz import _SchedulePrograms, _translate
 
-        programs, _ = _build_programs(schedule, 4, config)
-        machine.attach_programs(programs)
+        per_thread, _ = _translate(schedule, 4, config)
+        machine.attach_programs(program_factory=_SchedulePrograms(per_thread))
         sanitizer = Sanitizer(machine).attach()
         from repro.system.simulator import Simulator
 
