@@ -28,7 +28,7 @@
   plus every seeded protocol mutation caught by the differential oracle
   alone and shrunk to ≤10 ops.
 * ``profile`` — run one workload under cProfile and print the hottest
-  functions (the profiling companion to ``benchmarks/bench_kernel.py``).
+  functions.
 * ``trace <tag|experiment>`` — run one workload with the observability
   layer attached and export a Chrome-trace/Perfetto JSON timeline of its
   detection/privatization episodes and metric time series.
@@ -36,15 +36,11 @@
   per-thread access streams into a binary ``.rtrace`` file
   (:mod:`repro.workloads.trace`).
 * ``trace-run <path>`` — replay an ``.rtrace`` trace through the engine
-  (streamed, bounded memory; the trace's content digest keys the result
-  cache) and print the run's stats.
+  (streamed off disk; the trace's content digest keys the result cache)
+  and print the run's stats.
 * ``trace-info <path>`` — inspect an ``.rtrace`` file: header fields,
   and by default a full streaming scan verifying structure, per-thread
   op counts and the content digest.
-* ``bench`` — run the committed microbenchmark suites
-  (``benchmarks/bench_kernel.py``, ``benchmarks/bench_snapshot.py``,
-  ``benchmarks/bench_trace.py``) and append a labelled snapshot to their
-  trajectory JSONs.
 * ``list`` — available workloads and experiments.
 
 Every simulating command accepts ``--jobs N`` (fan simulations out over N
@@ -315,7 +311,7 @@ def _parser() -> argparse.ArgumentParser:
 
     trun_p = sub.add_parser(
         "trace-run", help="replay an .rtrace trace through the engine "
-                          "(streamed, bounded memory)")
+                          "(streamed off disk)")
     trun_p.add_argument("path", help=".rtrace file to replay")
     trun_p.add_argument("--protocol", default=None,
                         choices=[m.value for m in ProtocolMode],
@@ -332,23 +328,6 @@ def _parser() -> argparse.ArgumentParser:
     tinfo_p.add_argument("path", help=".rtrace file to inspect")
     tinfo_p.add_argument("--quick", action="store_true",
                          help="header only; skip the full streaming scan")
-
-    bench_p = sub.add_parser(
-        "bench", help="run the committed microbenchmark suites "
-                      "(benchmarks/bench_kernel.py, bench_snapshot.py and "
-                      "bench_trace.py) and append a "
-                      "labelled snapshot to their results JSONs")
-    bench_p.add_argument("suite", nargs="?", default="all",
-                         choices=["all", "kernel", "snapshot", "trace"],
-                         help="which suite to run (default all)")
-    bench_p.add_argument("--label", default="local",
-                         help="snapshot label recorded in the results "
-                              "JSONs (default local)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="reduced iteration counts (CI smoke mode)")
-    bench_p.add_argument("--out-dir", metavar="DIR",
-                         help="write BENCH_*.json files under DIR instead "
-                              "of benchmarks/results/")
 
     sub.add_parser("list", help="available workloads and experiments")
     return parser
@@ -825,44 +804,6 @@ def _cmd_trace_info(args) -> int:
     return 0
 
 
-_BENCH_SUITES = {"kernel": "bench_kernel.py", "snapshot": "bench_snapshot.py",
-                 "trace": "bench_trace.py"}
-
-
-def _load_bench(path) -> object:
-    """Import a benchmarks/ script by path (the directory is not a
-    package; the scripts are self-contained and expose ``main(argv)``)."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _cmd_bench(args) -> int:
-    import pathlib
-
-    bench_dir = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-    if not bench_dir.is_dir():
-        print(f"repro: error: benchmarks directory not found at "
-              f"{bench_dir} (run from a source checkout)", file=sys.stderr)
-        return 1
-    suites = (list(_BENCH_SUITES) if args.suite == "all" else [args.suite])
-    rc = 0
-    for name in suites:
-        script = bench_dir / _BENCH_SUITES[name]
-        argv = ["--label", args.label]
-        if args.quick:
-            argv.append("--quick")
-        if args.out_dir:
-            out = pathlib.Path(args.out_dir) / f"BENCH_{name}.json"
-            argv += ["--out", str(out)]
-        print(f"== {script.name} {' '.join(argv)}", file=sys.stderr)
-        rc = _load_bench(script).main(argv) or rc
-    return rc
-
-
 def _cmd_list(_args) -> int:
     print("Applications with false sharing (Table III):")
     print("  " + " ".join(t for t in ALL_WORKLOADS
@@ -892,12 +833,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace-record": _cmd_trace_record,
         "trace-run": _cmd_trace_run,
         "trace-info": _cmd_trace_info,
-        "bench": _cmd_bench,
         "list": _cmd_list,
     }[args.command]
     try:
         return handler(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,8 @@ instead: any existing :class:`~repro.workloads.base.Workload` can be frozen
 into a compact binary trace (:func:`record_trace`), traces can be generated
 from statistical sharing profiles (:func:`synthesize_trace`), and a
 :class:`TraceWorkload` streams a trace of millions of ops back through the
-machine in bounded memory — trace size no longer bounds what the engine can
-run.
+machine one decompressed chunk per thread at a time, so the trace is never
+held in memory whole.
 
 Format (``.rtrace``, version 1)
 -------------------------------
@@ -367,14 +367,21 @@ def _read_header(fh, path: str) -> TraceInfo:
                      digest=digest, meta=meta)
 
 
+def _open_trace(path: str):
+    """Open ``path`` for reading.  Every reader opens through here, so a
+    missing or unreadable file (or a directory) is a
+    :class:`TraceFormatError` like any other unusable trace."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: cannot read trace: {exc}") from exc
+
+
 def trace_info(path) -> TraceInfo:
     """Parse just the header of ``path`` (no frame scan)."""
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            return _read_header(fh, path)
-    except OSError as exc:
-        raise TraceFormatError(f"{path}: cannot read trace: {exc}") from exc
+    with _open_trace(path) as fh:
+        return _read_header(fh, path)
 
 
 #: The zlib stream header :meth:`TraceWriter._flush` emits (deflate, 32 KiB
@@ -595,7 +602,7 @@ def _scan(path, keep_ops: bool, verify: bool = True):
     """Full sequential scan shared by :func:`verify_trace` and
     :func:`read_trace`.  Bounded memory unless ``keep_ops``."""
     path = os.fspath(path)
-    with open(path, "rb") as fh:
+    with _open_trace(path) as fh:
         info = _read_header(fh, path)
         n = info.num_threads
         prev_addr = [0] * n
@@ -659,7 +666,7 @@ def iter_thread_ops(path, tid: int, expect_digest: Optional[str] = None
     """Stream one thread's ops with bounded memory (one decompressed chunk
     at a time); frames of other threads are seek-skipped undecompressed."""
     path = os.fspath(path)
-    with open(path, "rb") as fh:
+    with _open_trace(path) as fh:
         info = _read_header(fh, path)
         if expect_digest is not None and info.digest != expect_digest:
             raise TraceFormatError(

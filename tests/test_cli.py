@@ -106,3 +106,30 @@ class TestTraceCli:
         junk.write_bytes(b"not a trace at all")
         assert main(["trace-info", str(junk)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["trace-info"], ["trace-info", "--quick"],
+                                      ["trace-run", "--check"]],
+                             ids=["info", "info-quick", "run-check"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_trace_is_an_error_line(self, tmp_path, capsys,
+                                               argv, target):
+        path = tmp_path / "t.rtrace"
+        if target == "directory":
+            path.mkdir()
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "cannot read trace" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "ww", "--scale", "0.1", "--no-cache", "--csv"],
+    ["run", "ww", "--scale", "0.1", "--no-cache", "--obs-out"],
+    ["trace-record", "ww", "--scale", "0.1", "--out"],
+], ids=["run-csv", "run-obs-out", "trace-record-out"])
+def test_output_into_missing_directory_is_an_error_line(tmp_path, capsys,
+                                                        argv):
+    target = tmp_path / "missing" / "out"
+    assert main([*argv, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and str(target) in err

@@ -1,12 +1,15 @@
-"""The open FSLite findings, pinned as strict expected failures.
+"""Open findings, pinned as strict expected failures.
 
-Each test below is the repro a campaign rendered for one finding at the
-benchmark's campaign sizes (fuzz 90 cases, chaos 45 cases per seed, both
-with the differential oracle), shrunk by ddmin and pasted unchanged.  They
-fail today because the bugs are real.  ``strict=True`` turns a fix into a
-test failure: when one of these starts passing, delete its ``xfail``
-marker so the repro becomes a regression test.
+The six FSLite tests are the repros a campaign rendered for one finding
+each at the benchmark's campaign sizes (fuzz 90 cases, chaos 45 cases per
+seed, both with the differential oracle), shrunk by ddmin and pasted
+unchanged.  The last test pins streamed trace replay's memory growth.
+They fail today because the bugs are real.  ``strict=True`` turns a fix
+into a test failure: when one of these starts passing, delete its
+``xfail`` marker so the repro becomes a regression test.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -14,6 +17,8 @@ from repro.check.fuzz import FuzzOp, run_schedule
 from repro.coherence.states import ProtocolMode
 from repro.faults import FaultEvent, FaultPlan
 from repro.faults.chaos import run_chaos_case
+from repro.harness.runner import execute_spec
+from repro.workloads.trace import SharingProfile, synthesize_trace, trace_spec
 
 
 # Shrunk from a 30-op failing fuzz schedule.
@@ -491,3 +496,34 @@ def test_chaos_repro_fslite_seed2748874486():
     report = run_chaos_case(
         schedule, mode=ProtocolMode.FSLITE, plan=plan, shrunken_sam=True, differential=True)
     assert report.ok, report.failure.describe()
+
+
+def _replay_peak_bytes(tmp_path, total_ops: int) -> int:
+    """tracemalloc peak while replaying a synthesized ``total_ops`` trace.
+    Small chunks keep the reader's decode buffers at their steady size
+    from the shortest trace on."""
+    path = tmp_path / f"replay_{total_ops}.rtrace"
+    synthesize_trace(SharingProfile(num_threads=4,
+                                    ops_per_thread=total_ops // 4, seed=1),
+                     path, chunk_ops=256)
+    spec = trace_spec(path)
+    tracemalloc.start()
+    try:
+        execute_spec(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    'streamed replay is not bounded-memory: InOrderCore._sent '
+    '(cpu/core.py) keeps every sent op result for snapshot rebinds, one '
+    'entry per op on every run (OutOfOrderCore._sent likewise); '
+    'tracemalloc peaks 1.55/2.67/5.27 MB at 10k/40k/160k ops, ru_maxrss '
+    '27.8 MB at 100k and 46.5 MB at 1M ops'))
+def test_streamed_replay_memory_is_flat_in_trace_length(tmp_path):
+    short = _replay_peak_bytes(tmp_path, 5_000)
+    long = _replay_peak_bytes(tmp_path, 20_000)
+    assert long <= 1.1 * short, (
+        f"peak {long / 2**20:.2f} MB at 20k ops vs "
+        f"{short / 2**20:.2f} MB at 5k ops")

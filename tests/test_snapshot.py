@@ -5,10 +5,12 @@ The determinism contract under test (see ``src/repro/system/snapshot.py``):
 restoring a mid-run snapshot and resuming is bit-for-bit identical to
 never having snapshotted — across every protocol mode, with the sanitizer
 attached, with observers attached, and with an armed (scripted) fault
-injector.  On top of that sit the `PrefixReplayCache` unit properties and
-the engine-level behaviours added with `RunSpec.warmup`: warm grouping,
-the on-disk warm snapshot cache with quarantine, cold fallback, and
-partial-batch result persistence on failure.
+injector.  On top of that sit the `PrefixReplayCache` unit properties
+(ddmin shrinks every seeded mutation to the same schedule with the cache
+on or off) and the engine-level behaviours added with `RunSpec.warmup`:
+warm grouping, a fork that simulates only the suffix, the on-disk warm
+snapshot cache with quarantine, cold fallback, and partial-batch result
+persistence on failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from _helpers import small_config
 
+from repro.check.mutations import MUTATIONS
 from repro.coherence.states import ProtocolMode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -27,6 +30,7 @@ from repro.harness.runner import (
     RunSpec,
     build_warm_snapshot,
     execute_spec,
+    execute_spec_with_machine,
     warm_digest,
 )
 from repro.system.builder import Machine, build_machine
@@ -280,6 +284,20 @@ def test_budget_eviction():
     assert cache.evicted >= cache.stored - 1  # budget of 1 byte keeps ~0
 
 
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_replay_cache_leaves_shrunk_schedules_unchanged(mutation):
+    """ddmin over the differential oracle finds the same failing schedule
+    and shrinks it to the same ops with the prefix-replay cache on and
+    off: the cache may only change wall clock."""
+    from repro.check.diff import hunt_mutation_escape
+
+    warm = hunt_mutation_escape(mutation, replay=True)
+    cold = hunt_mutation_escape(mutation, replay=False)
+    assert warm.caught and cold.caught
+    assert warm.schedule == cold.schedule
+    assert warm.shrunk == cold.shrunk
+
+
 # -------------------------------------------------------- engine warm-start
 
 
@@ -303,6 +321,24 @@ def test_engine_forks_one_warm_snapshot_per_group():
     assert engine.stats["warm_built"] == 1
     assert [r.cycles for r in records] == [cold.cycles] * 2
     assert records[0].stats.summary() == cold.stats.summary()
+
+
+def test_warm_fork_runs_only_the_suffix():
+    """A sweep point forked from a 95% warmup snapshot (BS, FSLite, 8
+    threads: heavy invalidation traffic) is cycle- and stats-identical to
+    the cold run, and simulates at most a tenth of its events."""
+    spec = RunSpec(tag="BS", mode=ProtocolMode.FSLITE, scale=0.1,
+                   num_threads=8)
+    cold, cold_machine = execute_spec_with_machine(spec)
+    warm_spec = RunSpec(tag="BS", mode=ProtocolMode.FSLITE, scale=0.1,
+                        num_threads=8, warmup=cold.cycles * 19 // 20)
+    snap = build_warm_snapshot(warm_spec)
+    restored_at = Machine.restore(snap).queue.executed
+    warm, warm_machine = execute_spec_with_machine(warm_spec, warm=snap)
+    assert warm.cycles == cold.cycles
+    assert warm.stats.summary() == cold.stats.summary()
+    forked_events = warm_machine.queue.executed - restored_at
+    assert 0 < forked_events <= cold_machine.queue.executed // 10
 
 
 def test_engine_warm_disk_cache_hit_and_quarantine(tmp_path):

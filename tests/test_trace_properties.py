@@ -25,6 +25,7 @@ from repro.workloads.trace import (
     MAGIC,
     TraceFormatError,
     TraceWriter,
+    iter_thread_ops,
     read_trace,
     trace_info,
     verify_trace,
@@ -248,6 +249,26 @@ def test_garbage_never_parses(tmp_path_factory, blob):
     if len(blob) < HEADER_SIZE or blob[:4] != MAGIC:
         with pytest.raises(TraceFormatError):
             trace_info(path)
+
+
+_READERS = {
+    "trace_info": trace_info,
+    "verify_trace": verify_trace,
+    "read_trace": read_trace,
+    "iter_thread_ops": lambda path: list(iter_thread_ops(path, 0)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_path_is_a_format_error(tmp_path, reader, target):
+    """A path that cannot be opened as a file raises the structured
+    error every other unusable trace does, not a raw ``OSError``."""
+    path = tmp_path / "t.rtrace"
+    if target == "directory":
+        path.mkdir()
+    with pytest.raises(TraceFormatError, match="cannot read trace"):
+        _READERS[reader](path)
 
 
 # ------------------------------------------------------ encoder rejection
