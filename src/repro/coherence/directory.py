@@ -231,7 +231,6 @@ class DirectorySlice:
             num_sets=max(1, slice_blocks // config.llc.associativity),
             ways=config.llc.associativity,
             block_size=self.block_size,
-            policy="lru",
             index_divisor=num_slices,
         )
         #: The LLC's block index (never rebound): handlers find a line

@@ -156,7 +156,6 @@ class L1Controller:
             num_sets=config.l1.num_sets,
             ways=config.l1.associativity,
             block_size=self.block_size,
-            policy="lru",
         )
         self.pam = PamTable(
             capacity=config.l1.num_blocks,
@@ -178,7 +177,7 @@ class L1Controller:
         self._granularity = config.protocol.tracking_granularity
         self._pam_entries = self.pam._entries
         self._wb_entries = self.write_buffer._entries
-        # The cache array's block index and per-set replacement policies
+        # The cache array's block index and per-set LRU state
         # (also never rebound): a hit is one dict probe plus the set's
         # ``touch``, with no ``CacheArray.lookup`` frame in between, and
         # each message handler finds its line with one probe.
@@ -843,9 +842,3 @@ class L1Controller:
         self.cache.invalidate(block)
         self._evict(block, line)
         return True
-
-    def miss_rate(self) -> float:
-        accesses = self.stats[CORE_LOADS] + self.stats[CORE_STORES] + self.stats[CORE_RMWS]
-        if accesses == 0:
-            return 0.0
-        return (self.stats[CORE_MISSES] + self.stats[CORE_CHK_MISSES]) / accesses

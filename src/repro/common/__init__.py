@@ -4,7 +4,6 @@ from repro.common.addr import (
     block_base,
     block_index,
     block_offset,
-    bytes_touched,
     slice_index,
 )
 from repro.common.bitvec import (
@@ -31,7 +30,6 @@ __all__ = [
     "block_base",
     "block_index",
     "block_offset",
-    "bytes_touched",
     "slice_index",
     "bit_count",
     "bits_set",

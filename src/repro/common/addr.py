@@ -7,8 +7,6 @@ addresses are identified by their base address (``addr & ~(block_size-1)``).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 
 def block_base(addr: int, block_size: int) -> int:
     """Return the base (aligned) address of the block containing ``addr``."""
@@ -29,20 +27,3 @@ def slice_index(block_addr: int, block_size: int, num_slices: int) -> int:
     """Map a block to an LLC/directory slice by low block-number bits."""
     return (block_addr // block_size) % num_slices
 
-
-def bytes_touched(addr: int, size: int, block_size: int) -> Tuple[int, int]:
-    """Return ``(block_base, byte_mask)`` for an access of ``size`` bytes.
-
-    The access must not straddle a block boundary; accesses in this simulator
-    are 1, 2, 4 or 8 bytes and naturally aligned, mirroring the two spare
-    header bits FSLite uses to encode the touched-byte count.
-    """
-    if size not in (1, 2, 4, 8):
-        raise ValueError(f"access size must be 1, 2, 4 or 8, got {size}")
-    offset = block_offset(addr, block_size)
-    if offset + size > block_size:
-        raise ValueError(
-            f"access at {addr:#x} size {size} straddles a {block_size}-byte block"
-        )
-    mask = ((1 << size) - 1) << offset
-    return block_base(addr, block_size), mask

@@ -114,12 +114,6 @@ class PamTable:
     def get(self, block_addr: int) -> Optional[PamEntry]:
         return self._entries.get(block_addr)
 
-    def get_or_allocate(self, block_addr: int) -> PamEntry:
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            entry = self.allocate(block_addr)
-        return entry
-
     def invalidate(self, block_addr: int) -> Optional[PamEntry]:
         """Drop the entry (block evicted/invalidated); return its last state."""
         return self._entries.pop(block_addr, None)

@@ -241,7 +241,7 @@ class SamTable:
         self.num_cores = num_cores
         self.reader_opt = reader_opt
         self._array: CacheArray[SamEntry] = CacheArray(
-            num_sets=sets, ways=ways, block_size=block_size, policy="lru",
+            num_sets=sets, ways=ways, block_size=block_size,
             index_divisor=index_divisor)
         self.valid_replacements = 0
         self.allocations = 0

@@ -29,7 +29,8 @@ from repro.harness.baselines import (
 from repro.harness.engine import Engine
 from repro.harness.runner import RunRecord, RunSpec
 from repro.harness.tables import format_table, geomean
-
+from repro.system.stats import (SLICE_SAM_ALLOCATIONS,
+                                SLICE_SAM_VALID_REPLACEMENTS)
 from repro.workloads.registry import FS_WORKLOADS, NO_FS_WORKLOADS
 
 #: The paper excludes SC from the studies after Fig. 14 ("We exclude SC
@@ -355,16 +356,11 @@ def sam_size(scale: float = 1.0,
 
 
 def _sam_replacement_rate(record: RunRecord) -> float:
-    machine_stats = record.stats
-    # Recorded per slice by the detector; aggregate via extra slice stats.
-    repl = machine_stats.extra.get("sam_replacements")
-    if repl is not None:
-        return repl
-    # Fall back to per-slice detector stats captured at collection time.
-    total_alloc = sum(s.get("sam_allocations", 0)
-                      for s in machine_stats.per_slice)
-    total_repl = sum(s.get("sam_valid_replacements", 0)
-                     for s in machine_stats.per_slice)
+    """Valid-entry SAM replacements per SAM allocation, over all slices."""
+    per_slice = record.stats.per_slice
+    total_alloc = sum(s.get(SLICE_SAM_ALLOCATIONS, 0) for s in per_slice)
+    total_repl = sum(s.get(SLICE_SAM_VALID_REPLACEMENTS, 0)
+                     for s in per_slice)
     return total_repl / total_alloc if total_alloc else 0.0
 
 

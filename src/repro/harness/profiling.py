@@ -16,7 +16,6 @@ work targets (heap pops, message dispatch, cache indexing).
 from __future__ import annotations
 
 import cProfile
-import io
 import pstats
 import sys
 import time
@@ -65,11 +64,3 @@ def profile_spec(spec: RunSpec, sort: str = DEFAULT_SORT,
         stats.dump_stats(stats_out)
         stream.write(f"raw profile written to {stats_out}\n")
     return stats
-
-
-def render_profile(spec: RunSpec, sort: str = DEFAULT_SORT,
-                   limit: int = DEFAULT_LIMIT) -> str:
-    """Profile ``spec`` and return the report as a string (test helper)."""
-    buf = io.StringIO()
-    profile_spec(spec, sort=sort, limit=limit, stream=buf)
-    return buf.getvalue()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -27,7 +27,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def series_dict(tags: Sequence[str], values: Sequence[float]) -> Dict[str, float]:
-    return dict(zip(tags, values))

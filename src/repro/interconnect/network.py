@@ -207,9 +207,6 @@ class Network:
             self.post_deliver_hooks.remove(on_deliver)
         self._hooked = bool(self.post_send_hooks or self.post_deliver_hooks)
 
-    def serialization_delay(self, msg: Message) -> int:
-        return self._SER_DELAY_BY_VALUE[msg.mtype._value_]
-
     def send(self, msg: Message, extra_delay: int = 0) -> None:
         """Inject ``msg``; arrival after latency + serialization + extra."""
         handler = self._handlers.get(msg.dst)

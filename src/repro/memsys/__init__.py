@@ -1,26 +1,13 @@
-"""Memory-system building blocks: cache arrays, replacement, DRAM, buffers."""
+"""Memory-system building blocks: LRU set-associative arrays, DRAM, buffers."""
 
-from repro.memsys.cache_array import CacheArray, CacheEntry
+from repro.memsys.cache_array import CacheArray, CacheEntry, LruPolicy
 from repro.memsys.main_memory import MainMemory
-from repro.memsys.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePlruPolicy,
-    make_policy,
-)
 from repro.memsys.write_buffer import WriteBuffer
 
 __all__ = [
     "CacheArray",
     "CacheEntry",
     "MainMemory",
-    "FifoPolicy",
     "LruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "TreePlruPolicy",
-    "make_policy",
     "WriteBuffer",
 ]

@@ -1,20 +1,21 @@
-"""A generic set-associative array.
+"""A generic set-associative array with LRU replacement.
 
 Used for the L1 data cache, the LLC, and the SAM metadata table — anything
-that maps a block address to an entry with bounded associativity and a
-replacement policy. Entries are user-defined objects attached to a
-:class:`CacheEntry` frame that carries the block address and validity.
+that maps a block address to an entry with bounded associativity. Every set
+keeps true LRU state (:class:`LruPolicy`). Entries are user-defined objects
+attached to a :class:`CacheEntry` frame that carries the block address and
+validity.
 
 Two hot-path properties:
 
 * **Block index** — the array keeps its valid frames in a dict keyed by
   block address, so ``lookup``/``peek``/``in``/``len`` are one dict
   operation instead of a set/tag computation and a scan of the ways.  The
-  frames, sets and replacement policies still model the hardware: the set
+  frames, sets and LRU state still model the hardware: the set
   index decides where a fill goes and which frame it evicts.
 * **Lazy sets** — a 16 MB LLC is ~256K entry frames; building them eagerly
-  dominated cold-run machine construction.  A set's frames and replacement
-  policy materialize when a fill first picks a victim there, so untouched
+  dominated cold-run machine construction.  A set's frames and LRU state
+  materialize when a fill first picks a victim there, so untouched
   sets cost nothing.
 
 Callers pass block-aligned addresses; a sliced array (LLC slice, SAM
@@ -23,11 +24,7 @@ table) is only ever given blocks of its own slice.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import (Callable, Dict, Generic, Iterator, List, Optional,
-                    Sequence, TypeVar)
-
-from repro.memsys.replacement import ReplacementPolicy, make_policy
+from typing import Dict, Generic, Iterator, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -37,6 +34,37 @@ def _pow2_bits(value: int) -> Optional[int]:
     if value >= 1 and value & (value - 1) == 0:
         return value.bit_length() - 1
     return None
+
+
+class LruPolicy:
+    """True LRU for one set of ``ways`` slots, via an explicit recency
+    stack (most recent last).  Consulted with way indices only; the cache
+    array owns block lookup."""
+
+    def __init__(self, ways: int) -> None:
+        self._stack: List[int] = list(range(ways))
+
+    def touch(self, way: int) -> None:
+        """Record a hit or fill on ``way``."""
+        stack = self._stack
+        if stack[-1] == way:
+            return  # already most recent: back-to-back hits on one line
+        stack.remove(way)
+        stack.append(way)
+
+    def victim(self, protected: Sequence[int] = ()) -> int:
+        """The least recent way not in ``protected`` (true LRU when every
+        way is protected)."""
+        protected_set = set(protected)
+        for way in self._stack:
+            if way not in protected_set:
+                return way
+        return self._stack[0]
+
+    def reset(self, way: int) -> None:
+        """Demote an invalidated ``way`` to least recently used."""
+        self._stack.remove(way)
+        self._stack.insert(0, way)
 
 
 class CacheEntry(Generic[T]):
@@ -70,12 +98,12 @@ class CacheArray(Generic[T]):
         num_sets: int,
         ways: int,
         block_size: int,
-        policy: str = "lru",
-        policy_factory: Optional[Callable[[int], ReplacementPolicy]] = None,
         index_divisor: int = 1,
     ) -> None:
         if num_sets < 1:
             raise ValueError("num_sets must be >= 1")
+        if ways < 1:
+            raise ValueError("ways must be >= 1")
         self.num_sets = num_sets
         self.ways = ways
         self.block_size = block_size
@@ -93,13 +121,9 @@ class CacheArray(Generic[T]):
         else:
             self._local_shift = None
             self._set_mask = 0
-        if policy_factory is None:
-            # partial (not a lambda) so the array pickles with the machine.
-            policy_factory = partial(make_policy, policy)
-        self._policy_factory = policy_factory
-        #: Sets (and their policies) materialize in :meth:`choose_victim`.
+        #: Sets (and their LRU state) materialize in :meth:`choose_victim`.
         self._sets: List[Optional[List[CacheEntry[T]]]] = [None] * num_sets
-        self._policies: List[Optional[ReplacementPolicy]] = [None] * num_sets
+        self._policies: List[Optional[LruPolicy]] = [None] * num_sets
         #: Valid frames by block address.
         self._index: Dict[int, CacheEntry[T]] = {}
 
@@ -114,21 +138,21 @@ class CacheArray(Generic[T]):
     def _materialize(self, set_index: int) -> List[CacheEntry[T]]:
         ways = [CacheEntry(w, set_index) for w in range(self.ways)]
         self._sets[set_index] = ways
-        self._policies[set_index] = self._policy_factory(self.ways)
+        self._policies[set_index] = LruPolicy(self.ways)
         return ways
 
     # -- operations ---------------------------------------------------------
 
     def lookup(self, block_addr: int) -> Optional[CacheEntry[T]]:
         """Return the entry holding ``block_addr`` or None; a hit touches
-        the set's replacement state.  Runs once per memory access."""
+        the set's LRU state.  Runs once per memory access."""
         entry = self._index.get(block_addr)
         if entry is not None:
             self._policies[entry.set_index].touch(entry.way)
         return entry
 
     def peek(self, block_addr: int) -> Optional[CacheEntry[T]]:
-        """Like :meth:`lookup` without touching replacement state."""
+        """Like :meth:`lookup` without touching LRU state."""
         return self._index.get(block_addr)
 
     def choose_victim(

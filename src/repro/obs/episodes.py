@@ -266,12 +266,6 @@ class EpisodeTracker(Observer):
             episode.add_event(cycle, "end_of_run")
         self._open.clear()
 
-    def by_block(self) -> Dict[int, List[Episode]]:
-        out: Dict[int, List[Episode]] = {}
-        for episode in self.episodes:
-            out.setdefault(episode.block_addr, []).append(episode)
-        return out
-
     def termination_histogram(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for episode in self.episodes:

@@ -1,13 +1,11 @@
 """Unit tests for address arithmetic helpers."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.addr import (
     block_base,
     block_index,
     block_offset,
-    bytes_touched,
     slice_index,
 )
 
@@ -48,34 +46,3 @@ class TestSliceIndex:
     def test_slice_in_range(self, addr, n):
         assert 0 <= slice_index(addr, 64, n) < n
 
-
-class TestBytesTouched:
-    def test_word_mask(self):
-        base, mask = bytes_touched(0x1004, 4, 64)
-        assert base == 0x1000
-        assert mask == 0xF0
-
-    def test_byte_mask(self):
-        _, mask = bytes_touched(0x103F, 1, 64)
-        assert mask == 1 << 63
-
-    def test_eight_byte(self):
-        _, mask = bytes_touched(0x1038, 8, 64)
-        assert mask == 0xFF << 56
-
-    def test_bad_size_rejected(self):
-        with pytest.raises(ValueError):
-            bytes_touched(0x1000, 3, 64)
-
-    def test_straddle_rejected(self):
-        # A "valid" size placed so it would straddle requires a misaligned
-        # address, which is the error we detect.
-        with pytest.raises(ValueError):
-            bytes_touched(0x103D, 8, 64)
-
-    @given(st.integers(min_value=0, max_value=2**32),
-           st.sampled_from([1, 2, 4, 8]))
-    def test_mask_popcount_matches_size(self, addr, size):
-        addr = addr - (addr % size)  # align
-        _, mask = bytes_touched(addr, size, 64)
-        assert bin(mask).count("1") == size

@@ -26,6 +26,11 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             c.fill(0x1000, "b")
 
+    @pytest.mark.parametrize("num_sets,ways", [(0, 2), (4, 0)])
+    def test_empty_geometry_rejected(self, num_sets, ways):
+        with pytest.raises(ValueError):
+            make(num_sets=num_sets, ways=ways)
+
     def test_invalidate(self):
         c = make()
         c.fill(0x1000, "a")
