@@ -167,9 +167,9 @@ def _parser() -> argparse.ArgumentParser:
                             "PATH (implies --obs)")
     run_p.add_argument("--progress", action="store_true",
                        help="print per-spec progress plus the engine's "
-                            "batch counters (cache hits/misses, dedup, "
-                            "retries, quarantines, timeouts, warm-start "
-                            "builds/hits) to stderr")
+                            "batch counters (runs, cache hits, dedup, "
+                            "retries, quarantines, warm-start builds/hits) "
+                            "to stderr")
     _add_engine_args(run_p)
 
     cmp_p = sub.add_parser("compare",
@@ -341,11 +341,9 @@ def _print_progress(done, total, spec, seconds, source) -> None:
 
 def _print_engine_stats(engine: Engine) -> None:
     s = engine.stats
-    misses = s["executed"]
-    print(f"engine: {misses} executed, {s['cache_hits']} cache hit(s), "
-          f"{misses} miss(es), {s['deduped']} deduped, "
-          f"{s['retries']} retry(ies), {s['quarantined']} quarantined, "
-          f"{s['timeouts']} timeout(s), {s['warm_built']} warm built, "
+    print(f"engine: {s['executed']} executed, {s['cache_hits']} cache "
+          f"hit(s), {s['deduped']} deduped, {s['retries']} retry(ies), "
+          f"{s['quarantined']} quarantined, {s['warm_built']} warm built, "
           f"{s['warm_hits']} warm hit(s)", file=sys.stderr)
 
 

@@ -3,8 +3,10 @@
 The execution core is :class:`~repro.harness.engine.Engine`: build
 :class:`~repro.harness.runner.RunSpec` batches, submit them with
 ``engine.run_many(specs)``, and get deduped, cached, optionally
-process-parallel :class:`~repro.harness.runner.RunRecord`\\ s back.
-``run_workload`` remains as a serial compatibility shim.
+process-parallel :class:`~repro.harness.runner.RunRecord`\\ s back; a
+failed spec is retried once before the batch raises
+:class:`~repro.harness.engine.EngineError`.  ``run_workload`` remains as a
+serial compatibility shim.
 """
 
 from repro.harness import experiments
@@ -25,7 +27,6 @@ from repro.harness.export import (
     records_to_json,
 )
 from repro.harness.runner import RunRecord, RunSpec, execute_spec, run_workload
-from repro.harness.sweep import SweepResult, sweep_l1_size, sweep_protocol_knob
 from repro.harness.tables import format_table, geomean
 
 __all__ = [
@@ -48,9 +49,6 @@ __all__ = [
     "RunSpec",
     "execute_spec",
     "run_workload",
-    "SweepResult",
-    "sweep_l1_size",
-    "sweep_protocol_knob",
     "format_table",
     "geomean",
 ]

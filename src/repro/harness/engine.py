@@ -13,16 +13,14 @@ executes simulations:
 * **Parallelism** — with ``jobs > 1`` pending specs fan out over a
   spawn-based process pool.  Simulations are deterministic per spec, so
   parallel and serial execution produce cycle-for-cycle identical records.
-* **Resilience** — a spec whose worker crashes (or raises) is retried
-  with exponential backoff (``retries`` attempts beyond the first,
-  ``backoff`` seconds doubling per attempt); exhausted retries surface as
-  a structured :class:`EngineError` naming the spec, digest and cause.
-  With ``timeout`` set, each run executes under a supervised spawn worker
-  that is killed past its wall-clock deadline; the batch still drains, and
-  the raised :class:`EngineError` carries the completed records in
-  ``.partial``.  Corrupted cache entries are quarantined to a
-  ``.quarantine/`` sidecar (with a logged warning) and recomputed instead
-  of taking the batch down; cache writes are atomic (tmp + rename).
+* **Resilience** — a spec whose first attempt fails (its pool worker died,
+  or its run raised) is retried once in the parent; a second failure
+  surfaces as a structured :class:`EngineError` naming the spec, digest
+  and cause.  The batch still drains first, and the raised error carries
+  the completed records in ``.partial``.  Corrupted cache entries are
+  quarantined to a ``.quarantine/`` sidecar (with a logged warning) and
+  recomputed instead of taking the batch down; cache writes are atomic
+  (tmp + rename).
 * **Progress** — an optional ``progress(done, total, spec, seconds,
   source)`` callback fires per completed spec (``source`` is ``"run"`` or
   ``"cache"``); per-spec wall times accumulate in ``Engine.timings``.
@@ -37,11 +35,9 @@ import logging
 import os
 import pathlib
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from multiprocessing import get_context
-from multiprocessing.connection import wait as _conn_wait
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.common.errors import ReproError
 from repro.harness.export import record_from_dict, record_to_dict
@@ -91,17 +87,18 @@ _log = logging.getLogger(__name__)
 
 
 class EngineError(ReproError):
-    """A spec failed to execute even after the engine's retries.
+    """A spec failed on its first attempt and again on the engine's retry.
 
     ``partial`` (when set) maps the specs that *did* complete in the same
     batch to their records, so callers can salvage a partially-drained
-    batch after a timeout or persistent crash.
+    batch after a persistent failure.
     """
 
     def __init__(self, spec: RunSpec, attempts: int, cause: BaseException):
         self.spec = spec
         self.attempts = attempts
         self.cause = cause
+        self.__cause__ = cause
         self.partial: Optional[Dict[RunSpec, RunRecord]] = None
         super().__init__(
             f"run {spec.tag}/{spec.mode.value}/{spec.layout} "
@@ -141,60 +138,30 @@ class _WarmCall:
         return self.executor(spec, warm=self.warm)
 
 
-def _supervised_worker(executor: Callable[[RunSpec], RunRecord],
-                       spec: RunSpec, conn) -> None:
-    """Spawn-process entry point for the timeout-supervised pool: run one
-    spec and ship ``("ok", (record, seconds))`` or ``("err", exc)`` back
-    over the pipe (falling back to a plain RuntimeError if the original
-    exception does not pickle)."""
-    try:
-        record, seconds = _timed_call(executor, spec)
-        conn.send(("ok", (record, seconds)))
-    except BaseException as exc:  # noqa: BLE001 — must report, not die
-        try:
-            conn.send(("err", exc))
-        except Exception:
-            conn.send(("err", RuntimeError(f"{type(exc).__name__}: {exc}")))
-    finally:
-        conn.close()
-
-
 class Engine:
     """Batched simulation runner with dedup, caching and process fan-out.
 
     ``cache_dir=None`` (the default) disables the persistent cache —
     library callers opt in explicitly; the CLI enables it unless
-    ``--no-cache`` is given.  ``jobs`` may be overridden per batch;
-    ``jobs=0`` means one worker per CPU.
+    ``--no-cache`` is given.  ``jobs=0`` means one worker per CPU.
     """
 
     def __init__(self, jobs: int = 1,
                  cache_dir: Optional[os.PathLike] = None,
                  progress: Optional[Callable] = None,
-                 executor: Callable[[RunSpec], RunRecord] = execute_spec,
-                 timeout: Optional[float] = None,
-                 retries: int = 1,
-                 backoff: float = 0.05):
-        self.jobs = jobs
+                 executor: Callable[[RunSpec], RunRecord] = execute_spec):
+        self.jobs = jobs if jobs >= 1 else (os.cpu_count() or 1)
         self.cache_dir = (pathlib.Path(cache_dir).expanduser()
                           if cache_dir else None)
         self.progress = progress
         self._executor = executor
-        #: Per-run wall-clock limit in seconds (None = unlimited).  When
-        #: set, runs execute in supervised spawn workers that are killed
-        #: past the deadline, so one hung simulation cannot wedge a batch.
-        self.timeout = timeout
-        #: Extra attempts after the first failure/timeout, with
-        #: ``backoff * 2**(attempt-1)`` seconds between attempts.
-        self.retries = retries
-        self.backoff = backoff
         #: Counters: simulations executed, cache hits, in-batch duplicates
         #: absorbed, retries performed, corrupted cache entries quarantined,
-        #: runs killed on timeout, and warm-start snapshots built / reused
-        #: (``warm_hits`` counts forks that skipped warmup re-simulation).
+        #: and warm-start snapshots built / reused (``warm_hits`` counts
+        #: forks that skipped warmup re-simulation).
         self.stats: Dict[str, int] = {"executed": 0, "cache_hits": 0,
                                       "deduped": 0, "retries": 0,
-                                      "quarantined": 0, "timeouts": 0,
+                                      "quarantined": 0,
                                       "warm_built": 0, "warm_hits": 0}
         #: Per-spec wall-clock seconds, keyed by ``spec.digest()``.
         self.timings: Dict[str, float] = {}
@@ -208,63 +175,66 @@ class Engine:
         """Run (or recall) a single spec."""
         return self.run_many([spec])[0]
 
-    def run_many(self, specs: Sequence[RunSpec],
-                 jobs: Optional[int] = None) -> List[RunRecord]:
-        """Run a batch; returns records aligned with ``specs``' order."""
+    def run_many(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
+        """Run a batch; returns records aligned with ``specs``' order.
+
+        A spec whose first attempt fails (its worker died or its run
+        raised) is retried once in the parent.  A second failure does not
+        abort the batch: the remaining specs still run and reach the result
+        cache, then the first failure is raised with
+        ``EngineError.partial`` holding every completed record."""
         specs = list(specs)
-        unique: List[RunSpec] = []
-        seen = set()
-        for spec in specs:
-            if spec not in seen:
-                seen.add(spec)
-                unique.append(spec)
+        unique = list(dict.fromkeys(specs))
         self.stats["deduped"] += len(specs) - len(unique)
 
         results: Dict[RunSpec, RunRecord] = {}
         pending: List[RunSpec] = []
-        for spec in unique:
-            cached = self._cache_get(spec)
-            if cached is not None:
-                results[spec] = cached
-            else:
-                pending.append(spec)
-
         total, done = len(unique), 0
         for spec in unique:
-            if spec in results:
-                done += 1
-                self.stats["cache_hits"] += 1
-                self._notify(done, total, spec, None, "cache")
+            cached = self._cache_get(spec)
+            if cached is None:
+                pending.append(spec)
+                continue
+            results[spec] = cached
+            done += 1
+            self.stats["cache_hits"] += 1
+            self._notify(done, total, spec, None, "cache")
 
-        workers = self._resolve_jobs(jobs)
+        failures: List[EngineError] = []
         self._warm = self._prepare_warmups(pending)
         try:
-            if pending and self.timeout is not None:
-                done = self._run_supervised(pending, workers, results,
-                                            done, total)
-            elif len(pending) > 1 and workers > 1:
-                done = self._run_parallel(pending, workers, results,
-                                          done, total)
-            else:
-                done = self._run_serial(pending, results, done, total)
+            for spec, outcome in self._first_attempts(pending):
+                if isinstance(outcome, Exception):
+                    # The worker died or the run raised: one retry, here.
+                    self.stats["retries"] += 1
+                    try:
+                        outcome = _timed_call(self._exec_for(spec), spec)
+                    except Exception as exc:
+                        failures.append(EngineError(spec, attempts=2,
+                                                    cause=exc))
+                        continue
+                record, seconds = outcome
+                results[spec] = record
+                self.stats["executed"] += 1
+                self.timings[spec.digest()] = seconds
+                self._cache_put(spec, record)
+                done += 1
+                self._notify(done, total, spec, seconds, "run")
         finally:
             self._warm = {}
+        if failures:
+            failures[0].partial = dict(results)
+            raise failures[0]
         return [results[spec] for spec in specs]
 
-    def run_keyed(self, keyed_specs: Dict[object, RunSpec],
-                  jobs: Optional[int] = None) -> Dict[object, RunRecord]:
+    def run_keyed(self, keyed_specs: Dict[object, RunSpec]
+                  ) -> Dict[object, RunRecord]:
         """Run a ``{key: spec}`` mapping; returns ``{key: record}``."""
         keys = list(keyed_specs)
-        records = self.run_many([keyed_specs[k] for k in keys], jobs=jobs)
+        records = self.run_many([keyed_specs[k] for k in keys])
         return dict(zip(keys, records))
 
     # ------------------------------------------------------------ internals
-
-    def _resolve_jobs(self, jobs: Optional[int]) -> int:
-        jobs = self.jobs if jobs is None else jobs
-        if jobs < 1:
-            jobs = os.cpu_count() or 1
-        return jobs
 
     def _exec_for(self, spec: RunSpec) -> Callable[[RunSpec], RunRecord]:
         """The executor to use for ``spec`` — wrapped with its warm-start
@@ -274,175 +244,31 @@ class Engine:
             return self._executor
         return _WarmCall(self._executor, warm)
 
-    def _run_serial(self, pending: List[RunSpec],
-                    results: Dict[RunSpec, RunRecord],
-                    done: int, total: int) -> int:
-        """Serial drain.  A failing spec no longer aborts the batch
-        mid-flight: the remaining specs still run (and their records reach
-        the result cache) before the first failure is raised with
-        ``EngineError.partial`` set."""
-        failures: List[EngineError] = []
-        for spec in pending:
-            try:
-                record, seconds = self._attempt_with_retry(spec)
-            except EngineError as exc:
-                failures.append(exc)
-                continue
-            done = self._complete(spec, record, seconds, results,
-                                  done, total)
-        if failures:
-            first = failures[0]
-            first.partial = dict(results)
-            raise first
-        return done
+    def _first_attempts(self, pending: List[RunSpec]) -> Iterator[tuple]:
+        """Attempt each pending spec once, yielding ``(spec, (record,
+        seconds))`` or ``(spec, exception)`` in completion order.
 
-    def _run_parallel(self, pending: List[RunSpec], workers: int,
-                      results: Dict[RunSpec, RunRecord],
-                      done: int, total: int) -> int:
-        failures: List[EngineError] = []
-        ctx = get_context("spawn")  # import-clean workers on every platform
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending)),
-                                 mp_context=ctx) as pool:
+        Runs in-process when ``jobs == 1`` or at most one spec is pending,
+        otherwise on a spawn-based process pool (import-clean workers on
+        every platform).  A worker that dies breaks the pool, and every
+        spec the pool still owed comes back as an exception."""
+        if self.jobs == 1 or len(pending) <= 1:
+            for spec in pending:
+                try:
+                    yield spec, _timed_call(self._exec_for(spec), spec)
+                except Exception as exc:
+                    yield spec, exc
+            return
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)),
+                                 mp_context=get_context("spawn")) as pool:
             futures = {pool.submit(_timed_call, self._exec_for(spec),
                                    spec): spec
                        for spec in pending}
             for future in as_completed(futures):
-                spec = futures[future]
                 try:
-                    record, seconds = future.result()
+                    yield futures[future], future.result()
                 except Exception as exc:
-                    # Worker crashed or raised: retry once in the parent so
-                    # a broken pool cannot take the whole batch down.  The
-                    # batch still drains; completed records are cached and
-                    # the first failure raised afterwards with ``partial``.
-                    try:
-                        record, seconds = self._retry_in_parent(spec, exc)
-                    except EngineError as err:
-                        failures.append(err)
-                        continue
-                done = self._complete(spec, record, seconds, results,
-                                      done, total)
-        if failures:
-            first = failures[0]
-            first.partial = dict(results)
-            raise first
-        return done
-
-    def _attempt_with_retry(self, spec: RunSpec) -> tuple:
-        try:
-            return _timed_call(self._exec_for(spec), spec)
-        except Exception as exc:
-            return self._retry_in_parent(spec, exc)
-
-    def _retry_in_parent(self, spec: RunSpec, first: BaseException) -> tuple:
-        executor = self._exec_for(spec)
-        for attempt in range(1, self.retries + 1):
-            self.stats["retries"] += 1
-            time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                return _timed_call(executor, spec)
-            except Exception as exc:
-                first = exc
-        raise EngineError(spec, attempts=self.retries + 1,
-                          cause=first) from first
-
-    # ------------------------------------------------- supervised (timeout)
-
-    def _run_supervised(self, pending: List[RunSpec], workers: int,
-                        results: Dict[RunSpec, RunRecord],
-                        done: int, total: int) -> int:
-        """Run ``pending`` under per-run wall-clock supervision.
-
-        One spawn :class:`~multiprocessing.Process` per attempt, a pipe per
-        worker; workers past their deadline are killed and the spec retried
-        (with backoff) or recorded as failed.  The batch always drains —
-        the first failure is raised *afterwards*, carrying every completed
-        record in ``EngineError.partial``.
-        """
-        ctx = get_context("spawn")
-        ready = deque((spec, 1) for spec in pending)
-        delayed: List[tuple] = []   # (not_before, spec, attempt)
-        running: Dict[object, tuple] = {}  # conn -> (spec, attempt, proc, dl)
-        failures: List[EngineError] = []
-
-        def settle(spec: RunSpec, attempt: int,
-                   cause: BaseException) -> None:
-            if attempt <= self.retries:
-                self.stats["retries"] += 1
-                pause = self.backoff * (2 ** (attempt - 1))
-                delayed.append((time.monotonic() + pause, spec, attempt + 1))
-            else:
-                failures.append(EngineError(spec, attempts=attempt,
-                                            cause=cause))
-
-        while ready or delayed or running:
-            now = time.monotonic()
-            still: List[tuple] = []
-            for not_before, spec, attempt in delayed:
-                if not_before <= now:
-                    ready.append((spec, attempt))
-                else:
-                    still.append((not_before, spec, attempt))
-            delayed = still
-            while ready and len(running) < workers:
-                spec, attempt = ready.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_supervised_worker,
-                                   args=(self._exec_for(spec), spec,
-                                         child_conn))
-                proc.start()
-                child_conn.close()
-                deadline = now + self.timeout
-                running[parent_conn] = (spec, attempt, proc, deadline)
-            if not running:
-                time.sleep(0.01)  # only backoff pauses outstanding
-                continue
-            for conn in _conn_wait(list(running), timeout=0.05):
-                spec, attempt, proc, _ = running.pop(conn)
-                try:
-                    status, payload = conn.recv()
-                except (EOFError, OSError):
-                    status, payload = "err", RuntimeError(
-                        "worker died without reporting a result")
-                conn.close()
-                proc.join()
-                if status == "ok":
-                    record, seconds = payload
-                    done = self._complete(spec, record, seconds, results,
-                                          done, total)
-                else:
-                    settle(spec, attempt, payload)
-            now = time.monotonic()
-            for conn in list(running):
-                spec, attempt, proc, deadline = running[conn]
-                if now <= deadline:
-                    continue
-                del running[conn]
-                proc.kill()
-                proc.join()
-                conn.close()
-                self.stats["timeouts"] += 1
-                _log.warning("run %s exceeded %.1fs timeout (attempt %d); "
-                             "worker killed", spec.digest(), self.timeout,
-                             attempt)
-                settle(spec, attempt, TimeoutError(
-                    f"exceeded {self.timeout:.1f}s wall-clock limit"))
-        if failures:
-            first = failures[0]
-            first.partial = dict(results)
-            raise first
-        return done
-
-    def _complete(self, spec: RunSpec, record: RunRecord, seconds: float,
-                  results: Dict[RunSpec, RunRecord],
-                  done: int, total: int) -> int:
-        results[spec] = record
-        self.stats["executed"] += 1
-        self.timings[spec.digest()] = seconds
-        self._cache_put(spec, record)
-        done += 1
-        self._notify(done, total, spec, seconds, "run")
-        return done
+                    yield futures[future], exc
 
     def _notify(self, done: int, total: int, spec: RunSpec,
                 seconds: Optional[float], source: str) -> None:

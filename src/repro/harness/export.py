@@ -189,15 +189,3 @@ def records_from_json(text: str) -> List[RunRecord]:
     """Inverse of :func:`records_to_json` (pass the JSON text)."""
     return [record_from_dict(item) for item in json.loads(text)]
 
-
-def experiment_to_csv(result, path: Optional[str] = None) -> str:
-    """Serialize an ExperimentResult's rows to CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(result.headers)
-    writer.writerows(result.rows)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text

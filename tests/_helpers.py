@@ -65,14 +65,20 @@ def crashing_executor(spec):
     return execute_spec(spec)
 
 
-def hanging_executor(spec):
-    """Engine executor that hangs forever on poison specs."""
-    import time
+def dying_executor(spec):
+    """Engine executor whose pool worker process dies on poison specs.
+
+    ``os._exit`` skips every handler, so the pool sees a worker vanish
+    mid-run rather than an exception.  In the parent process (the engine's
+    retry) the poison spec runs normally.
+    """
+    import multiprocessing
+    import os
 
     from repro.harness.runner import execute_spec
 
-    if spec.seed == POISON_SEED:
-        time.sleep(600)
+    if spec.seed == POISON_SEED and multiprocessing.parent_process():
+        os._exit(1)
     return execute_spec(spec)
 
 
@@ -84,7 +90,7 @@ class RecordingExecutor:
     ``always_fail`` raises on every call.  The instance keeps shared state,
     so it is for in-process (``jobs=1``) engines — the spawn-safe failure
     injectors for worker processes are :func:`crashing_executor` /
-    :func:`hanging_executor` above.
+    :func:`dying_executor` above.
     """
 
     def __init__(self, fail_first: bool = False,

@@ -1,16 +1,11 @@
-"""Tests for CSV export and sweep utilities."""
+"""Tests for CSV export."""
 
 import csv
 import io
 
 from repro.coherence.states import ProtocolMode
-from repro.harness.export import (
-    experiment_to_csv,
-    flatten_record,
-    records_to_csv,
-)
+from repro.harness.export import flatten_record, records_to_csv
 from repro.harness.runner import run_workload
-from repro.harness.sweep import sweep_l1_size, sweep_protocol_knob
 
 SCALE = 0.1
 
@@ -42,51 +37,3 @@ class TestExport:
 
     def test_empty_records(self):
         assert records_to_csv([]) == ""
-
-    def test_experiment_to_csv(self):
-        from repro.harness.experiments import table2_overheads
-        text = experiment_to_csv(table2_overheads())
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["structure", "value"]
-        assert len(rows) > 3
-
-
-class TestSweep:
-    def test_protocol_knob_sweep(self):
-        res = sweep_protocol_knob(
-            "tau_p", [16, 64], tags=["ww"], scale=0.3,
-            paired_knobs=lambda v: {"tau_r1": v})
-        assert set(res.records) == {16, 64}
-        rel = res.speedup_vs(16)
-        assert rel[16]["ww"] == 1.0
-        # Higher threshold delays privatization: never faster.
-        assert rel[64]["ww"] <= 1.02
-
-    def test_metric_extraction(self):
-        res = sweep_protocol_knob("tau_p", [16], tags=["ww"], scale=0.2,
-                                  paired_knobs=lambda v: {"tau_r1": v})
-        miss = res.metric(lambda r: r.l1_miss_rate)
-        assert 0 <= miss[16]["ww"] < 1
-
-    def test_l1_size_sweep(self):
-        res = sweep_l1_size([32, 128], tags=["BL"], scale=0.1)
-        assert set(res.records) == {32, 128}
-        assert res.records[32]["BL"].cycles > 0
-
-    def test_sweep_carries_specs_and_shares_engine_cache(self, tmp_path):
-        from repro.harness.engine import Engine
-        engine = Engine(cache_dir=tmp_path)
-        res = sweep_protocol_knob(
-            "tau_p", [16, 64], tags=["ww"], scale=0.2,
-            paired_knobs=lambda v: {"tau_r1": v}, engine=engine)
-        assert set(res.specs) == {16, 64}
-        assert res.specs[64]["ww"].config.protocol.tau_p == 64
-        assert res.records[64]["ww"].spec == res.specs[64]["ww"]
-        assert engine.stats["executed"] == 2
-        assert len(res.all_records()) == 2
-        # A repeat of the same sweep is served entirely from the cache.
-        sweep_protocol_knob(
-            "tau_p", [16, 64], tags=["ww"], scale=0.2,
-            paired_knobs=lambda v: {"tau_r1": v}, engine=engine)
-        assert engine.stats["executed"] == 2
-        assert engine.stats["cache_hits"] == 2

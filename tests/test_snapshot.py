@@ -396,31 +396,22 @@ def _sometimes_failing_executor(spec, warm=None):
     return execute_spec(spec, warm=warm)
 
 
-def test_partial_results_survive_batch_failure(tmp_path):
-    """Satellite fix: when one spec of a batch keeps failing, the specs
-    that *did* complete land in ``EngineError.partial`` and in the
-    persistent result cache — a crashed campaign resumes warm."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_partial_results_survive_batch_failure(tmp_path, jobs):
+    """When one spec of a batch keeps failing, serially or in the pool,
+    the specs that *did* complete land in ``EngineError.partial`` and in
+    the persistent result cache — a crashed campaign resumes warm."""
     good1 = RunSpec(tag="RC", scale=SCALE)
     bad = RunSpec(tag="ww", scale=SCALE)
     good2 = RunSpec(tag="SC", scale=SCALE)
-    engine = Engine(executor=_sometimes_failing_executor,
-                    cache_dir=tmp_path, retries=1)
+    engine = Engine(executor=_sometimes_failing_executor, jobs=jobs,
+                    cache_dir=tmp_path)
     with pytest.raises(EngineError) as excinfo:
         engine.run_many([good1, bad, good2])
     err = excinfo.value
     assert err.spec == bad
+    assert err.attempts == 2
     assert set(err.partial) == {good1, good2}
     cached_tags = sorted(json.loads(p.read_text())["record"]["tag"]
                          for p in tmp_path.glob("*.json"))
     assert cached_tags == ["RC", "SC"]
-
-
-def test_partial_results_parallel_drain():
-    good1 = RunSpec(tag="RC", scale=SCALE)
-    bad = RunSpec(tag="ww", scale=SCALE)
-    good2 = RunSpec(tag="SC", scale=SCALE)
-    engine = Engine(executor=_sometimes_failing_executor, jobs=2,
-                    retries=1)
-    with pytest.raises(EngineError) as excinfo:
-        engine.run_many([good1, bad, good2])
-    assert set(excinfo.value.partial) == {good1, good2}
