@@ -12,12 +12,17 @@ replay trace of its program — whether the first ``next`` happened and every
 result passed to ``send`` — and drops the generator from its pickled state.
 :meth:`rebind_program` rebuilds an equivalent generator from a fresh
 program instance by fast-forwarding it through the recorded trace (the
-program is deterministic given the results it received).
+program is deterministic given the results it received).  A program that
+ignores its results (``record_results=False``, e.g. a trace replay) gets a
+count-only history instead: nothing per op is kept, and the rebind
+fast-forwards by ``ops_executed - 1`` sends, so replay memory stays flat in
+program length.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from collections import deque
+from typing import Callable, Generator, Optional
 
 from repro.common.errors import WorkloadError
 from repro.common.events import EventQueue
@@ -36,6 +41,7 @@ class InOrderCore:
         l1,
         program: ThreadProgram,
         on_done: Optional[Callable[[int], None]] = None,
+        record_results: bool = True,
     ) -> None:
         self.core_id = core_id
         self.queue = queue
@@ -50,9 +56,10 @@ class InOrderCore:
         self.mem_stall_cycles = 0
         self._issue_cycle = 0
         # Program replay trace (snapshot support): whether the initial
-        # ``next`` has run and every result successfully ``send``-ed.
+        # ``next`` has run and every result successfully ``send``-ed
+        # (nothing per op when the history is count-only).
         self._started = False
-        self._sent: List[Optional[int]] = []
+        self._sent = new_send_history(record_results)
         self._exhausted = False
 
     def start(self) -> None:
@@ -112,14 +119,39 @@ class InOrderCore:
     def __setstate__(self, state):
         self.__dict__.update(state)
 
+    @property
+    def records_results(self) -> bool:
+        """False when the send history is count-only (see module doc)."""
+        return isinstance(self._sent, list)
+
     def rebind_program(self, program: Optional[ThreadProgram]) -> None:
         """Re-attach a fresh program instance after unpickling, replaying
         the recorded trace so the generator's cursor matches the captured
         core state.  Exhausted programs need no generator at all."""
-        if self._exhausted or not self._started:
-            self.program = program
-            return
-        next(program)
-        for result in self._sent:
-            program.send(result)
+        if not self._exhausted and self._started:
+            fast_forward(program, self._sent, self.ops_executed)
         self.program = program
+
+
+def new_send_history(record_results: bool):
+    """A core's send history: the full list of results sent into its
+    program, or — for a program that ignores them — a ``deque(maxlen=0)``
+    that discards every append, so the core's ``_advance`` stays
+    branch-free either way."""
+    return [] if record_results else deque(maxlen=0)
+
+
+def fast_forward(program: ThreadProgram, sent, ops_executed: int) -> None:
+    """Advance a fresh ``program`` to where a started, not yet exhausted
+    core left its predecessor: the first ``next`` plus one ``send`` per op
+    after the first.  A full history replays the exact results; a
+    count-only one resumes the program ``ops_executed - 1`` times with
+    ``next`` (a ``send(None)``), which is exact only because such programs
+    ignore what they are sent."""
+    next(program)
+    if isinstance(sent, list):
+        for result in sent:
+            program.send(result)
+    else:
+        for _ in range(ops_executed - 1):
+            next(program)

@@ -18,18 +18,19 @@ in-flight op spends blocking retirement beyond the issue-side cost.
 
 Like :class:`~repro.cpu.core.InOrderCore`, the core records its program's
 replay trace so machine snapshots can drop the (unpicklable) generator and
-:meth:`rebind_program` can rebuild it.
+:meth:`rebind_program` can rebuild it: every sent result, or only the op
+count for a program that ignores its results (``record_results=False``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from repro.common.errors import WorkloadError
 from repro.common.events import EventQueue
-from repro.cpu.core import ThreadProgram
+from repro.cpu.core import ThreadProgram, fast_forward, new_send_history
 from repro.cpu.ops import OP_COMPUTE, OP_FENCE, OP_RMW, Op
 
 
@@ -60,6 +61,7 @@ class OutOfOrderCore:
         program: ThreadProgram,
         window: int = 8,
         on_done: Optional[Callable[[int], None]] = None,
+        record_results: bool = True,
     ) -> None:
         self.core_id = core_id
         self.queue = queue
@@ -80,7 +82,7 @@ class OutOfOrderCore:
         self._retire_cursor = 0
         # Program replay trace (snapshot support); see InOrderCore.
         self._started = False
-        self._sent: List[Optional[int]] = []
+        self._sent = new_send_history(record_results)
 
     def start(self) -> None:
         self.queue.schedule(0, self._advance)
@@ -169,12 +171,13 @@ class OutOfOrderCore:
     def __setstate__(self, state):
         self.__dict__.update(state)
 
+    @property
+    def records_results(self) -> bool:
+        """False when the send history is count-only (see InOrderCore)."""
+        return isinstance(self._sent, list)
+
     def rebind_program(self, program: Optional[ThreadProgram]) -> None:
         """Re-attach a fresh program after unpickling (see InOrderCore)."""
-        if self._program_exhausted or not self._started:
-            self.program = program
-            return
-        next(program)
-        for result in self._sent:
-            program.send(result)
+        if not self._program_exhausted and self._started:
+            fast_forward(program, self._sent, self.ops_executed)
         self.program = program

@@ -36,7 +36,9 @@ class Machine:
     #: Zero-argument callable rebuilding the thread-program generators
     #: (one per attached core, same order).  Required for snapshot/restore:
     #: generators don't pickle, so restore re-creates them from this
-    #: factory and replays each core's recorded send history.
+    #: factory and replays each core's recorded send history — every sent
+    #: result, or only the op count when the factory's class sets
+    #: ``ignores_results = True`` (its generators never read a sent value).
     program_factory: Optional[Callable[[], List[ThreadProgram]]] = None
 
     def home_slice(self, block_addr: int) -> DirectorySlice:
@@ -56,6 +58,8 @@ class Machine:
         Pass ``program_factory`` (a picklable zero-argument callable
         returning a fresh list of generators) to make the machine
         snapshot-capable; ``programs`` then defaults to ``factory()``.
+        A factory whose ``ignores_results`` attribute is true gets cores
+        with a count-only send history (constant memory per core).
         """
         if programs is None:
             if program_factory is None:
@@ -65,14 +69,17 @@ class Machine:
             raise ValueError(
                 f"{len(programs)} programs for {self.config.num_cores} cores")
         self.program_factory = program_factory
+        record_results = not getattr(program_factory, "ignores_results",
+                                     False)
         self.cores = []
         for core_id, program in enumerate(programs):
             if core_model == "inorder":
                 core = InOrderCore(core_id, self.queue, self.l1s[core_id],
-                                   program)
+                                   program, record_results=record_results)
             elif core_model == "ooo":
                 core = OutOfOrderCore(core_id, self.queue, self.l1s[core_id],
-                                      program, window=ooo_window)
+                                      program, window=ooo_window,
+                                      record_results=record_results)
             else:
                 raise ValueError(f"unknown core model {core_model!r}")
             self.cores.append(core)

@@ -20,6 +20,12 @@ suspension point.  This is exact because thread programs are pure
 functions of the values sent into them (they never read simulator state
 directly).
 
+Programs from a factory that sets ``ignores_results`` (trace replays) do
+not read those values at all, so their cores record only the op count and
+the rebind sends ``None`` that many times.  Restoring such a snapshot
+under a factory whose programs do read results would silently diverge;
+:func:`restore_snapshot` refuses it with :class:`SnapshotError`.
+
 Determinism contract
 --------------------
 
@@ -122,6 +128,12 @@ def restore_snapshot(
     if machine.cores:
         if factory is None:
             raise SnapshotError("snapshot has cores but no program_factory")
+        if not getattr(factory, "ignores_results", False) and not all(
+                core.records_results for core in machine.cores):
+            raise SnapshotError(
+                "snapshot cores kept only an op count (their programs "
+                "ignored results), but this program_factory's programs "
+                "read results and cannot be fast-forwarded from it")
         machine.program_factory = factory
         programs = factory()
         if len(programs) < len(machine.cores):

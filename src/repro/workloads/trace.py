@@ -740,9 +740,13 @@ class TracePrograms:
     are content-addressed, so a silently swapped trace file must fail loudly
     rather than replay the wrong ops.  Travels inside machine snapshots;
     restore rebuilds fresh streaming generators which each core then
-    fast-forwards via its recorded send history."""
+    fast-forwards by its op count.  Trace programs ignore the results sent
+    back to them, so ``ignores_results`` lets the machine keep a
+    count-only send history per core instead of one entry per op."""
 
     __slots__ = ("path", "digest", "num_threads", "block_size")
+
+    ignores_results = True
 
     def __init__(self, path: str, digest: Optional[str], num_threads: int,
                  block_size: Optional[int] = None) -> None:

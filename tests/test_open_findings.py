@@ -3,10 +3,14 @@
 The six FSLite tests are the repros a campaign rendered for one finding
 each at the benchmark's campaign sizes (fuzz 90 cases, chaos 45 cases per
 seed, both with the differential oracle), shrunk by ddmin and pasted
-unchanged.  The last test pins streamed trace replay's memory growth.
-They fail today because the bugs are real.  ``strict=True`` turns a fix
-into a test failure: when one of these starts passing, delete its
-``xfail`` marker so the repro becomes a regression test.
+unchanged.  They fail today because the bugs are real.  ``strict=True``
+turns a fix into a test failure: when one of these starts passing, delete
+its ``xfail`` marker so the repro becomes a regression test.
+
+The last two tests are such regression tests: streamed trace replay's
+memory once grew with trace length, because every core kept each result
+it sent back to its program; trace programs ignore results, so their
+cores now keep only an op count.
 """
 
 import tracemalloc
@@ -498,7 +502,8 @@ def test_chaos_repro_fslite_seed2748874486():
     assert report.ok, report.failure.describe()
 
 
-def _replay_peak_bytes(tmp_path, total_ops: int) -> int:
+def _replay_peak_bytes(tmp_path, total_ops: int,
+                       core_model: str = "inorder") -> int:
     """tracemalloc peak while replaying a synthesized ``total_ops`` trace.
     Small chunks keep the reader's decode buffers at their steady size
     from the shortest trace on."""
@@ -506,7 +511,7 @@ def _replay_peak_bytes(tmp_path, total_ops: int) -> int:
     synthesize_trace(SharingProfile(num_threads=4,
                                     ops_per_thread=total_ops // 4, seed=1),
                      path, chunk_ops=256)
-    spec = trace_spec(path)
+    spec = trace_spec(path, core_model=core_model)
     tracemalloc.start()
     try:
         execute_spec(spec)
@@ -515,15 +520,17 @@ def _replay_peak_bytes(tmp_path, total_ops: int) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    'streamed replay is not bounded-memory: InOrderCore._sent '
-    '(cpu/core.py) keeps every sent op result for snapshot rebinds, one '
-    'entry per op on every run (OutOfOrderCore._sent likewise); '
-    'tracemalloc peaks 1.55/2.67/5.27 MB at 10k/40k/160k ops, ru_maxrss '
-    '27.8 MB at 100k and 46.5 MB at 1M ops'))
-def test_streamed_replay_memory_is_flat_in_trace_length(tmp_path):
-    short = _replay_peak_bytes(tmp_path, 5_000)
-    long = _replay_peak_bytes(tmp_path, 20_000)
+def _assert_replay_memory_flat(tmp_path, core_model: str) -> None:
+    short = _replay_peak_bytes(tmp_path, 5_000, core_model)
+    long = _replay_peak_bytes(tmp_path, 20_000, core_model)
     assert long <= 1.1 * short, (
         f"peak {long / 2**20:.2f} MB at 20k ops vs "
         f"{short / 2**20:.2f} MB at 5k ops")
+
+
+def test_streamed_replay_memory_is_flat_in_trace_length(tmp_path):
+    _assert_replay_memory_flat(tmp_path, "inorder")
+
+
+def test_streamed_replay_memory_is_flat_in_trace_length_ooo(tmp_path):
+    _assert_replay_memory_flat(tmp_path, "ooo")

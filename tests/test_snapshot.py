@@ -8,13 +8,15 @@ attached, with observers attached, and with an armed (scripted) fault
 injector.  On top of that sit the `PrefixReplayCache` unit properties
 (ddmin shrinks every seeded mutation to the same schedule with the cache
 on or off) and the engine-level behaviours added with `RunSpec.warmup`:
-warm grouping, a fork that simulates only the suffix, the on-disk warm
-snapshot cache with quarantine, cold fallback, and partial-batch result
-persistence on failure.
+warm grouping, a fork that simulates only the suffix, trace replays
+forked from cores that kept only an op count, the on-disk warm snapshot
+cache with quarantine, cold fallback, and partial-batch result persistence
+on failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -26,8 +28,10 @@ from repro.coherence.states import ProtocolMode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harness.engine import Engine, EngineError
+from repro.harness.export import record_stats_digest
 from repro.harness.runner import (
     RunSpec,
+    _WorkloadPrograms,
     build_warm_snapshot,
     execute_spec,
     execute_spec_with_machine,
@@ -37,8 +41,15 @@ from repro.system.builder import Machine, build_machine
 from repro.system.simulator import Simulator
 from repro.system.snapshot import (
     SnapshotError,
+    restore_snapshot,
     snapshot_digest,
     take_snapshot,
+)
+from repro.workloads.trace import (
+    SharingProfile,
+    TracePrograms,
+    synthesize_trace,
+    trace_spec,
 )
 
 SCALE = 0.2
@@ -339,6 +350,58 @@ def test_warm_fork_runs_only_the_suffix():
     assert warm.stats.summary() == cold.stats.summary()
     forked_events = warm_machine.queue.executed - restored_at
     assert 0 < forked_events <= cold_machine.queue.executed // 10
+
+
+def _trace_replay_spec(tmp_path, core_model):
+    path = tmp_path / "fork.rtrace"
+    synthesize_trace(SharingProfile(num_threads=4, ops_per_thread=400,
+                                    seed=3), path)
+    return trace_spec(path, mode=ProtocolMode.FSDETECT,
+                      core_model=core_model)
+
+
+@pytest.mark.parametrize("point", ["first-cycle", "mid-run",
+                                   "first-exhausted"])
+@pytest.mark.parametrize("core_model", ["inorder", "ooo"])
+def test_trace_warm_fork_matches_cold(tmp_path, core_model, point):
+    """Trace programs ignore their results, so their cores keep only an
+    op count and a restore fast-forwards by it: a trace replay forked at
+    its first cycle, mid-run, or once the first core's program is
+    exhausted digests identically to the cold replay."""
+    spec = _trace_replay_spec(tmp_path, core_model)
+    cold, cold_machine = execute_spec_with_machine(spec)
+    warmup = {
+        "first-cycle": 1,
+        "mid-run": cold.cycles // 2,
+        "first-exhausted": 1 + min(core.finish_cycle
+                                   for core in cold_machine.cores),
+    }[point]
+    warm_spec = dataclasses.replace(spec, warmup=warmup)
+    snap = build_warm_snapshot(warm_spec)
+    restored = Machine.restore(snap)
+    assert not any(core.records_results for core in restored.cores)
+    assert all(core.ops_executed > 0 for core in restored.cores)
+    if point == "first-exhausted":
+        done = [core.done for core in restored.cores]
+        assert any(done) and not all(done)
+    warm = execute_spec(warm_spec, warm=snap)
+    assert record_stats_digest(warm) == record_stats_digest(cold)
+
+
+def test_restore_rejects_result_reading_factory_for_count_only_cores(
+        tmp_path):
+    """A snapshot whose cores kept only an op count cannot rebind programs
+    that read their results: the fast-forward would feed them ``None``
+    and diverge silently, so restore refuses.  A factory that also
+    ignores results restores fine."""
+    spec = _trace_replay_spec(tmp_path, "inorder")
+    snap = build_warm_snapshot(dataclasses.replace(spec, warmup=200))
+    with pytest.raises(SnapshotError, match="op count"):
+        restore_snapshot(snap, program_factory=_WorkloadPrograms(
+            "RC", 4, SCALE, "packed", 0))
+    machine = restore_snapshot(snap, program_factory=TracePrograms(
+        spec.trace.path, spec.trace.digest, spec.num_threads))
+    assert all(core.program is not None for core in machine.cores)
 
 
 def test_engine_warm_disk_cache_hit_and_quarantine(tmp_path):
