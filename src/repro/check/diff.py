@@ -59,6 +59,7 @@ from repro.check.fuzz import (
 from repro.check.mutations import MUTATIONS, mutation_context
 from repro.check.refmodel import RefResult, run_programs_atomic
 from repro.coherence.states import DirState, L1State, ProtocolMode
+from repro.common.bitvec import iter_set_bits
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.common.statkeys import SLICE_PRIVATIZATIONS
@@ -212,23 +213,24 @@ def differential_check(
             for block in detector.sam.resident_blocks():
                 entry = detector.sam.peek(block)
                 truth = ref.truth.get(block)
-                for granule in range(entry.num_granules):
-                    writer = entry.last_writer[granule]
-                    if writer is None:
-                        pass
-                    elif truth is None or writer not in truth.writers[granule]:
+                true_r = truth.read_bits if truth is not None else {}
+                true_w = truth.write_bits if truth is not None else {}
+                for granule, (writer, readers) in enumerate(
+                        zip(entry.last_writer, entry.reader_masks())):
+                    if (writer is not None
+                            and not true_w.get(writer, 0) >> granule & 1):
                         out.append(Divergence(
                             "sam", mode, block,
                             f"granule {granule}: SAM last writer "
                             f"{writer} never wrote it"))
-                    true_readers = (truth.readers[granule]
-                                    if truth is not None else set())
-                    bogus = entry.reader_cores(granule) - true_readers
-                    if bogus:
-                        out.append(Divergence(
-                            "sam", mode, block,
-                            f"granule {granule}: SAM readers {sorted(bogus)} "
-                            f"never read it"))
+                    if readers:
+                        bogus = [core for core in iter_set_bits(readers)
+                                 if not true_r.get(core, 0) >> granule & 1]
+                        if bogus:
+                            out.append(Divergence(
+                                "sam", mode, block,
+                                f"granule {granule}: SAM readers {bogus} "
+                                f"never read it"))
         for l1 in machine.l1s:
             core = l1.core_id
             for block in l1.pam.resident_blocks():
@@ -549,11 +551,12 @@ def _compare_single_accessor_granules(report: DiffReport, mode, image,
     one core ever touched (its final content is interleaving-independent,
     so the comparison is sound on racy workloads and traces)."""
     gran = atomic.granularity
+    reference = atomic.image()
     for block in atomic.blocks():
         pairs = atomic.single_accessor_granules(block)
         if not pairs:
             continue
-        want = atomic.image().get(block)
+        want = reference.get(block)
         got = bytes(image.get(block))
         report.blocks_compared += 1
         for granule, core in pairs:

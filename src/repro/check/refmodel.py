@@ -4,8 +4,9 @@ The detailed simulator models timing — MSHRs, busy directory contexts,
 virtual-channel races, privatized episodes. This module models none of it:
 :class:`AtomicMachine` is a single flat memory in which every operation
 executes instantaneously and in full, plus *truth* bookkeeping of who
-touched which bytes (per-granule reader/writer sets, per-core access bit
-masks, per-block accessor sets).
+touched which bytes: per block, each core's cumulative read and write
+granule masks, the last writer of every granule and the set of accessing
+cores.  A granule's reader and writer sets are derived from the masks.
 
 That makes it a second, independent implementation of the protocol's
 *observable* semantics — what the paper's correctness claims quantify over:
@@ -32,8 +33,10 @@ guarantees spin loops terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.common.bitvec import iter_set_bits
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
 from repro.core.pam import granule_mask
@@ -47,18 +50,19 @@ class BlockTruth:
     this: SAM last-writers must be real granule writers, SAM/PAM reader
     and writer bits must be real accesses, and a block can only be flagged
     as falsely shared if at least two cores really touched it.
+
+    The per-core granule masks are the whole access record: a granule's
+    readers (writers) are the cores whose read (write) mask has its bit
+    set, derived on demand by :meth:`readers` / :meth:`writers`.
     """
 
-    __slots__ = ("num_granules", "accessors", "readers", "writers",
-                 "last_writer", "read_bits", "write_bits")
+    __slots__ = ("num_granules", "accessors", "last_writer", "read_bits",
+                 "write_bits")
 
     def __init__(self, num_granules: int) -> None:
         self.num_granules = num_granules
         #: Cores that executed any memory op on the block.
         self.accessors: Set[int] = set()
-        #: Per-granule sets of cores that ever read / wrote the granule.
-        self.readers: List[Set[int]] = [set() for _ in range(num_granules)]
-        self.writers: List[Set[int]] = [set() for _ in range(num_granules)]
         #: Final (schedule-order) writer per granule, None if never written.
         self.last_writer: List[Optional[int]] = [None] * num_granules
         #: Per-core cumulative granule masks (the idealized PAM).
@@ -67,23 +71,23 @@ class BlockTruth:
 
     def record(self, core: int, gmask: int, is_write: bool) -> None:
         self.accessors.add(core)
-        if is_write:
-            self.write_bits[core] = self.write_bits.get(core, 0) | gmask
-        else:
+        if not is_write:
             self.read_bits[core] = self.read_bits.get(core, 0) | gmask
-        granule, bits = 0, gmask
-        while bits:
-            if bits & 1:
-                if is_write:
-                    self.writers[granule].add(core)
-                    self.last_writer[granule] = core
-                else:
-                    self.readers[granule].add(core)
-            granule += 1
-            bits >>= 1
+            return
+        self.write_bits[core] = self.write_bits.get(core, 0) | gmask
+        last_writer = self.last_writer
+        for granule in iter_set_bits(gmask):
+            last_writer[granule] = core
 
-    def granule_accessors(self, granule: int) -> Set[int]:
-        return self.readers[granule] | self.writers[granule]
+    def readers(self, granule: int) -> Set[int]:
+        """Cores that ever read ``granule``."""
+        return {core for core, bits in self.read_bits.items()
+                if bits >> granule & 1}
+
+    def writers(self, granule: int) -> Set[int]:
+        """Cores that ever wrote ``granule``."""
+        return {core for core, bits in self.write_bits.items()
+                if bits >> granule & 1}
 
 
 class AtomicImage(dict):
@@ -183,15 +187,24 @@ class AtomicMachine:
 
     def single_accessor_granules(self, block_addr: int) -> List[Tuple[int, int]]:
         """``(granule, core)`` pairs where exactly one core ever touched the
-        granule — race-free locations whose final bytes are deterministic."""
+        granule — race-free locations whose final bytes are deterministic.
+
+        One fold over the per-core masks: ``once`` collects granules some
+        core touched, ``multi`` those a second core touched as well."""
         truth = self.truth.get(block_addr)
         if truth is None:
             return []
-        out = []
-        for granule in range(truth.num_granules):
-            accessors = truth.granule_accessors(granule)
-            if len(accessors) == 1:
-                out.append((granule, next(iter(accessors))))
+        read_bits, write_bits = truth.read_bits, truth.write_bits
+        touched = [(core, read_bits.get(core, 0) | write_bits.get(core, 0))
+                   for core in truth.accessors]
+        once = multi = 0
+        for _core, bits in touched:
+            multi |= once & bits
+            once |= bits
+        single = once & ~multi
+        out = [(granule, core) for core, bits in touched
+               for granule in iter_set_bits(bits & single)]
+        out.sort()
         return out
 
 
@@ -201,8 +214,9 @@ class RefResult:
 
     machine: AtomicMachine
 
-    @property
+    @cached_property
     def image(self) -> AtomicImage:
+        """The final memory image, built once (the machine is finished)."""
         return self.machine.image()
 
     @property

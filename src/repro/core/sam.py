@@ -76,16 +76,18 @@ class SamEntry:
         """True if the reader set is empty or exactly {core}."""
         return not self._has_foreign_reader(granule, core)
 
-    def reader_cores(self, granule: int) -> Set[int]:
-        """Precise reader set (full mode); best effort under reader_opt."""
+    def reader_masks(self) -> List[int]:
+        """Per granule, the recorded readers as a core bit-vector: the
+        precise set in full mode (the live list; do not mutate it), only
+        the last reader under reader_opt."""
         if self.reader_opt:
-            last = self.last_reader[granule]
-            return set() if last is None else {last}
-        return set(iter_set_bits(self.readers[granule]))
+            return [0 if last is None else 1 << last
+                    for last in self.last_reader]
+        return self.readers
 
     def accessor_cores(self) -> Set[int]:
         """Every core recorded on any granule: the last writers plus the
-        readers (:meth:`reader_cores` over all granules, in one pass)."""
+        readers (the union of :meth:`reader_masks`, in one pass)."""
         cores = set(self.last_writer)
         cores.discard(None)
         if self.reader_opt:

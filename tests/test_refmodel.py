@@ -3,10 +3,14 @@
 The reference is only worth differencing against if its own semantics are
 right: atomic RMWs, ground-truth access bookkeeping, zero-filled untouched
 blocks, and a fair round-robin program driver under which spin loops
-terminate.
+terminate.  A property test holds the mask-only truth bookkeeping to a
+brute-force per-granule set model.
 """
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.check.fuzz import FuzzOp, fuzz_config, make_schedule
 from repro.check.refmodel import (
@@ -73,10 +77,10 @@ def test_truth_readers_writers_and_last_writer():
     gran = m.granularity
     g0 = 0
     g32 = 32 // gran
-    assert truth.writers[g0] == {0}
-    assert truth.readers[g0] == {1}
+    assert truth.writers(g0) == {0}
+    assert truth.readers(g0) == {1}
     assert truth.last_writer[g0] == 0
-    assert truth.writers[g32] == {2}
+    assert truth.writers(g32) == {2}
     assert truth.last_writer[g32] == 2
     assert truth.accessors == {0, 1, 2}
 
@@ -85,8 +89,8 @@ def test_rmw_counts_as_read_and_write():
     m = machine()
     m.execute(3, fetch_add(BASE, 1, size=8))
     truth = m.truth[BASE]
-    assert truth.readers[0] == {3}
-    assert truth.writers[0] == {3}
+    assert truth.readers(0) == {3}
+    assert truth.writers(0) == {3}
     assert truth.read_bits[3] == truth.write_bits[3] != 0
 
 
@@ -175,3 +179,84 @@ def test_reference_is_deterministic():
     assert ref1.blocks() == ref2.blocks()
     for block in ref1.blocks():
         assert ref1.image.get(block) == ref2.image.get(block)
+
+
+# ------------------------------------------- truth vs brute-force model
+
+
+def _brute_force_truth(ops, block_size, gran):
+    """Per-(block, granule) reader/writer sets and last writer, per-block
+    accessors, kept op by op the obvious way."""
+    readers, writers, last_writer, accessors = {}, {}, {}, {}
+    for tid, kind, block, offset, size in ops:
+        accessors.setdefault(block, set()).add(tid)
+        for granule in range(offset // gran, (offset + size - 1) // gran + 1):
+            key = (block, granule)
+            if kind in ("load", "rmw"):
+                readers.setdefault(key, set()).add(tid)
+            if kind in ("store", "rmw"):
+                writers.setdefault(key, set()).add(tid)
+                last_writer[key] = tid
+    return readers, writers, last_writer, accessors
+
+
+_OPS = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(["load", "store", "rmw"]),
+              st.integers(0, 2), st.integers(0, 63),
+              st.sampled_from([1, 2, 4, 8])),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=_OPS, gran=st.sampled_from([1, 2, 4]))
+def test_mask_truth_matches_per_granule_sets(ops, gran):
+    """The mask-derived readers, writers, last writer, accessors and
+    single-accessor granules equal a brute-force per-granule set model on
+    random op streams, and a pickled machine round-trips to equal truth."""
+    config = small_config().with_protocol(tracking_granularity=gran)
+    m = AtomicMachine(config, num_threads=4)
+    block_size = m.block_size
+    stream = []
+    for tid, kind, block, offset, size in ops:
+        offset -= offset % size  # naturally aligned, like every real op
+        addr = BASE + block * block_size + offset
+        op = {"load": lambda: load(addr, size=size),
+              "store": lambda: store(addr, tid + 1, size=size),
+              "rmw": lambda: fetch_add(addr, 1, size=size)}[kind]()
+        m.execute(tid, op)
+        stream.append((tid, kind, block, offset, size))
+    readers, writers, last_writer, accessors = _brute_force_truth(
+        stream, block_size, gran)
+
+    assert sorted(m.truth) == sorted(BASE + b * block_size
+                                     for b in accessors)
+    for block, cores in accessors.items():
+        truth = m.truth[BASE + block * block_size]
+        assert truth.accessors == cores
+        expected_single = []
+        for g in range(m.num_granules):
+            key = (block, g)
+            assert truth.readers(g) == readers.get(key, set())
+            assert truth.writers(g) == writers.get(key, set())
+            assert truth.last_writer[g] == last_writer.get(key)
+            touched = readers.get(key, set()) | writers.get(key, set())
+            if len(touched) == 1:
+                expected_single.append((g, next(iter(touched))))
+        assert (m.single_accessor_granules(BASE + block * block_size)
+                == expected_single)
+
+    copy = pickle.loads(pickle.dumps(m, pickle.HIGHEST_PROTOCOL))
+    assert sorted(copy.truth) == sorted(m.truth)
+    for addr, truth in m.truth.items():
+        twin = copy.truth[addr]
+        for slot in type(truth).__slots__:
+            assert getattr(twin, slot) == getattr(truth, slot), slot
+        assert copy.single_accessor_granules(addr) == \
+            m.single_accessor_granules(addr)
+    assert dict(copy.image()) == dict(m.image())
+
+
+def test_run_reference_image_is_built_once():
+    schedule = [FuzzOp(0, "store", line=0, offset=0, size=8, value=7)]
+    ref = run_reference(schedule, num_threads=4)
+    assert ref.image is ref.image

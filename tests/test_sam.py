@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.bitvec import iter_set_bits
 from repro.core.sam import SamEntry, SamTable
 
 
@@ -245,7 +246,11 @@ def reference_accessor_cores(e):
         writer = e.last_writer[granule]
         if writer is not None:
             cores.add(writer)
-        cores |= e.reader_cores(granule)
+        if e.reader_opt:
+            if e.last_reader[granule] is not None:
+                cores.add(e.last_reader[granule])
+        else:
+            cores.update(iter_set_bits(e.readers[granule]))
     return cores
 
 
