@@ -67,8 +67,9 @@ DEFAULT_CHECKPOINT_EVERY = 60
 #: Default byte budget across all retained checkpoints.
 DEFAULT_MAX_BYTES = 128 * 1024 * 1024
 #: Atomic-reference snapshots are taken every this many schedule items.
-#: The atomic machine's state is a few KiB (a handful of blocks plus truth
-#: sets), so its snapshots cost tens of microseconds, not milliseconds.
+#: The atomic machine's state is a few KiB (a handful of blocks, and per
+#: block a per-core read and write granule mask plus the last writer of
+#: each granule), so a snapshot round trip costs well under a millisecond.
 REF_CHECKPOINT_ITEMS = 8
 
 
