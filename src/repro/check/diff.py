@@ -529,6 +529,8 @@ def diff_workload(spec, compare_bytes: bool = True) -> DiffReport:
     from repro.workloads.registry import make_workload
 
     record, machine = execute_spec_with_machine(spec)
+    image = flush_machine_memory(machine) if compare_bytes else None
+    machine.close()
     workload = make_workload(spec.tag, num_threads=spec.num_threads,
                              scale=spec.scale, layout=spec.layout,
                              seed=spec.seed)
@@ -540,8 +542,7 @@ def diff_workload(spec, compare_bytes: bool = True) -> DiffReport:
         report.divergences.append(Divergence(
             "workload-verify", spec.mode, None, str(exc)))
     if compare_bytes:
-        _compare_single_accessor_granules(
-            report, spec.mode, flush_machine_memory(machine), atomic)
+        _compare_single_accessor_granules(report, spec.mode, image, atomic)
     return report
 
 

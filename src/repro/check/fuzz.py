@@ -537,10 +537,13 @@ def execute(
                     FaultInjector(machine, plan).attach()
             if sanitize:
                 machine.extras["sanitizer"] = Sanitizer(machine).attach()
-        injector = machine.extras.get("injector")
-        sanitizer = machine.extras.get("sanitizer")
-        failure = None
+        # Everything returned below (report, image, diff) is built from
+        # the machine, never references it: close it so reference
+        # counting frees it, not the cyclic GC.
         try:
+            injector = machine.extras.get("injector")
+            sanitizer = machine.extras.get("sanitizer")
+            failure = None
             try:
                 result = Simulator(machine, max_events=max_events).run(
                     resume=resume,
@@ -554,46 +557,49 @@ def execute(
                     "invariant", type(exc).__name__, str(exc))
             except (ReproError, AssertionError) as exc:
                 failure = FuzzFailure("run", type(exc).__name__, str(exc))
-        finally:
-            if sanitizer is not None:
-                sanitizer.detach()
-            fired = []
-            if injector is not None:
-                fired = list(injector.fired)
-                injector.detach()
-        if failure is not None:
-            return RunReport(False, failure, fired=fired), None, None
-        image = flush_machine_memory(machine)
-        if check_loads:
-            for addr, want, label in expectations:
-                base = addr & ~(config.block_size - 1)
-                data = image.get(base, bytes(config.block_size))
-                off = addr - base
-                got = int.from_bytes(data[off:off + SLOT], "little")
-                if got != want:
-                    return RunReport(False, FuzzFailure(
-                        "final-image", "mismatch",
-                        f"{label}: final value {got:#x}, expected "
-                        f"{want:#x}"), fired=fired), image, None
-        diff = None
-        if differential is not None:
-            # Imported lazily: repro.check.diff imports this module.
-            from repro.check.diff import differential_check
+            finally:
+                if sanitizer is not None:
+                    sanitizer.detach()
+                fired = []
+                if injector is not None:
+                    fired = list(injector.fired)
+                    injector.detach()
+            if failure is not None:
+                return RunReport(False, failure, fired=fired), None, None
+            image = flush_machine_memory(machine)
+            if check_loads:
+                for addr, want, label in expectations:
+                    base = addr & ~(config.block_size - 1)
+                    data = image.get(base, bytes(config.block_size))
+                    off = addr - base
+                    got = int.from_bytes(data[off:off + SLOT], "little")
+                    if got != want:
+                        return RunReport(False, FuzzFailure(
+                            "final-image", "mismatch",
+                            f"{label}: final value {got:#x}, expected "
+                            f"{want:#x}"), fired=fired), image, None
+            diff = None
+            if differential is not None:
+                # Imported lazily: repro.check.diff imports this module.
+                from repro.check.diff import differential_check
 
-            ref = (reference if reference is not None
-                   else reference_run(schedule, num_threads, config, replay))
-            diff = differential_check(machine, ref, image=image,
-                                      **differential)
-            if diff.divergences:
-                first = diff.divergences[0]
-                return RunReport(False, FuzzFailure(
-                    "differential", first.kind, first.detail),
-                    fired=fired), image, diff
-        return RunReport(
-            True, cycles=result.cycles,
-            blocks_checked=sanitizer.blocks_checked if sanitizer else 0,
-            blocks_compared=diff.blocks_compared if diff else 0,
-            stats=result.stats, fired=fired), image, diff
+                ref = (reference if reference is not None
+                       else reference_run(schedule, num_threads, config,
+                                          replay))
+                diff = differential_check(machine, ref, image=image,
+                                          **differential)
+                if diff.divergences:
+                    first = diff.divergences[0]
+                    return RunReport(False, FuzzFailure(
+                        "differential", first.kind, first.detail),
+                        fired=fired), image, diff
+            return RunReport(
+                True, cycles=result.cycles,
+                blocks_checked=sanitizer.blocks_checked if sanitizer else 0,
+                blocks_compared=diff.blocks_compared if diff else 0,
+                stats=result.stats, fired=fired), image, diff
+        finally:
+            machine.close()
 
 
 def run_schedule(

@@ -101,6 +101,7 @@ from repro.interconnect.message import (
     MSG_XFER_ACK,
     Message,
     MessageType,
+    table_by_value,
 )
 from repro.interconnect.network import Network
 from repro.memsys.cache_array import CacheArray
@@ -249,25 +250,6 @@ class DirectorySlice:
         #: one attribute load per episode *event*, never per message.
         self.obs = None
         self.stats: Dict[str, int] = dict.fromkeys(SLICE_STAT_KEYS, 0)
-        # Per-type bound-method dispatch table indexed by MessageType.value
-        # (slot 0 padding).  Requests route through the busy-block check;
-        # responses go straight to their handler.
-        self._dispatch: List[Optional[Callable[[Message], None]]] = \
-            [None] * (len(MessageType) + 1)
-        for mtype in self._REQUEST_TYPES:
-            self._dispatch[mtype._value_] = self._on_request
-        for mtype, handler in {
-            MSG_PUTM: self._on_putm,
-            MSG_INV_ACK: self._on_inv_ack,
-            MSG_DATA_WB: self._on_data_wb,
-            MSG_XFER_ACK: self._on_xfer_ack,
-            MSG_ACK_NO_DATA: self._on_ack_no_data,
-            MSG_REP_MD: self._on_rep_md,
-            MSG_PHANTOM_MD: self._on_phantom,
-            MSG_PRV_WB: self._on_prv_wb,
-            MSG_CTRL_WB: self._on_ctrl_wb,
-        }.items():
-            self._dispatch[mtype._value_] = handler
         network.register(node_id, self.handle_message)
 
     # ----------------------------------------------------------- utilities
@@ -325,10 +307,11 @@ class DirectorySlice:
     )
 
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch[msg.mtype._value_]
+        handler = _DIR_DISPATCH[msg.mtype._value_]
         if handler is None:
-            raise ProtocolError(f"directory cannot handle {msg}")
-        handler(msg)
+            raise ProtocolError(
+                f"directory node {self.node_id} cannot handle {msg}")
+        handler(self, msg)
 
     def _on_request(self, msg: Message) -> None:
         if msg.block_addr in self._busy:
@@ -1176,3 +1159,23 @@ class DirectorySlice:
     @property
     def reports(self):
         return self.detector.reports if self.detector is not None else []
+
+
+#: Per-type handler table indexed by ``MessageType._value_``.  Requests
+#: route through the busy-block check; responses go straight to their
+#: handler.  Like the L1's table it holds the class's plain functions,
+#: bound once at import (``handle_message`` passes ``self``): patching a
+#: handler means patching this table, not the class attribute.
+_DIR_DISPATCH: tuple = table_by_value({
+    **dict.fromkeys(DirectorySlice._REQUEST_TYPES,
+                    DirectorySlice._on_request),
+    MSG_PUTM: DirectorySlice._on_putm,
+    MSG_INV_ACK: DirectorySlice._on_inv_ack,
+    MSG_DATA_WB: DirectorySlice._on_data_wb,
+    MSG_XFER_ACK: DirectorySlice._on_xfer_ack,
+    MSG_ACK_NO_DATA: DirectorySlice._on_ack_no_data,
+    MSG_REP_MD: DirectorySlice._on_rep_md,
+    MSG_PHANTOM_MD: DirectorySlice._on_phantom,
+    MSG_PRV_WB: DirectorySlice._on_prv_wb,
+    MSG_CTRL_WB: DirectorySlice._on_ctrl_wb,
+})

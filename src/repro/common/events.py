@@ -63,6 +63,13 @@ class EventQueue:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, callback, arg))
 
+    def close(self) -> None:
+        """Drop every pending event and any instance ``step`` override
+        (their callbacks are bound to the objects that scheduled them).
+        The clock and executed count stay readable; idempotent."""
+        self._heap.clear()
+        self.__dict__.pop("step", None)
+
     def empty(self) -> bool:
         """True when no events remain."""
         return not self._heap

@@ -303,7 +303,8 @@ def execute_spec(spec: RunSpec, warm=None) -> RunRecord:
     :class:`~repro.system.snapshot.MachineSnapshot` built by
     :func:`build_warm_snapshot` for this spec's :func:`warm_digest`.
     """
-    record, _machine = execute_spec_with_machine(spec, warm=warm)
+    record, machine = execute_spec_with_machine(spec, warm=warm)
+    machine.close()  # freed by reference counting, not the cyclic GC
     return record
 
 
@@ -311,7 +312,9 @@ def execute_spec_with_machine(spec: RunSpec, warm=None):
     """Like :func:`execute_spec` but also returns the finished
     :class:`~repro.system.builder.Machine` for post-run inspection (the
     differential oracle reads caches, SAM/PAM tables and network
-    accounting after the run).  Returns ``(record, machine)``.
+    accounting after the run).  Returns ``(record, machine)``; the
+    machine is still open, and the caller closes it
+    (:meth:`~repro.system.builder.Machine.close`) once it has been read.
     """
     if warm is not None:
         from repro.system.builder import Machine

@@ -156,6 +156,13 @@ CLASS_BY_VALUE: tuple = (None,) + tuple(
     _CLASS_OF[mt] for mt in MessageType)
 SIZE_BY_VALUE: tuple = (0,) + tuple(_size_of(mt) for mt in MessageType)
 
+
+def table_by_value(routes: Dict[MessageType, Any]) -> tuple:
+    """A tuple indexed by ``MessageType._value_`` (slot 0 padding) holding
+    ``routes[mtype]``, or None for a type ``routes`` leaves out."""
+    return (None,) + tuple(routes.get(mt) for mt in MessageType)
+
+
 #: The FSLite-specific message vocabulary (for quick filtering).  Defined
 #: here (the leaf module of the interconnect layer) so observers in
 #: :mod:`repro.obs` and the tracer in :mod:`repro.system.tracing` can share

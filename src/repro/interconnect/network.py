@@ -178,6 +178,16 @@ class Network:
             raise SimulationError(f"node {node_id} already registered")
         self._handlers[node_id] = handler
 
+    def close(self) -> None:
+        """Unregister every handler, observer hook and the fault seam (each
+        is bound to an object that references this network).  Idempotent;
+        a later :meth:`send` raises :class:`SimulationError`."""
+        self._handlers.clear()
+        self.post_send_hooks.clear()
+        self.post_deliver_hooks.clear()
+        self._hooked = False
+        self.fault_seam = None
+
     def attach_observer(self, observer: object) -> None:
         """Register an observer (:class:`repro.obs.Observer` protocol).
 

@@ -19,7 +19,15 @@ from repro.memsys.main_memory import MainMemory
 
 @dataclass
 class Machine:
-    """A fully wired simulated multicore."""
+    """A fully wired simulated multicore.
+
+    Lifetime: a wired machine is a reference cycle (the network's handler
+    table, observer hooks and fault seam, the queue's pending events and
+    any ``queue.step`` override, and :attr:`extras` all point back into
+    the graph).  Call :meth:`close` once a finished machine has been read
+    so reference counting frees it at once instead of leaving it to the
+    cyclic garbage collector.
+    """
 
     config: SystemConfig
     mode: ProtocolMode
@@ -102,6 +110,17 @@ class Machine:
         from repro.system.snapshot import restore_snapshot
 
         return restore_snapshot(snap)
+
+    def close(self) -> None:
+        """Drop the machine's back-references so it is freed by reference
+        counting: the network's handlers, observer hooks and fault seam,
+        the pending events, any ``queue.step`` override, and
+        :attr:`extras`.  Caches, tables, stats and reports stay readable.
+        Idempotent; the machine cannot run afterwards (a send raises
+        :class:`~repro.common.errors.SimulationError`)."""
+        self.network.close()
+        self.queue.close()
+        self.extras.clear()
 
     def all_reports(self):
         reports = []
