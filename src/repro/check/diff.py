@@ -215,22 +215,27 @@ def differential_check(
                 truth = ref.truth.get(block)
                 true_r = truth.read_bits if truth is not None else {}
                 true_w = truth.write_bits if truth is not None else {}
-                for granule, (writer, readers) in enumerate(
-                        zip(entry.last_writer, entry.reader_masks())):
-                    if (writer is not None
-                            and not true_w.get(writer, 0) >> granule & 1):
-                        out.append(Divergence(
-                            "sam", mode, block,
-                            f"granule {granule}: SAM last writer "
-                            f"{writer} never wrote it"))
-                    if readers:
-                        bogus = [core for core in iter_set_bits(readers)
-                                 if not true_r.get(core, 0) >> granule & 1]
-                        if bogus:
+                bad_writes = [writes & ~true_w.get(core, 0) for core, writes
+                              in enumerate(entry.write_masks)]
+                bad_reads = [reads & ~true_r.get(core, 0) for core, reads
+                             in enumerate(entry.read_masks)]
+                bad = 0
+                for mask in bad_writes + bad_reads:
+                    bad |= mask
+                for granule in iter_set_bits(bad):
+                    for writer, mask in enumerate(bad_writes):
+                        if mask >> granule & 1:
                             out.append(Divergence(
                                 "sam", mode, block,
-                                f"granule {granule}: SAM readers {bogus} "
-                                f"never read it"))
+                                f"granule {granule}: SAM last writer "
+                                f"{writer} never wrote it"))
+                    bogus = [core for core, mask in enumerate(bad_reads)
+                             if mask >> granule & 1]
+                    if bogus:
+                        out.append(Divergence(
+                            "sam", mode, block,
+                            f"granule {granule}: SAM readers {bogus} "
+                            f"never read it"))
         for l1 in machine.l1s:
             core = l1.core_id
             for block in l1.pam.resident_blocks():

@@ -285,15 +285,20 @@ class Sanitizer(Observer):
         if sam_entry is None:
             self._fail("prv-sam", block, line, copies,
                        "privatized block has no SAM entry")
-        lw = sam_entry.last_writer
+        write_masks = sam_entry.write_masks
         departed = self._prv_departed.get(block, set())
-        for granule, writer in enumerate(lw):
-            if (writer is not None and writer not in line.prv_sharers
+        stray = 0
+        for writer, writes in enumerate(write_masks):
+            if (writes and writer not in line.prv_sharers
                     and writer not in departed):
-                self._fail("prv-sam", block, line, copies,
-                           f"granule {granule} last writer {writer} is "
-                           "neither a live PRV sharer nor a sharer that "
-                           "departed this episode")
+                stray |= writes
+        if stray:
+            granule = next(iter_set_bits(stray))
+            writer = sam_entry.last_writer_map()[granule]
+            self._fail("prv-sam", block, line, copies,
+                       f"granule {granule} last writer {writer} is "
+                       "neither a live PRV sharer nor a sharer that "
+                       "departed this episode")
         gran = home.granularity
         check_data = (self.machine.config.model_data and not departed)
         for core, copy in copies.items():
@@ -302,22 +307,27 @@ class Sanitizer(Observer):
                 self._fail("prv-pam", block, line, copies,
                            f"core {core} holds a PRV copy without a PAM "
                            "entry")
-            for granule in iter_set_bits(pentry.write_bits):
-                if lw[granule] != core:
-                    self._fail(
-                        "prv-pam", block, line, copies,
-                        f"core {core} has the write bit for granule "
-                        f"{granule} but the SAM last writer is "
-                        f"{lw[granule]} — write sets are not byte-disjoint")
-            for granule in iter_set_bits(pentry.read_bits):
-                if lw[granule] is not None and lw[granule] != core:
-                    self._fail(
-                        "prv-pam", block, line, copies,
-                        f"core {core} has the read bit for granule "
-                        f"{granule} owned by writer {lw[granule]}")
+            owned = write_masks[core]
+            unowned = pentry.write_bits & ~owned
+            if unowned:
+                granule = next(iter_set_bits(unowned))
+                self._fail(
+                    "prv-pam", block, line, copies,
+                    f"core {core} has the write bit for granule "
+                    f"{granule} but the SAM last writer is "
+                    f"{sam_entry.last_writer_map()[granule]} — write sets "
+                    "are not byte-disjoint")
+            foreign = pentry.read_bits & sam_entry.written & ~owned
+            if foreign:
+                granule = next(iter_set_bits(foreign))
+                self._fail(
+                    "prv-pam", block, line, copies,
+                    f"core {core} has the read bit for granule "
+                    f"{granule} owned by writer "
+                    f"{sam_entry.last_writer_map()[granule]}")
             if check_data:
-                for granule in range(len(lw)):
-                    if lw[granule] == core:
+                for granule in range(sam_entry.num_granules):
+                    if owned >> granule & 1:
                         continue  # the sharer's own bytes may be newer
                     lo, hi = granule * gran, (granule + 1) * gran
                     if bytes(copy.data[lo:hi]) != bytes(line.data[lo:hi]):

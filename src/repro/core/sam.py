@@ -16,89 +16,59 @@ The entry exposes the paper's three conflict predicates:
   conditions,
 * :meth:`check_write` / :meth:`check_read` — the PRV-state GetXCHK / GetCHK
   conditions of Section V-B.
+
+The hardware evaluates these conditions on every byte of the block at
+once. :class:`SamEntry` does the same with the state held bit-sliced: one
+granule mask per core instead of one record per granule, so each predicate
+is a few integer operations whatever the number of granules touched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.common.bitvec import iter_set_bits
 from repro.memsys.cache_array import CacheArray
 
 
-@dataclass
 class SamEntry:
-    """Per-block shared access metadata."""
+    """Per-block shared access metadata, held as per-core granule masks.
 
-    num_granules: int
-    num_cores: int
-    #: Last-reader + overflow encoding instead of a full reader bit-vector.
-    reader_opt: bool = False
-    ts: bool = False
-    #: Granules involved in the most recent update_from_md conflict.
-    last_conflict_mask: int = 0
-    last_conflict_write: bool = False
-    last_writer: List[Optional[int]] = field(default_factory=list)
-    # Full-reader-vector mode: per-granule bit-vector of reader cores.
-    readers: List[int] = field(default_factory=list)
-    # Reader-opt mode: per-granule last reader and overflow flag.
-    last_reader: List[Optional[int]] = field(default_factory=list)
-    overflow: List[bool] = field(default_factory=list)
+    * ``write_masks[c]``: the granules whose last writer is core ``c``
+      (pairwise disjoint; a granule in none has no valid last writer).
+    * ``read_masks[c]``: the granules core ``c`` read (basic design), or
+      the granules whose last reader is ``c`` (``reader_opt``, pairwise
+      disjoint).
+    * ``written`` and ``read_any``: the unions of the two mask lists.
+    * ``read_multi``: the granules more than one core has read. Under
+      ``reader_opt`` this is exactly the paper's overflow bit, which is
+      set when a core other than the last reader reads the granule.
 
-    def __post_init__(self) -> None:
-        self.last_writer = [None] * self.num_granules
-        if self.reader_opt:
-            self.last_reader = [None] * self.num_granules
-            self.overflow = [False] * self.num_granules
-        else:
-            self.readers = [0] * self.num_granules
+    A core's *foreign* readers on a granule are then ``read_any`` outside
+    its own read mask, plus ``read_multi`` — in either encoding.
+    """
 
-    # -- reader-set primitives (encode-agnostic) -----------------------------
+    __slots__ = ("num_granules", "num_cores", "reader_opt", "ts",
+                 "last_conflict_mask", "last_conflict_write", "write_masks",
+                 "read_masks", "written", "read_any", "read_multi")
 
-    def _add_reader(self, granule: int, core: int) -> None:
-        if self.reader_opt:
-            last = self.last_reader[granule]
-            if last is not None and last != core:
-                self.overflow[granule] = True
-            self.last_reader[granule] = core
-        else:
-            self.readers[granule] |= 1 << core
-
-    def _has_foreign_reader(self, granule: int, core: int) -> bool:
-        """True if some core other than ``core`` is recorded as a reader."""
-        if self.reader_opt:
-            last = self.last_reader[granule]
-            return self.overflow[granule] or (last is not None and last != core)
-        return bool(self.readers[granule] & ~(1 << core))
-
-    def _readers_subset_of(self, granule: int, core: int) -> bool:
-        """True if the reader set is empty or exactly {core}."""
-        return not self._has_foreign_reader(granule, core)
-
-    def reader_masks(self) -> List[int]:
-        """Per granule, the recorded readers as a core bit-vector: the
-        precise set in full mode (the live list; do not mutate it), only
-        the last reader under reader_opt."""
-        if self.reader_opt:
-            return [0 if last is None else 1 << last
-                    for last in self.last_reader]
-        return self.readers
+    def __init__(self, num_granules: int, num_cores: int,
+                 reader_opt: bool = False) -> None:
+        self.num_granules = num_granules
+        self.num_cores = num_cores
+        #: Last-reader + overflow encoding instead of a full reader
+        #: bit-vector.
+        self.reader_opt = reader_opt
+        #: Granules involved in the most recent update_from_md conflict.
+        self.last_conflict_mask = 0
+        self.last_conflict_write = False
+        self.clear()
 
     def accessor_cores(self) -> Set[int]:
-        """Every core recorded on any granule: the last writers plus the
-        readers (the union of :meth:`reader_masks`, in one pass)."""
-        cores = set(self.last_writer)
-        cores.discard(None)
-        if self.reader_opt:
-            cores.update(self.last_reader)
-            cores.discard(None)
-        else:
-            readers = 0
-            for bits in self.readers:
-                readers |= bits
-            cores.update(iter_set_bits(readers))
-        return cores
+        """Every core recorded on any granule, as last writer or reader."""
+        return {core for core, (writes, reads)
+                in enumerate(zip(self.write_masks, self.read_masks))
+                if writes | reads}
 
     # -- REP_MD ingestion (FSDetect true-sharing conditions, Section IV) ----
 
@@ -116,63 +86,70 @@ class SamEntry:
         conflicting granules afterwards (for the Section VII region-conflict
         reporting extension).
 
-        Only the granules the metadata touches are visited: a REP_MD
-        usually covers a few bytes of the block.
+        The merge runs after the check, so a core's own prior accesses
+        never conflict with its fresh metadata. It goes through the private
+        merge helpers, not the :meth:`record_write`/:meth:`record_read`
+        seams that mutations patch.
         """
-        last_writer = self.last_writer
-        conflict_mask = 0
-        conflict_write = False
-        for granule in iter_set_bits(read_bits | write_bits):
-            writer = last_writer[granule]
-            if write_bits >> granule & 1:
-                if ((writer is not None and writer != core)
-                        or self._has_foreign_reader(granule, core)):
-                    conflict_mask |= 1 << granule
-                    conflict_write = True
-            elif writer is not None and writer != core:
-                conflict_mask |= 1 << granule
-        # Merge after checking so a core's own prior accesses never conflict
-        # with its fresh metadata.
-        for granule in iter_set_bits(write_bits):
-            last_writer[granule] = core
-        for granule in iter_set_bits(read_bits):
-            self._add_reader(granule, core)
+        foreign_writes = self.written & ~self.write_masks[core]
+        write_conflicts = write_bits & (
+            foreign_writes | self.read_any & ~self.read_masks[core]
+            | self.read_multi)
+        conflict_mask = write_conflicts | read_bits & foreign_writes
+        if write_bits:
+            self._merge_write(core, write_bits)
+        if read_bits:
+            self._merge_read(core, read_bits)
         self.last_conflict_mask = conflict_mask
-        self.last_conflict_write = conflict_write
+        self.last_conflict_write = write_conflicts != 0
         if conflict_mask:
             self.ts = True
-        return conflict_mask != 0
+            return True
+        return False
 
     # -- PRV-state conflict checks (Section V-B) -----------------------------
 
     def check_write(self, core: int, gmask: int) -> bool:
         """GetXCHK predicate: every granule in ``gmask`` must have either no
         valid last writer and readers within {core}, or last writer == core."""
-        for granule in iter_set_bits(gmask):
-            writer = self.last_writer[granule]
-            if writer is None:
-                if not self._readers_subset_of(granule, core):
-                    return False
-            elif writer != core:
-                return False
-        return True
+        return not (gmask & ~self.write_masks[core] & (
+            self.written | self.read_any & ~self.read_masks[core]
+            | self.read_multi))
 
     def check_read(self, core: int, gmask: int) -> bool:
         """GetCHK predicate: every granule must have no valid last writer or
         last writer == core."""
-        for granule in iter_set_bits(gmask):
-            writer = self.last_writer[granule]
-            if writer is not None and writer != core:
-                return False
-        return True
+        return not gmask & self.written & ~self.write_masks[core]
 
-    def record_write(self, core: int, gmask: int) -> None:
-        for granule in iter_set_bits(gmask):
-            self.last_writer[granule] = core
+    def _merge_write(self, core: int, gmask: int) -> None:
+        """Make ``core`` the last writer of the granules in ``gmask``."""
+        write_masks = self.write_masks
+        taken = gmask & self.written & ~write_masks[core]
+        if taken:
+            for other, writes in enumerate(write_masks):
+                if writes & taken:
+                    write_masks[other] = writes & ~taken
+        write_masks[core] |= gmask
+        self.written |= gmask
 
-    def record_read(self, core: int, gmask: int) -> None:
-        for granule in iter_set_bits(gmask):
-            self._add_reader(granule, core)
+    def _merge_read(self, core: int, gmask: int) -> None:
+        """Add ``core`` to the readers of the granules in ``gmask``."""
+        read_masks = self.read_masks
+        others = gmask & self.read_any & ~read_masks[core]
+        if others:
+            self.read_multi |= others
+            if self.reader_opt:
+                # ``core`` becomes the one last reader of these granules.
+                for other, reads in enumerate(read_masks):
+                    if reads & others:
+                        read_masks[other] = reads & ~others
+        read_masks[core] |= gmask
+        self.read_any |= gmask
+
+    #: The PRV-state record seams. Mutations patch these names, which
+    #: leaves the REP_MD merge in :meth:`update_from_md` untouched.
+    record_write = _merge_write
+    record_read = _merge_read
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -180,36 +157,20 @@ class SamEntry:
         """Reset all byte metadata and the TS bit (Section VI resets, and the
         beginning/end of a privatized episode)."""
         self.ts = False
-        self.last_writer = [None] * self.num_granules
-        if self.reader_opt:
-            self.last_reader = [None] * self.num_granules
-            self.overflow = [False] * self.num_granules
-        else:
-            self.readers = [0] * self.num_granules
-
-    def remove_core(self, core: int) -> None:
-        """Forget a core's contributions.
-
-        Last-writer slots naming the core are invalidated. Reader bits are
-        removed precisely in full-vector mode; the last-reader+overflow
-        encoding cannot remove readers.
-
-        NOTE: the directory deliberately does *not* call this when a sharer
-        departs a live PRV episode (eviction writeback): other sharers may
-        still hold pre-merge copies, and erasing the departed writer's
-        claims would let their next conflict check pass against stale data.
-        The claims are kept so conflicting accesses terminate the episode;
-        the whole entry is cleared at episode end.
-        """
-        for granule in range(self.num_granules):
-            if self.last_writer[granule] == core:
-                self.last_writer[granule] = None
-            if not self.reader_opt:
-                self.readers[granule] &= ~(1 << core)
+        self.write_masks = [0] * self.num_cores
+        self.read_masks = [0] * self.num_cores
+        self.written = 0
+        self.read_any = 0
+        self.read_multi = 0
 
     def last_writer_map(self) -> List[Optional[int]]:
-        """Snapshot of the per-granule last-writer map (for merges)."""
-        return list(self.last_writer)
+        """The per-granule last writer, ``None`` where there is none (for
+        merges and memory flushes)."""
+        writers: List[Optional[int]] = [None] * self.num_granules
+        for core, writes in enumerate(self.write_masks):
+            for granule in iter_set_bits(writes):
+                writers[granule] = core
+        return writers
 
     def entry_bits(self) -> int:
         """Storage cost in bits, matching the paper's accounting.

@@ -118,10 +118,6 @@ def _zigzag(value: int) -> int:
     return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 def _read_uvarint(data, pos: int):
     """Decode an unsigned varint from ``data`` at ``pos``."""
     result = 0
@@ -220,63 +216,69 @@ def _decode_ops(payload, n_ops: int, prev_addr: int):
     """Decode ``n_ops`` records from a decompressed frame payload.
 
     Returns ``(ops_list, new_prev_addr)``.  Every structural violation —
-    unknown kind, trailing bytes, unaligned address — raises
-    :class:`TraceFormatError`.
+    unknown kind, a record cut short, trailing bytes, unaligned address —
+    raises :class:`TraceFormatError`.
+
+    One ``try`` covers the whole frame: reading past the payload's end
+    surfaces as ``IndexError``.  A memory op's address delta usually fits
+    one varint byte, which is read inline; the op constructors are called
+    positionally.
     """
     out: List[Op] = []
-    pos = 0
     append = out.append
     read = _read_uvarint
-    for _ in range(n_ops):
-        if pos >= len(payload):
-            raise TraceFormatError("frame payload shorter than its op count")
-        head = payload[pos]
-        pos += 1
-        kind = head & 0x07
-        size = 1 << ((head >> 3) & 0x03)
-        need = bool(head & 0x20)
-        if head & 0xC0:
-            raise TraceFormatError(f"bad record head byte {head:#04x}")
-        try:
-            if kind == _K_LOAD:
-                delta, pos = read(payload, pos)
-                prev_addr += _unzigzag(delta)
-                append(ops.load(prev_addr, size=size, need_value=need))
-            elif kind == _K_STORE:
-                if need:
-                    raise TraceFormatError("STORE record with need_value set")
-                delta, pos = read(payload, pos)
-                prev_addr += _unzigzag(delta)
-                value, pos = read(payload, pos)
-                append(ops.store(prev_addr, value, size=size))
-            elif kind == _K_FETCH_ADD:
-                delta, pos = read(payload, pos)
-                prev_addr += _unzigzag(delta)
-                add, pos = read(payload, pos)
-                append(ops.fetch_add(prev_addr, _unzigzag(add),
-                                     size=size, need_value=need))
-            elif kind == _K_CAS:
-                delta, pos = read(payload, pos)
-                prev_addr += _unzigzag(delta)
-                expect, pos = read(payload, pos)
-                new, pos = read(payload, pos)
-                append(ops.cas(prev_addr, expect, new, size=size,
-                               need_value=need))
+    load, store, fetch_add, cas = ops.load, ops.store, ops.fetch_add, ops.cas
+    pos = 0
+    try:
+        for _ in range(n_ops):
+            head = payload[pos]
+            if head & 0xC0:
+                raise TraceFormatError(f"bad record head byte {head:#04x}")
+            kind = head & 0x07
+            if kind <= _K_CAS:
+                delta = payload[pos + 1]
+                if delta < 0x80:
+                    pos += 2
+                else:
+                    delta, pos = read(payload, pos + 1)
+                prev_addr += (delta >> 1) ^ -(delta & 1)  # unzigzag
+                size = 1 << (head >> 3 & 0x03)
+                need = (head & 0x20) != 0
+                if kind == _K_LOAD:
+                    append(load(prev_addr, size, need))
+                elif kind == _K_STORE:
+                    if need:
+                        raise TraceFormatError(
+                            "STORE record with need_value set")
+                    value, pos = read(payload, pos)
+                    append(store(prev_addr, value, size))
+                elif kind == _K_FETCH_ADD:
+                    add, pos = read(payload, pos)
+                    append(fetch_add(prev_addr, (add >> 1) ^ -(add & 1),
+                                     size, need))
+                else:
+                    expect, pos = read(payload, pos)
+                    new, pos = read(payload, pos)
+                    append(cas(prev_addr, expect, new, size, need))
             elif kind == _K_COMPUTE:
                 if head & 0x38:
                     raise TraceFormatError("COMPUTE record with size/flag "
                                            "bits set")
-                cycles, pos = read(payload, pos)
+                cycles, pos = read(payload, pos + 1)
                 append(ops.compute(cycles))
             elif kind == _K_FENCE:
                 if head & 0x38:
                     raise TraceFormatError("FENCE record with size/flag "
                                            "bits set")
+                pos += 1
                 append(ops.fence())
             else:
                 raise TraceFormatError(f"unknown record kind {kind}")
-        except ValueError as exc:  # Op constructor validation (alignment...)
-            raise TraceFormatError(f"invalid record: {exc}") from exc
+    except IndexError:
+        raise TraceFormatError(
+            "frame payload shorter than its op count") from None
+    except ValueError as exc:  # Op constructor validation (alignment...)
+        raise TraceFormatError(f"invalid record: {exc}") from exc
     if pos != len(payload):
         raise TraceFormatError(
             f"{len(payload) - pos} trailing bytes in trace frame")
@@ -528,10 +530,8 @@ class TraceWriter:
         if not 0 <= tid < self.num_threads:
             raise ConfigError(f"tid {tid} out of range "
                               f"[0, {self.num_threads})")
-        buf = self._bufs[tid]
-        start = len(buf)
-        self._prev_addr[tid] = _encode_op(buf, op, self._prev_addr[tid])
-        self._hashes[tid].update(bytes(buf[start:]))
+        self._prev_addr[tid] = _encode_op(self._bufs[tid], op,
+                                          self._prev_addr[tid])
         self._counts[tid] += 1
         self._buf_ops[tid] += 1
         if self._buf_ops[tid] >= self._chunk_ops:
@@ -546,6 +546,7 @@ class TraceWriter:
         if not buf:
             return
         raw = bytes(buf)
+        self._hashes[tid].update(raw)
         comp = zlib.compress(raw, 6)
         frame = bytearray([_FRAME_MARKER])
         _append_uvarint(frame, tid)
@@ -690,7 +691,7 @@ def iter_thread_ops(path, tid: int, expect_digest: Optional[str] = None
                 continue
             decoded, prev_addr = _decode_ops(payload, n_ops, prev_addr)
             seen += n_ops
-            for op in decoded:
+            for op in decoded:  # not ``yield from``: cores send() results
                 yield op
 
 
@@ -720,9 +721,8 @@ class TraceWorkload:
         self.tag = (source or {}).get("tag") or "trace"
 
     def thread_program(self, tid: int):
-        for op in iter_thread_ops(self.path, tid,
-                                  expect_digest=self.expect_digest):
-            yield op
+        return iter_thread_ops(self.path, tid,
+                               expect_digest=self.expect_digest)
 
     def programs(self) -> list:
         return [self.thread_program(tid) for tid in range(self.num_threads)]

@@ -154,126 +154,260 @@ class TestReaderOptEncoding:
         assert full.check_read(core, mask) == opt.check_read(core, mask)
 
 
-def reference_update_from_md(e, core, read_bits, write_bits):
-    """The all-granule REP_MD merge :meth:`SamEntry.update_from_md` must
-    reproduce: check every granule of the block, then merge every granule."""
-    conflict = False
-    e.last_conflict_mask = 0
-    e.last_conflict_write = False
-    for granule in range(e.num_granules):
-        bit = 1 << granule
-        was_read = bool(read_bits & bit)
-        was_written = bool(write_bits & bit)
-        if not (was_read or was_written):
-            continue
-        writer = e.last_writer[granule]
-        if was_written:
-            if writer is not None and writer != core:
-                conflict = True
-                e.last_conflict_mask |= bit
-                e.last_conflict_write = True
-            if e._has_foreign_reader(granule, core):
-                conflict = True
-                e.last_conflict_mask |= bit
-                e.last_conflict_write = True
-        elif was_read:
-            if writer is not None and writer != core:
-                conflict = True
-                e.last_conflict_mask |= bit
-    for granule in range(e.num_granules):
-        bit = 1 << granule
-        if write_bits & bit:
-            e.last_writer[granule] = core
-        if read_bits & bit:
-            e._add_reader(granule, core)
-    if conflict:
-        e.ts = True
-    return conflict
+class ReferenceSam:
+    """Per-granule model of a SAM entry: one last-writer slot and one
+    reader record per granule, every predicate a loop over the granules.
+
+    The reader record is a core bit-vector in the basic design and a last
+    reader plus overflow flag under ``reader_opt`` (Section VI).  A
+    REP_MD is checked on every granule of the block first and merged
+    afterwards, so a core's own accesses never conflict with its fresh
+    metadata.
+    """
+
+    def __init__(self, num_granules, num_cores, reader_opt):
+        self.num_granules = num_granules
+        self.num_cores = num_cores
+        self.reader_opt = reader_opt
+        self.last_conflict_mask = 0
+        self.last_conflict_write = False
+        self.clear()
+
+    def clear(self):
+        n = self.num_granules
+        self.ts = False
+        self.last_writer = [None] * n
+        self.readers = [0] * n
+        self.last_reader = [None] * n
+        self.overflow = [False] * n
+
+    def _add_reader(self, granule, core):
+        if self.reader_opt:
+            last = self.last_reader[granule]
+            if last is not None and last != core:
+                self.overflow[granule] = True
+            self.last_reader[granule] = core
+        else:
+            self.readers[granule] |= 1 << core
+
+    def _has_foreign_reader(self, granule, core):
+        if self.reader_opt:
+            last = self.last_reader[granule]
+            return self.overflow[granule] or (last is not None
+                                              and last != core)
+        return bool(self.readers[granule] & ~(1 << core))
+
+    def update_from_md(self, core, read_bits, write_bits):
+        mask = 0
+        conflict_write = False
+        for granule in range(self.num_granules):
+            writer = self.last_writer[granule]
+            foreign_writer = writer is not None and writer != core
+            if write_bits >> granule & 1:
+                if foreign_writer or self._has_foreign_reader(granule, core):
+                    mask |= 1 << granule
+                    conflict_write = True
+            elif read_bits >> granule & 1 and foreign_writer:
+                mask |= 1 << granule
+        for granule in range(self.num_granules):
+            if write_bits >> granule & 1:
+                self.last_writer[granule] = core
+            if read_bits >> granule & 1:
+                self._add_reader(granule, core)
+        self.last_conflict_mask = mask
+        self.last_conflict_write = conflict_write
+        if mask:
+            self.ts = True
+        return mask != 0
+
+    def check_write(self, core, gmask):
+        for granule in iter_set_bits(gmask):
+            writer = self.last_writer[granule]
+            if writer is None:
+                if self._has_foreign_reader(granule, core):
+                    return False
+            elif writer != core:
+                return False
+        return True
+
+    def check_read(self, core, gmask):
+        return all(self.last_writer[g] in (None, core)
+                   for g in iter_set_bits(gmask))
+
+    def record_write(self, core, gmask):
+        for granule in iter_set_bits(gmask):
+            self.last_writer[granule] = core
+
+    def record_read(self, core, gmask):
+        for granule in iter_set_bits(gmask):
+            self._add_reader(granule, core)
+
+    def last_writer_map(self):
+        return list(self.last_writer)
+
+    def accessor_cores(self):
+        cores = {w for w in self.last_writer if w is not None}
+        for granule in range(self.num_granules):
+            if self.reader_opt:
+                if self.last_reader[granule] is not None:
+                    cores.add(self.last_reader[granule])
+            else:
+                cores.update(iter_set_bits(self.readers[granule]))
+        return cores
+
+    def reader_state(self):
+        """Per granule, the recorded readers and whether more than one
+        core has read it (the overflow bit, under ``reader_opt``)."""
+        if self.reader_opt:
+            return [(set() if last is None else {last}, overflow)
+                    for last, overflow in zip(self.last_reader,
+                                              self.overflow)]
+        return [(set(iter_set_bits(bits)), bits.bit_count() > 1)
+                for bits in self.readers]
+
+    def entry_bits(self):
+        log_c = max(1, (self.num_cores - 1).bit_length())
+        readers = log_c + 2 if self.reader_opt else self.num_cores
+        return (1 + log_c + readers) * self.num_granules + 1
 
 
-_MD = st.tuples(st.integers(0, 7), st.integers(0, (1 << 64) - 1),
-                st.integers(0, (1 << 64) - 1))
-_HISTORY_STEP = st.tuples(st.sampled_from(["md", "read", "write"]),
-                          st.integers(0, 7), st.integers(0, (1 << 64) - 1),
-                          st.integers(0, (1 << 64) - 1))
+def check_matrix(e, granules):
+    """Per core, the granules of ``granules`` that pass GetXCHK and GetCHK
+    on their own: the public view of every granule's writer and readers."""
+    return [(sum(1 << g for g in granules if e.check_write(core, 1 << g)),
+             sum(1 << g for g in granules if e.check_read(core, 1 << g)))
+            for core in range(e.num_cores)]
 
 
-def _sparse_mask(bits):
-    """Masks with few set bits, like a REP_MD for a word or two."""
-    return st.lists(st.integers(0, bits - 1), max_size=6).map(
-        lambda gs: sum(1 << g for g in set(gs)))
+def assert_same_views(e, ref, gmask):
+    """Every public view of ``e`` equals the reference's.  The per-granule
+    GetXCHK/GetCHK verdicts cover the granules of ``gmask``."""
+    assert e.ts == ref.ts
+    assert e.last_conflict_mask == ref.last_conflict_mask
+    assert e.last_conflict_write == ref.last_conflict_write
+    assert e.last_writer_map() == ref.last_writer_map()
+    assert e.accessor_cores() == ref.accessor_cores()
+    granules = list(iter_set_bits(gmask))
+    assert check_matrix(e, granules) == check_matrix(ref, granules)
+
+
+def reader_state(e):
+    """:meth:`ReferenceSam.reader_state` read off a SAM entry's masks."""
+    return [({core for core, reads in enumerate(e.read_masks)
+              if reads >> granule & 1}, bool(e.read_multi >> granule & 1))
+            for granule in range(e.num_granules)]
+
+
+def apply_step(e, step):
+    """Run one history step; returns the call's result."""
+    kind, core, a, b = step
+    if kind == "md":
+        return e.update_from_md(core, a, b)
+    if kind == "read":
+        return e.record_read(core, a)
+    if kind == "write":
+        return e.record_write(core, a)
+    if kind == "chk_write":
+        return e.check_write(core, a)
+    if kind == "chk_read":
+        return e.check_read(core, a)
+    return e.clear()
+
+
+def _mask(bits):
+    """A random granule mask, or one or two granules like a REP_MD or a
+    PRV access to a word."""
+    granule = st.integers(0, bits - 1)
+    return st.one_of(st.integers(0, (1 << bits) - 1),
+                     st.builds(lambda a, b: 1 << a | 1 << b, granule,
+                               granule))
+
+
+def _history(kinds=("md", "read", "write", "chk_write", "chk_read",
+                    "clear")):
+    """Steps ``(kind, core, mask_a, mask_b)`` over 8 cores and 64
+    granules; :func:`fit` folds them onto smaller shapes."""
+    return st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 7),
+                              _mask(64), _mask(64)),
+                    max_size=16)
+
+
+def fit(step, granules, cores):
+    kind, core, a, b = step
+    full = (1 << granules) - 1
+    return kind, core % cores, a & full, b & full
+
+
+SHAPES = [(g, c) for g in (64, 32, 16) for c in (2, 4, 8)]
+
+
+@pytest.mark.parametrize("reader_opt", [False, True],
+                         ids=["full", "reader_opt"])
+@pytest.mark.parametrize("granules,cores", SHAPES,
+                         ids=[f"{g}g{c}c" for g, c in SHAPES])
+@settings(max_examples=25, deadline=None)
+@given(history=_history())
+def test_property_matches_per_granule_reference(granules, cores, reader_opt,
+                                                history):
+    """Over random histories of REP_MD merges, PRV-state checks and
+    records, and resets, every call returns what the per-granule
+    reference returns, and afterwards every public view matches: TS bit,
+    conflict mask and kind, last-writer map, accessor set, storage bits,
+    and each core's single-granule GetXCHK/GetCHK verdicts (checked on
+    the step's granules after each step, on all granules at the end)."""
+    e = SamEntry(granules, cores, reader_opt)
+    ref = ReferenceSam(granules, cores, reader_opt)
+    assert e.entry_bits() == ref.entry_bits()
+    for step in history:
+        step = fit(step, granules, cores)
+        assert apply_step(e, step) == apply_step(ref, step)
+        assert_same_views(e, ref, step[2] | step[3])
+    assert_same_views(e, ref, (1 << granules) - 1)
+
+
+_MD = st.tuples(st.integers(0, 7), _mask(64), _mask(64))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.booleans(), st.lists(_HISTORY_STEP, max_size=12),
-       st.lists(st.one_of(_MD, st.tuples(st.integers(0, 7), _sparse_mask(64),
-                                         _sparse_mask(64))),
-                min_size=1, max_size=8))
+@given(st.booleans(), _history(("md", "read", "write")),
+       st.lists(_MD, min_size=1, max_size=8))
 def test_property_update_from_md_matches_all_granule_loop(
         reader_opt, history, merges):
     """Over random prior histories (REP_MD merges and PRV-state record_*
-    calls) and both reader encodings, the touched-granule merge returns
-    the same verdict and leaves the same TS bit, conflict mask/kind, last
+    calls) and both reader encodings, the bit-sliced merge returns the
+    same verdict and leaves the same TS bit, conflict mask/kind, last
     writers and reader state as the all-granule reference loop."""
-    fast = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
-    ref = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
-    for kind, core, a, b in history:
-        for e in (fast, ref):
-            if kind == "md":
-                reference_update_from_md(e, core, a, b)
-            elif kind == "read":
-                e.record_read(core, a)
-            else:
-                e.record_write(core, a)
+    e = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
+    ref = ReferenceSam(64, 8, reader_opt)
+    for step in history:
+        apply_step(e, step)
+        apply_step(ref, step)
     for core, read_bits, write_bits in merges:
-        got = fast.update_from_md(core, read_bits, write_bits)
-        want = reference_update_from_md(ref, core, read_bits, write_bits)
-        assert got is want
-        assert fast.ts == ref.ts
-        assert fast.last_conflict_mask == ref.last_conflict_mask
-        assert fast.last_conflict_write == ref.last_conflict_write
-        assert fast.last_writer == ref.last_writer
-        assert fast.readers == ref.readers
-        assert fast.last_reader == ref.last_reader
-        assert fast.overflow == ref.overflow
-
-
-def reference_accessor_cores(e):
-    """The per-granule loop ``FalseSharingDetector.report`` and
-    ``_record_contended`` ran before ``SamEntry.accessor_cores``."""
-    cores = set()
-    for granule in range(e.num_granules):
-        writer = e.last_writer[granule]
-        if writer is not None:
-            cores.add(writer)
-        if e.reader_opt:
-            if e.last_reader[granule] is not None:
-                cores.add(e.last_reader[granule])
-        else:
-            cores.update(iter_set_bits(e.readers[granule]))
-    return cores
+        assert (e.update_from_md(core, read_bits, write_bits)
+                is ref.update_from_md(core, read_bits, write_bits))
+        assert_same_views(e, ref, read_bits | write_bits)
+        assert reader_state(e) == ref.reader_state()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.booleans(), st.lists(_HISTORY_STEP, max_size=16),
+@given(st.booleans(), _history(("md", "read", "write")),
        st.booleans())
 def test_property_accessor_cores_matches_per_granule_loop(
         reader_opt, history, cleared_midway):
     """Over random histories of REP_MD merges, PRV-state record_* calls
-    and resets, in both reader encodings, the one-pass accessor set equals
-    the union of every granule's last writer and reader set."""
+    and resets, in both reader encodings, the mask-derived accessor set
+    equals the union of every granule's last writer and reader set."""
     e = SamEntry(num_granules=64, num_cores=8, reader_opt=reader_opt)
+    ref = ReferenceSam(64, 8, reader_opt)
     assert e.accessor_cores() == set()
-    for step, (kind, core, a, b) in enumerate(history):
-        if kind == "md":
-            e.update_from_md(core, a, b)
-        elif kind == "read":
-            e.record_read(core, a)
-        else:
-            e.record_write(core, a)
-        if cleared_midway and step == len(history) // 2:
+    for index, step in enumerate(history):
+        apply_step(e, step)
+        apply_step(ref, step)
+        if cleared_midway and index == len(history) // 2:
             e.clear()
-        assert e.accessor_cores() == reference_accessor_cores(e)
+            ref.clear()
+        assert e.accessor_cores() == ref.accessor_cores()
+    assert reader_state(e) == ref.reader_state()
 
 
 class TestLifecycle:
@@ -286,32 +420,13 @@ class TestLifecycle:
         assert not e.ts
         assert e.check_write(3, 0xFF)
 
-    def test_remove_core_clears_writer(self):
-        e = entry()
-        e.record_write(1, 0b0001)
-        e.remove_core(1)
-        assert e.check_write(0, 0b0001)
-
-    def test_remove_core_clears_reader_full_mode(self):
-        e = entry()
-        e.record_read(1, 0b0001)
-        e.remove_core(1)
-        assert e.check_write(0, 0b0001)
-
-    def test_remove_core_conservative_in_opt_mode(self):
-        e = entry(reader_opt=True)
-        e.record_read(1, 0b0001)
-        e.remove_core(1)
-        # The encoding cannot remove readers; the spurious block is allowed.
-        assert not e.check_write(0, 0b0001)
-
     def test_last_writer_map_snapshot(self):
         e = entry()
         e.record_write(2, 0b0101)
         snap = e.last_writer_map()
         e.record_write(3, 0b0101)
         assert snap[0] == 2 and snap[2] == 2
-        assert e.last_writer[0] == 3
+        assert e.last_writer_map()[0] == 3
 
 
 class TestEntryBits:

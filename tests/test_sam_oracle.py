@@ -47,8 +47,27 @@ def _finished(reader_opt):
     assert len(entries) == 1
     entry = entries[0]
     assert entry.reader_opt is reader_opt
-    assert entry.last_writer[0] == 0 and entry.last_writer[16] == 1
+    writers = entry.last_writer_map()
+    assert writers[0] == 0 and writers[16] == 1
     return machine, ref, entry
+
+
+def _set_writer(entry, granule, core):
+    """Corrupt the entry: make ``core`` the last writer of ``granule``."""
+    bit = 1 << granule
+    entry.write_masks = [writes & ~bit for writes in entry.write_masks]
+    entry.write_masks[core] |= bit
+    entry.written |= bit
+
+
+def _add_reader(entry, granule, core):
+    """Corrupt the entry: record ``core`` as a reader of ``granule``
+    (under reader_opt, as its one last reader)."""
+    bit = 1 << granule
+    if entry.reader_opt:
+        entry.read_masks = [reads & ~bit for reads in entry.read_masks]
+    entry.read_masks[core] |= bit
+    entry.read_any |= bit
 
 
 def _sam_divergences(machine, ref):
@@ -59,8 +78,9 @@ def _sam_divergences(machine, ref):
 
 def test_bogus_full_mode_readers_are_reported_per_granule():
     machine, ref, entry = _finished(reader_opt=False)
-    entry.readers[3] |= 1 << 2                 # core 0 read it; 2 never did
-    entry.readers[20] |= (1 << 3) | (1 << 0)   # core 1 only wrote granule 20
+    _add_reader(entry, 3, 2)    # core 0 read it; 2 never did
+    _add_reader(entry, 20, 3)   # core 1 only wrote granule 20
+    _add_reader(entry, 20, 0)
     got = _sam_divergences(machine, ref)
     assert got == [
         Divergence("sam", FSDETECT, BLOCK,
@@ -78,9 +98,9 @@ def test_bogus_full_mode_readers_are_reported_per_granule():
 
 def test_bogus_last_reader_under_reader_opt_is_reported():
     machine, ref, entry = _finished(reader_opt=True)
-    assert entry.last_reader[8] == 1
-    entry.last_reader[8] = 2
-    entry.last_reader[40] = 0
+    assert [reads >> 8 & 1 for reads in entry.read_masks] == [0, 1, 0, 0]
+    _add_reader(entry, 8, 2)
+    _add_reader(entry, 40, 0)
     assert _sam_divergences(machine, ref) == [
         Divergence("sam", FSDETECT, BLOCK,
                    "granule 8: SAM readers [2] never read it"),
@@ -93,12 +113,9 @@ def test_bogus_last_reader_under_reader_opt_is_reported():
 def test_last_writer_that_never_wrote_is_reported_before_readers(
         reader_opt):
     machine, ref, entry = _finished(reader_opt)
-    entry.last_writer[0] = 1   # core 0 wrote granule 0, core 1 never did
-    entry.last_writer[8] = 1   # core 1 only read granule 8
-    if reader_opt:
-        entry.last_reader[8] = 3
-    else:
-        entry.readers[8] |= 1 << 3
+    _set_writer(entry, 0, 1)   # core 0 wrote granule 0, core 1 never did
+    _set_writer(entry, 8, 1)   # core 1 only read granule 8
+    _add_reader(entry, 8, 3)
     got = _sam_divergences(machine, ref)
     assert got == [
         Divergence("sam", FSDETECT, BLOCK,

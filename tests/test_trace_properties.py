@@ -25,6 +25,8 @@ from repro.workloads.trace import (
     MAGIC,
     TraceFormatError,
     TraceWriter,
+    _decode_ops,
+    _encode_op,
     iter_thread_ops,
     read_trace,
     trace_info,
@@ -155,6 +157,79 @@ def test_digest_independent_of_append_interleaving(tmp_path_factory,
         pending = [(t, s) for t, s in pending if s]
     interleaved = writer.close()
     assert interleaved.digest == sequential.digest
+
+
+#: Varint boundaries: the largest one-byte value and the smallest
+#: two-byte one, both sides of the two/three-byte boundary, and 2**32 - 1.
+_VARINT_EDGES = (0, 0x7F, 0x80, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                 (1 << 32) - 1)
+
+
+def _unzigzag(value):
+    return (value >> 1) ^ -(value & 1)
+
+
+def _varint_edge_stream():
+    """All six record kinds.  Each memory op's address delta zigzags to a
+    varint boundary, and so does every operand: store values, fetch-add
+    deltas, CAS operands and compute cycles."""
+    stream = []
+    addr = 1 << 36
+    for index, edge in enumerate(_VARINT_EDGES):
+        need = index % 2 == 0
+        addr += _unzigzag(edge)
+        stream.append(ops.load(addr, size=1, need_value=need))
+        addr += _unzigzag(edge)
+        stream.append(ops.store(addr, edge, size=1))
+        addr += _unzigzag(edge)
+        stream.append(ops.fetch_add(addr, _unzigzag(edge), size=1,
+                                    need_value=need))
+        addr += _unzigzag(edge)
+        stream.append(ops.cas(addr, edge, (1 << 32) - 1 - edge, size=1,
+                              need_value=need))
+        stream.append(ops.compute(edge))
+        stream.append(ops.fence())
+    for size in _SIZES:  # the size bits of the head byte
+        stream.append(ops.load(addr - addr % 8, size=size))
+    return stream
+
+
+@pytest.mark.parametrize("chunk_ops", [1, 5, 64])
+def test_roundtrip_at_varint_boundaries(tmp_path, chunk_ops):
+    """Records whose deltas and values sit on varint boundaries decode to
+    the ops that were written, through the materializing and the
+    streaming reader alike."""
+    stream = _varint_edge_stream()
+    assert {op.kind for op in stream} == set(OpKind)
+    path = tmp_path / "edges.rtrace"
+    _write(path, [stream], chunk_ops=chunk_ops)
+    _, (decoded,) = read_trace(path)
+    streamed = list(iter_thread_ops(path, 0))
+    assert len(decoded) == len(streamed) == len(stream)
+    for want, got, got_streamed in zip(stream, decoded, streamed):
+        _assert_same_op(want, got)
+        _assert_same_op(want, got_streamed)
+
+
+@pytest.mark.parametrize("kind", ["load", "store", "fetch_add", "cas"])
+def test_truncation_after_head_byte_raises(kind):
+    """A frame payload that ends right after a memory op's head byte —
+    where the decoder reads a one-byte address delta inline — raises,
+    whether the head is the first record or follows a complete one."""
+    op = {"load": ops.load(8, size=8),
+          "store": ops.store(8, 1, size=8),
+          "fetch_add": ops.fetch_add(8, 1, size=8),
+          "cas": ops.cas(8, 0, 1, size=8)}[kind]
+    payload = bytearray()
+    prev = _encode_op(payload, op, 0)
+    record = len(payload)
+    _encode_op(payload, op, prev)
+    assert payload[record + 1] == 0  # one-byte delta to the same address
+    assert len(_decode_ops(bytes(payload), 2, 0)[0]) == 2
+    with pytest.raises(TraceFormatError):
+        _decode_ops(bytes(payload[:1]), 1, 0)
+    with pytest.raises(TraceFormatError):
+        _decode_ops(bytes(payload[:record + 1]), 2, 0)
 
 
 # -------------------------------------------------------------- rejection
