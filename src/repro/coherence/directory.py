@@ -104,7 +104,7 @@ from repro.interconnect.message import (
     table_by_value,
 )
 from repro.interconnect.network import Network
-from repro.memsys.cache_array import CacheArray
+from repro.memsys.cache_array import CacheArray, CacheEntry
 from repro.memsys.main_memory import MainMemory
 
 
@@ -747,20 +747,16 @@ class DirectorySlice:
         block = ctx.block
         victim = self.llc.choose_victim(
             block, protected=self._protected_ways(block))
-        if not victim.valid:
+        if victim is None:
             self._install_llc(block, data)
             self._release_busy(block, rerun=ctx.request)
         else:
             # Resolve one victim (evict/recall/terminate), then retry.
-            self._make_room(block, partial(self._fetch_attempt, ctx, data))
+            self._make_room(victim, partial(self._fetch_attempt, ctx, data))
 
-    def _make_room(self, block: int, then: Callable[[], None]) -> None:
-        """Resolve one victim way for ``block``, then call ``then``."""
-        victim = self.llc.choose_victim(block,
-                                        protected=self._protected_ways(block))
-        if not victim.valid:
-            then()
-            return
+    def _make_room(self, victim: CacheEntry[LlcLine],
+                   then: Callable[[], None]) -> None:
+        """Resolve the resident LLC ``victim``, then call ``then``."""
         victim_block = self.llc.addr_of(victim)
         line = victim.payload
         if line.state is DIR_I:

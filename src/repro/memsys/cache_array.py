@@ -4,19 +4,20 @@ Used for the L1 data cache, the LLC, and the SAM metadata table — anything
 that maps a block address to an entry with bounded associativity. Every set
 keeps true LRU state (:class:`LruPolicy`). Entries are user-defined objects
 attached to a :class:`CacheEntry` frame that carries the block address and
-validity.
+its set and way.
 
 Two hot-path properties:
 
-* **Block index** — the array keeps its valid frames in a dict keyed by
-  block address, so ``lookup``/``peek``/``in``/``len`` are one dict
-  operation instead of a set/tag computation and a scan of the ways.  The
-  frames, sets and LRU state still model the hardware: the set
-  index decides where a fill goes and which frame it evicts.
-* **Lazy sets** — a 16 MB LLC is ~256K entry frames; building them eagerly
-  dominated cold-run machine construction.  A set's frames and LRU state
-  materialize when a fill first picks a victim there, so untouched
-  sets cost nothing.
+* **Block index** — the array keeps its frames in a dict keyed by block
+  address, so ``lookup``/``peek``/``in``/``len`` are one dict operation
+  instead of a set/tag computation and a scan of the ways.  The sets,
+  ways and LRU state still model the hardware: the set index decides
+  where a fill goes and which frame it evicts.
+* **Resident-only frames** — a 16 MB LLC has ~256K ways.  A set's slot
+  list and LRU state appear when a fill first lands there, so untouched
+  sets cost nothing, and a frame exists only while its block is
+  resident: a free way is a None slot, a fill builds the new block's
+  frame, and eviction detaches the victim's frame and hands it back.
 
 Callers pass block-aligned addresses; a sliced array (LLC slice, SAM
 table) is only ever given blocks of its own slice.
@@ -68,20 +69,19 @@ class LruPolicy:
 
 
 class CacheEntry(Generic[T]):
-    """One way of one set: a frame holding a block address and a payload.
+    """A resident block's frame: its way, set, block address and payload.
 
-    ``__slots__``: large arrays hold hundreds of thousands of frames.  The
-    frame's position comes first so :meth:`CacheArray._materialize` builds
-    empty frames from a two-argument positional call.
+    ``__slots__``: large arrays hold hundreds of thousands of frames.  A
+    frame lives in its set's slot while the block is resident; the one
+    :meth:`CacheArray.fill` returns is the evicted block's record.
     """
 
-    __slots__ = ("way", "set_index", "valid", "block_addr", "payload")
+    __slots__ = ("way", "set_index", "block_addr", "payload")
 
-    def __init__(self, way: int, set_index: int, valid: bool = False,
-                 block_addr: int = -1, payload: Optional[T] = None) -> None:
+    def __init__(self, way: int, set_index: int, block_addr: int,
+                 payload: T) -> None:
         self.way = way
         self.set_index = set_index
-        self.valid = valid
         self.block_addr = block_addr
         self.payload = payload
 
@@ -91,6 +91,7 @@ class CacheArray(Generic[T]):
 
     The array hashes a block address to a set using the block number modulo
     the set count (after dropping slice-interleaving handled by callers).
+    A touched set is a ``ways``-long slot list (None marks a free way).
     """
 
     def __init__(
@@ -121,10 +122,11 @@ class CacheArray(Generic[T]):
         else:
             self._local_shift = None
             self._set_mask = 0
-        #: Sets (and their LRU state) materialize in :meth:`choose_victim`.
-        self._sets: List[Optional[List[CacheEntry[T]]]] = [None] * num_sets
+        #: Slot lists (and their LRU state) appear at a set's first fill.
+        self._sets: List[Optional[List[Optional[CacheEntry[T]]]]] = \
+            [None] * num_sets
         self._policies: List[Optional[LruPolicy]] = [None] * num_sets
-        #: Valid frames by block address.
+        #: Resident frames by block address.
         self._index: Dict[int, CacheEntry[T]] = {}
 
     # -- indexing -----------------------------------------------------------
@@ -134,12 +136,6 @@ class CacheArray(Generic[T]):
             return (block_addr >> self._local_shift) & self._set_mask
         return (block_addr // self.block_size) // self.index_divisor \
             % self.num_sets
-
-    def _materialize(self, set_index: int) -> List[CacheEntry[T]]:
-        ways = [CacheEntry(w, set_index) for w in range(self.ways)]
-        self._sets[set_index] = ways
-        self._policies[set_index] = LruPolicy(self.ways)
-        return ways
 
     # -- operations ---------------------------------------------------------
 
@@ -157,17 +153,14 @@ class CacheArray(Generic[T]):
 
     def choose_victim(
         self, block_addr: int, protected: Sequence[int] = ()
-    ) -> CacheEntry[T]:
-        """Return the entry (possibly valid) to be replaced for a fill."""
+    ) -> Optional[CacheEntry[T]]:
+        """The resident frame a fill of ``block_addr`` would evict, or None
+        while its set has a free way."""
         set_index = self.set_index_of(block_addr)
-        ways = self._sets[set_index]
-        if ways is None:
-            ways = self._materialize(set_index)
-        for entry in ways:
-            if not entry.valid:
-                return entry
-        way = self._policies[set_index].victim(protected)
-        return ways[way]
+        slots = self._sets[set_index]
+        if slots is None or None in slots:
+            return None
+        return slots[self._policies[set_index].victim(protected)]
 
     def fill(
         self,
@@ -175,25 +168,27 @@ class CacheArray(Generic[T]):
         payload: T,
         protected: Sequence[int] = (),
     ) -> Optional[CacheEntry[T]]:
-        """Insert ``block_addr``; return the evicted entry copy (or None).
-
-        The returned object is a detached :class:`CacheEntry` snapshot of the
-        victim so the caller can write back its payload; the in-array entry
-        is reused for the new block.
-        """
+        """Insert ``block_addr`` into the lowest free way of its set, or in
+        place of the LRU unprotected block; return the evicted block's
+        detached frame (or None)."""
         if block_addr in self._index:
             raise ValueError(f"block {block_addr:#x} already present")
-        victim = self.choose_victim(block_addr, protected)
+        set_index = self.set_index_of(block_addr)
+        slots = self._sets[set_index]
+        if slots is None:
+            slots = self._sets[set_index] = [None] * self.ways
+            self._policies[set_index] = LruPolicy(self.ways)
+        policy = self._policies[set_index]
         evicted: Optional[CacheEntry[T]] = None
-        if victim.valid:
-            evicted = CacheEntry(victim.way, victim.set_index, True,
-                                 victim.block_addr, victim.payload)
-            del self._index[victim.block_addr]
-        victim.valid = True
-        victim.block_addr = block_addr
-        victim.payload = payload
-        self._index[block_addr] = victim
-        self._policies[victim.set_index].touch(victim.way)
+        if None in slots:
+            way = slots.index(None)
+        else:
+            way = policy.victim(protected)
+            evicted = slots[way]
+            del self._index[evicted.block_addr]
+        entry = slots[way] = CacheEntry(way, set_index, block_addr, payload)
+        self._index[block_addr] = entry
+        policy.touch(way)
         return evicted
 
     def invalidate(self, block_addr: int) -> Optional[T]:
@@ -201,12 +196,9 @@ class CacheArray(Generic[T]):
         entry = self._index.pop(block_addr, None)
         if entry is None:
             return None
-        payload = entry.payload
-        entry.valid = False
-        entry.block_addr = -1
-        entry.payload = None
+        self._sets[entry.set_index][entry.way] = None
         self._policies[entry.set_index].reset(entry.way)
-        return payload
+        return entry.payload
 
     def addr_of(self, entry: CacheEntry[T]) -> int:
         """The block address stored in ``entry``."""
@@ -219,13 +211,13 @@ class CacheArray(Generic[T]):
         return len(self._index)
 
     def iter_valid(self) -> Iterator[CacheEntry[T]]:
-        """Valid frames in set/way order (deterministic for callers that
+        """Resident frames in set/way order (deterministic for callers that
         walk the array)."""
-        for ways in self._sets:
-            if ways is None:
+        for slots in self._sets:
+            if slots is None:
                 continue
-            for entry in ways:
-                if entry.valid:
+            for entry in slots:
+                if entry is not None:
                     yield entry
 
     def occupancy(self) -> float:

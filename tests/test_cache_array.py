@@ -3,12 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memsys.cache_array import CacheArray
+from repro.memsys.cache_array import CacheArray, CacheEntry
 
 
 def make(num_sets=4, ways=2, divisor=1):
     return CacheArray(num_sets=num_sets, ways=ways, block_size=64,
                       index_divisor=divisor)
+
+
+def held_frames(c):
+    """Frames the array's sets hold, whether or not a block is resident
+    in them (the array keeps one frame per resident block)."""
+    return sum(isinstance(e, CacheEntry)
+               for slots in c._sets if slots is not None for e in slots)
 
 
 class TestBasicOperations:
@@ -91,6 +98,47 @@ class TestEviction:
         for i in range(3):
             assert c.fill(i * 64, i) is None
 
+    def test_eviction_record_is_the_victims_detached_frame(self):
+        c = make(num_sets=2, ways=2)
+        c.fill(64, "a")  # blocks 1, 3 and 5 all map to set 1
+        c.fill(192, "b")
+        resident = c.peek(64)
+        evicted = c.fill(320, "c")
+        assert evicted is resident
+        assert (evicted.block_addr, evicted.way, evicted.set_index,
+                evicted.payload) == (64, 0, 1, "a")
+        assert c.peek(320) is not evicted
+        assert c.peek(320).way == 0
+        assert held_frames(c) == len(c) == 2
+
+
+class TestChooseVictim:
+    def test_none_while_a_way_is_free(self):
+        c = make(num_sets=1, ways=2)
+        assert c.choose_victim(0) is None
+        c.fill(0, "a")
+        assert c.choose_victim(64) is None
+        c.fill(64, "b")
+        assert c.choose_victim(128) is not None
+        c.invalidate(0)
+        assert c.choose_victim(128) is None
+        assert held_frames(c) == 1
+
+    def test_lru_unprotected_frame_when_full(self):
+        c = make(num_sets=2, ways=4)
+        for i in range(4):
+            c.fill(i * 128, i)  # even blocks: set 0
+        c.lookup(0)  # LRU order now 1, 2, 3, 0
+        assert c.choose_victim(512) is c.peek(128)
+        way_1 = c.peek(128).way
+        assert c.choose_victim(512, protected=[way_1]) is c.peek(256)
+        # Choosing changes nothing: no frames for the untouched set 1,
+        # and the fill then evicts the chosen frame.
+        assert c.choose_victim(64) is None
+        assert held_frames(c) == len(c) == 4
+        assert c.fill(512, 4, protected=[way_1]) is not None
+        assert 256 not in c and 128 in c
+
 
 class TestSlicedIndexing:
     """A slice sees only blocks of one residue (mod divisor); indexing must
@@ -158,9 +206,10 @@ _OPS = st.sampled_from(["fill", "invalidate", "lookup", "peek"])
 def test_property_fill_invalidate_consistency(ops, geometry):
     """Random fill/invalidate/lookup/peek interleavings, on plain and sliced
     arrays (power-of-two and general index math): every probe agrees with
-    a scan of the valid frames, and every victim is the least recently
+    a scan of the valid frames, every victim is the least recently
     filled-or-looked-up block of its set (a recency model; peek does not
-    count as a use)."""
+    count as a use), a fill into a set with a free way takes its lowest
+    free way, and the array holds exactly one frame per resident block."""
     num_sets, ways, divisor = geometry
     c = make(num_sets=num_sets, ways=ways, divisor=divisor)
     last_use = {}  # resident block address -> time of last fill/lookup
@@ -179,9 +228,11 @@ def test_property_fill_invalidate_consistency(ops, geometry):
         elif op == "fill" and expected is None:
             same_set = [a for a in last_use
                         if c.set_index_of(a) == c.set_index_of(addr)]
+            taken = {c.peek(a).way for a in same_set}
             evicted = c.fill(addr, b)
             if len(same_set) < ways:
                 assert evicted is None
+                assert c.peek(addr).way == min(set(range(ways)) - taken)
             else:
                 assert c.addr_of(evicted) == min(same_set, key=last_use.get)
                 assert evicted.payload == c.addr_of(evicted) // 64 // divisor
@@ -191,5 +242,6 @@ def test_property_fill_invalidate_consistency(ops, geometry):
             payload = c.invalidate(addr)
             assert (payload is None) == (expected is None)
             last_use.pop(addr, None)
+        assert held_frames(c) == len(c)
     assert {c.addr_of(e) for e in c.iter_valid()} == set(last_use)
     assert len(c) == len(last_use)
