@@ -64,8 +64,8 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.common.statkeys import SLICE_PRIVATIZATIONS
 from repro.interconnect.message import FSLITE_TYPES, MessageType
-from repro.system.builder import Machine, build_machine
-from repro.system.simulator import Simulator, flush_machine_memory
+from repro.system.builder import Machine
+from repro.system.simulator import flush_machine_memory
 
 #: Message types only the FSLite privatization engine may ever send.
 PRV_TYPES = frozenset(FSLITE_TYPES - {MessageType.REP_MD,
@@ -582,11 +582,13 @@ def diff_trace(
     mutation: Optional[str] = None,
     check_verdicts: bool = True,
     check_counters: bool = True,
-    max_events: int = 5_000_000,
 ) -> DiffReport:
     """Differential check of a replayed ``.rtrace`` trace: stream the trace
     through the detailed machine under every requested mode and drive the
     same per-thread op streams on the atomic reference (fair round-robin).
+    Each mode runs as the replay spec :func:`~repro.workloads.trace.
+    trace_spec` builds (in-order cores, no sanitizer) through
+    :func:`~repro.harness.runner.execute_spec_with_machine`.
 
     A trace froze value-dependent control flow under its capture
     interleaving, so replays under other modes/timings may interleave racy
@@ -604,30 +606,25 @@ def diff_trace(
     As with :func:`run_differential`, the reference always executes the
     unmutated specification; a seeded ``mutation`` must diverge from it.
     """
-    from repro.workloads.trace import TracePrograms, TraceWorkload, \
-        trace_info
+    from repro.harness.runner import execute_spec_with_machine
+    from repro.workloads.trace import TraceWorkload, trace_info, trace_spec
 
     info = trace_info(path)
     modes = list(modes or ProtocolMode)
-    config = config or fuzz_config(info.num_threads)
-    if config.block_size != info.block_size:
-        raise ReproError(
-            f"{info.path}: trace line size {info.block_size}B does not "
-            f"match config.block_size={config.block_size}B")
+    config = (config or fuzz_config(info.num_threads)).with_sanitizer(
+        enabled=False)
+    specs = [trace_spec(path, mode=mode, config=config, core_model="inorder")
+             for mode in modes]
     atomic = run_programs_atomic(TraceWorkload(path).programs(), config)
     ref = RefResult(machine=atomic)
     report = DiffReport(modes_run=list(modes))
-    factory = TracePrograms(info.path, info.digest, info.num_threads,
-                            info.block_size)
-    for mode in modes:
+    for spec in specs:
         with mutation_context(mutation):
-            machine = build_machine(config, mode)
-            machine.attach_programs(program_factory=factory)
             try:
-                Simulator(machine, max_events=max_events).run()
+                _, machine = execute_spec_with_machine(spec)
             except (ReproError, AssertionError) as exc:
                 report.divergences.append(Divergence(
-                    "run", mode, None,
+                    "run", spec.mode, None,
                     f"{type(exc).__name__}: {exc}"))
                 continue
         per_mode = differential_check(
@@ -635,5 +632,6 @@ def diff_trace(
             check_verdicts=check_verdicts, check_counters=check_counters)
         report.divergences.extend(per_mode.divergences)
         _compare_single_accessor_granules(
-            report, mode, flush_machine_memory(machine), atomic)
+            report, spec.mode, flush_machine_memory(machine), atomic)
+        machine.close()
     return report

@@ -397,12 +397,6 @@ class _SchedulePrograms:
     def __call__(self):
         return [_schedule_program(items) for items in self.per_thread]
 
-    def __getstate__(self):
-        return self.per_thread
-
-    def __setstate__(self, state):
-        self.per_thread = state
-
 
 def _split(flat, num_threads: int
            ) -> List[List[Tuple[Op, Optional[int], str]]]:

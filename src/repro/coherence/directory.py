@@ -144,12 +144,6 @@ class _QueueNow:
     def __call__(self) -> int:
         return self.queue.now
 
-    def __getstate__(self):
-        return self.queue
-
-    def __setstate__(self, state):
-        self.queue = state
-
 
 class BusyCtx:
     """One in-flight multi-message transaction on a block (built once per

@@ -43,12 +43,6 @@ class _WindowSlot:
         self.done = False
         self.completed_at = 0
 
-    def __getstate__(self):
-        return (self.op, self.issued_at, self.done, self.completed_at)
-
-    def __setstate__(self, state):
-        self.op, self.issued_at, self.done, self.completed_at = state
-
 
 class OutOfOrderCore:
     """Bounded-window core with in-order retirement."""

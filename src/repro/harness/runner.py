@@ -223,14 +223,6 @@ class _WorkloadPrograms:
                              scale=self.scale, layout=self.layout,
                              seed=self.seed).programs()
 
-    def __getstate__(self):
-        return (self.tag, self.num_threads, self.scale, self.layout,
-                self.seed)
-
-    def __setstate__(self, state):
-        (self.tag, self.num_threads, self.scale, self.layout,
-         self.seed) = state
-
 
 def warm_digest(spec: RunSpec) -> str:
     """Key of the warm-start snapshot ``spec`` can fork from.
@@ -286,10 +278,13 @@ def build_warm_snapshot(spec: RunSpec):
     if spec.warmup <= 0:
         raise ConfigError("build_warm_snapshot needs spec.warmup > 0")
     machine = _build_and_attach(spec)
-    for core in machine.cores:
-        core.start()
-    machine.queue.run(until=spec.warmup)
-    return machine.snapshot()
+    try:
+        for core in machine.cores:
+            core.start()
+        machine.queue.run(until=spec.warmup)
+        return machine.snapshot()
+    finally:
+        machine.close()
 
 
 def execute_spec(spec: RunSpec, warm=None) -> RunRecord:
@@ -315,15 +310,27 @@ def execute_spec_with_machine(spec: RunSpec, warm=None):
     accounting after the run).  Returns ``(record, machine)``; the
     machine is still open, and the caller closes it
     (:meth:`~repro.system.builder.Machine.close`) once it has been read.
+    If the run or the verify raises, the machine is closed first.
     """
     if warm is not None:
         from repro.system.builder import Machine
 
         machine = Machine.restore(warm)
-        resume = True
     else:
         machine = _build_and_attach(spec)
-        resume = False
+    try:
+        return _run_built(spec, machine, resume=warm is not None), machine
+    except BaseException:
+        machine.close()
+        raise
+
+
+def _run_built(spec: RunSpec, machine, resume: bool = False) -> RunRecord:
+    """Run a machine built (or restored) for ``spec``, verify it and
+    assemble its :class:`RunRecord` — the run half of
+    :func:`execute_spec_with_machine`, which :func:`~repro.workloads.
+    trace.record_trace` shares.  The caller owns ``machine`` and closes
+    it, also when this raises."""
     sanitizer = machine.extras.get("sanitizer")
     tracker = machine.extras.get("tracker")
     sampler = machine.extras.get("sampler")
@@ -364,7 +371,7 @@ def execute_spec_with_machine(spec: RunSpec, warm=None):
         if sampler is not None:
             obs_payload["metrics"] = sampler.to_dict()
         record.extra["obs"] = obs_payload
-    return record, machine
+    return record
 
 
 def run_workload(

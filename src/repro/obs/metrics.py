@@ -40,12 +40,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def __getstate__(self):
-        return (self.name, self.value)
-
-    def __setstate__(self, state):
-        self.name, self.value = state
-
 
 # -- picklable metric sources -------------------------------------------------
 #
@@ -63,12 +57,6 @@ class _CounterValue:
     def __call__(self) -> float:
         return self.counter.value
 
-    def __getstate__(self):
-        return self.counter
-
-    def __setstate__(self, state):
-        self.counter = state
-
 
 class _StatSum:
     """Sum of one stats-dict key over a list of controllers."""
@@ -82,12 +70,6 @@ class _StatSum:
     def __call__(self) -> int:
         key = self.key
         return sum(part.stats[key] for part in self.parts)
-
-    def __getstate__(self):
-        return (self.parts, self.key)
-
-    def __setstate__(self, state):
-        self.parts, self.key = state
 
 
 class _StatKeysSum:
@@ -103,12 +85,6 @@ class _StatKeysSum:
         return sum(part.stats[key] for part in self.parts
                    for key in self.keys)
 
-    def __getstate__(self):
-        return (self.parts, self.keys)
-
-    def __setstate__(self, state):
-        self.parts, self.keys = state
-
 
 class _NetworkTotal:
     __slots__ = ("network", "attr")
@@ -119,12 +95,6 @@ class _NetworkTotal:
 
     def __call__(self) -> int:
         return getattr(self.network.stats, self.attr)
-
-    def __getstate__(self):
-        return (self.network, self.attr)
-
-    def __setstate__(self, state):
-        self.network, self.attr = state
 
 
 class _DetectorSum:
@@ -143,12 +113,6 @@ class _DetectorSum:
             total += value if isinstance(value, int) else len(value)
         return total
 
-    def __getstate__(self):
-        return (self.detectors, self.attr)
-
-    def __setstate__(self, state):
-        self.detectors, self.attr = state
-
 
 class _PrvBlockGauge:
     __slots__ = ("slices",)
@@ -161,12 +125,6 @@ class _PrvBlockGauge:
 
         return sum(1 for sl in self.slices for entry in sl.llc.iter_valid()
                    if entry.payload.state is DirState.PRV)
-
-    def __getstate__(self):
-        return self.slices
-
-    def __setstate__(self, state):
-        self.slices = state
 
 
 class MetricsRegistry:

@@ -23,10 +23,11 @@ class Machine:
 
     Lifetime: a wired machine is a reference cycle (the network's handler
     table, observer hooks and fault seam, the queue's pending events and
-    any ``queue.step`` override, and :attr:`extras` all point back into
-    the graph).  Call :meth:`close` once a finished machine has been read
-    so reference counting frees it at once instead of leaving it to the
-    cyclic garbage collector.
+    any ``queue.step`` override, :attr:`extras`, and the completion
+    callbacks an unfinished run leaves parked in the L1s all point back
+    into the graph).  Call :meth:`close` once a finished machine has been
+    read so reference counting frees it at once instead of leaving it to
+    the cyclic garbage collector.
     """
 
     config: SystemConfig
@@ -114,13 +115,17 @@ class Machine:
     def close(self) -> None:
         """Drop the machine's back-references so it is freed by reference
         counting: the network's handlers, observer hooks and fault seam,
-        the pending events, any ``queue.step`` override, and
-        :attr:`extras`.  Caches, tables, stats and reports stay readable.
-        Idempotent; the machine cannot run afterwards (a send raises
+        the pending events, any ``queue.step`` override, :attr:`extras`,
+        and each core's link to its L1 (whose in-flight transactions hold
+        the core's completion callbacks).  Caches, tables, stats and
+        reports stay readable.  Idempotent; the machine cannot run
+        afterwards (a send raises
         :class:`~repro.common.errors.SimulationError`)."""
         self.network.close()
         self.queue.close()
         self.extras.clear()
+        for core in self.cores:
+            core.l1 = None
 
     def all_reports(self):
         reports = []
@@ -150,12 +155,6 @@ class _HomeMap:
     def __call__(self, block_addr: int) -> int:
         return self.num_cores + slice_index(
             block_addr, self.block_size, self.num_slices)
-
-    def __getstate__(self):
-        return (self.num_cores, self.block_size, self.num_slices)
-
-    def __setstate__(self, state):
-        self.num_cores, self.block_size, self.num_slices = state
 
 
 def build_machine(config: SystemConfig, mode: ProtocolMode = ProtocolMode.MESI,

@@ -773,12 +773,6 @@ class TracePrograms:
         workload = TraceWorkload(self.path, expect_digest=self.digest)
         return workload.programs()
 
-    def __getstate__(self):
-        return (self.path, self.digest, self.num_threads, self.block_size)
-
-    def __setstate__(self, state):
-        self.path, self.digest, self.num_threads, self.block_size = state
-
 
 @dataclass(frozen=True)
 class TraceRef:
@@ -823,64 +817,38 @@ def _tap_program(program, writer: TraceWriter, tid: int):
 def record_trace(spec, path, chunk_ops: int = _DEFAULT_CHUNK_OPS):
     """Run ``spec`` live with an op-stream tap and freeze the per-thread
     access streams into ``path``.  Returns ``(TraceInfo, RunRecord)`` — the
-    record is identical to what :func:`~repro.harness.runner.execute_spec`
-    would produce for the same spec, so callers can assert capture changed
-    nothing.
+    run is :func:`~repro.harness.runner.execute_spec`'s own (same machine,
+    instruments and verify; each core's program is wrapped in the tap), so
+    the record is identical to what ``execute_spec`` produces for the same
+    spec and callers can assert capture changed nothing.  A run or verify
+    that raises aborts the trace, leaving ``path`` unfinalized.
 
     The capture mode/config land in the trace metadata: replay under the
     same mode is cycle-identical to this run; replay under another mode is
     a different (still deterministic) experiment.
     """
     # Imported lazily: harness.runner imports this module for TraceRef.
-    from repro.harness.runner import RunRecord
-    from repro.system.builder import build_machine
-    from repro.system.simulator import Simulator, flush_machine_memory
-    from repro.workloads.registry import make_workload
+    from repro.harness.runner import _build_and_attach, _run_built
 
     if getattr(spec, "trace", None) is not None:
         raise ConfigError("record_trace needs a live workload spec, not a "
                           "trace-replay spec")
-    workload = make_workload(spec.tag, num_threads=spec.num_threads,
-                             scale=spec.scale, layout=spec.layout,
-                             seed=spec.seed)
     meta = {"source": {
         "tag": spec.tag, "mode": spec.mode.value, "layout": spec.layout,
         "scale": spec.scale, "seed": spec.seed,
         "core_model": spec.core_model, "num_threads": spec.num_threads,
     }}
-    writer = TraceWriter(path, num_threads=spec.num_threads,
-                         block_size=spec.config.block_size, meta=meta,
-                         chunk_ops=chunk_ops)
-    try:
-        machine = build_machine(spec.config, spec.mode)
-        machine.attach_programs(
-            programs=[_tap_program(program, writer, tid)
-                      for tid, program in enumerate(workload.programs())],
-            core_model=spec.core_model, ooo_window=spec.ooo_window)
-        sanitizer = None
-        if spec.config.sanitizer.enabled:
-            from repro.check.sanitizer import Sanitizer
-
-            sanitizer = Sanitizer(machine).attach()
+    with TraceWriter(path, num_threads=spec.num_threads,
+                     block_size=spec.config.block_size, meta=meta,
+                     chunk_ops=chunk_ops) as writer:
+        machine = _build_and_attach(spec)
         try:
-            result = Simulator(machine).run()
-            if sanitizer is not None:
-                sanitizer.check_all()
+            for tid, core in enumerate(machine.cores):
+                core.rebind_program(_tap_program(core.program, writer, tid))
+            record = _run_built(spec, machine)
         finally:
-            if sanitizer is not None:
-                sanitizer.detach()
-    except BaseException:
-        writer.abort()
-        raise
-    info = writer.close()
-    if spec.verify:
-        workload.verify(flush_machine_memory(machine))
-    record = RunRecord(tag=spec.tag, mode=spec.mode, layout=spec.layout,
-                       cycles=result.cycles, stats=result.stats,
-                       core_model=spec.core_model, spec=spec)
-    if sanitizer is not None:
-        record.extra["sanitizer_blocks_checked"] = sanitizer.blocks_checked
-    return info, record
+            machine.close()
+        return writer.close(), record
 
 
 def trace_spec(path, mode=None, config=None, tag: Optional[str] = None,

@@ -1,13 +1,16 @@
 """Machine lifetime: a finished machine is freed by reference counting.
 
-Every campaign case builds a machine and drops it.  A wired machine is a
-reference cycle (the network's handler table, observer hooks and fault
-seam, the queue's pending events and ``queue.step`` override, and
-``Machine.extras`` all point back into the graph), so unless the executor
-closes it the cyclic garbage collector has to find and free it.  These
-tests run each campaign entry point with the collector disabled and
-``gc.DEBUG_SAVEALL`` set, then require that a collection finds nothing:
-every object the run allocated was already freed by reference counting.
+Every campaign case, spec run, trace capture and trace diff builds a
+machine and drops it.  A wired machine is a reference cycle (the
+network's handler table, observer hooks and fault seam, the queue's
+pending events and ``queue.step`` override, ``Machine.extras``, and the
+completion callbacks an unfinished run leaves parked in the L1s all
+point back into the graph), so unless the executor closes it the cyclic
+garbage collector has to find and free it.  These tests run each entry
+point that builds a machine — a run that raises included — with the
+collector disabled and ``gc.DEBUG_SAVEALL`` set, then require that a
+collection finds nothing: every object the run allocated was already
+freed by reference counting.
 
 Each entry point runs once uncounted first, so lazy imports and first-use
 caches are not counted.  Also pinned here: the controllers' class-level
@@ -18,23 +21,42 @@ controller cannot handle raises ``ProtocolError`` naming the node.
 from __future__ import annotations
 
 import gc
+import pathlib
 import random
 
 import pytest
 
-from repro.check.diff import hunt_mutation_escape, run_differential
+from repro.check.diff import (
+    diff_trace,
+    hunt_mutation_escape,
+    run_differential,
+)
 from repro.check.fuzz import fuzz_config, make_schedule, run_schedule
 from repro.check.replay import PrefixReplayCache
 from repro.coherence import directory, l1_controller
 from repro.coherence.directory import DirectorySlice
 from repro.coherence.l1_controller import L1Controller
 from repro.coherence.states import ProtocolMode
-from repro.common.errors import ProtocolError, SimulationError
+from repro.common.errors import (
+    ProtocolError,
+    SimulationError,
+    WorkloadError,
+)
 from repro.faults.chaos import run_chaos_case
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.harness.runner import RunSpec, execute_spec
+from repro.harness.runner import (
+    RunSpec,
+    build_warm_snapshot,
+    execute_spec,
+    execute_spec_with_machine,
+)
 from repro.interconnect.message import Message, MessageType
 from repro.system.builder import build_machine
+from repro.system.simulator import Simulator
+from repro.workloads.registry import REGISTRY
+from repro.workloads.trace import record_trace
+
+TRACE_DIR = pathlib.Path(__file__).parent / "data" / "traces"
 
 
 def _cyclic_garbage(action) -> int:
@@ -118,6 +140,62 @@ def test_execute_spec_leaves_no_cycles():
 
     def action():
         assert execute_spec(spec).cycles > 0
+
+    assert _cyclic_garbage(action) == 0
+
+
+def test_record_trace_leaves_no_cycles(tmp_path):
+    spec = RunSpec(tag="RC", mode=ProtocolMode.FSLITE, scale=0.05)
+    path = tmp_path / "rc.rtrace"
+
+    def action():
+        info, record = record_trace(spec, path)
+        assert info.total_ops > 0 and record.cycles > 0
+
+    assert _cyclic_garbage(action) == 0
+
+
+def test_diff_trace_all_modes_leaves_no_cycles():
+    path = TRACE_DIR / "RC_fsdetect.rtrace"
+
+    def action():
+        report = diff_trace(path)
+        assert report.ok and set(report.modes_run) == set(ProtocolMode)
+
+    assert _cyclic_garbage(action) == 0
+
+
+def test_build_warm_snapshot_leaves_no_cycles():
+    spec = RunSpec(tag="RC", mode=ProtocolMode.FSLITE, scale=0.05,
+                   warmup=400)
+
+    def action():
+        assert build_warm_snapshot(spec).size_bytes() > 0
+
+    assert _cyclic_garbage(action) == 0
+
+
+def _reject(workload, image):
+    raise WorkloadError("rejected")
+
+
+@pytest.mark.parametrize("failure", ["event-cap", "verify"])
+def test_failed_spec_run_leaves_no_cycles(failure, monkeypatch):
+    """A run stopped by the event ceiling leaves events pending and
+    completion callbacks parked in the L1s; a verify that raises leaves a
+    finished machine.  Either way the runner closes the machine it
+    built."""
+    if failure == "event-cap":
+        monkeypatch.setattr(Simulator, "DEFAULT_MAX_EVENTS", 500)
+        error, match = SimulationError, "livelock suspected"
+    else:
+        monkeypatch.setattr(REGISTRY["RC"], "verify", _reject)
+        error, match = WorkloadError, "rejected"
+    spec = RunSpec(tag="RC", mode=ProtocolMode.FSLITE, scale=0.05)
+
+    def action():
+        with pytest.raises(error, match=match):
+            execute_spec_with_machine(spec)
 
     assert _cyclic_garbage(action) == 0
 

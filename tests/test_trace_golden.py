@@ -28,6 +28,7 @@ import shutil
 import pytest
 
 from repro.coherence.states import ProtocolMode
+from repro.common.config import ObsConfig
 from repro.harness.engine import Engine
 from repro.harness.export import record_stats_digest
 from repro.harness.runner import RunSpec, execute_spec
@@ -85,6 +86,20 @@ def test_recapture_reproduces_committed_trace(mode, tmp_path):
     assert info.digest == entry["trace_digest"]
     assert record.cycles == entry["cycles"]
     assert record_stats_digest(record) == entry["stats_sha256"]
+
+
+def test_capture_record_equals_execute_spec_with_obs(tmp_path):
+    """The capture run is the spec's run: with observers attached, the
+    recorded run's record — ``extra["obs"]`` included — is the one
+    ``execute_spec`` returns for the same spec."""
+    spec = RunSpec(tag="RC", mode=ProtocolMode.FSDETECT, scale=0.05,
+                   obs=ObsConfig(sample_period=500))
+    _, recorded = record_trace(spec, tmp_path / "obs.rtrace")
+    live = execute_spec(spec)
+    assert recorded.extra["obs"]["episodes"] \
+        and recorded.extra["obs"]["metrics"]
+    assert recorded.extra == live.extra
+    assert recorded == live
 
 
 def test_manifest_keys_are_location_independent(tmp_path):
