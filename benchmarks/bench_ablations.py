@@ -15,12 +15,9 @@ from repro.harness.runner import run_workload
 from _bench_common import BENCH_SCALE
 
 
-def test_ablation_metadata_reset(benchmark, experiment_cache,
-                                 record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("abl_reset", E.ablation, "metadata_reset",
-                                 BENCH_SCALE, ["LR", "LL", "RC"]),
-        rounds=1, iterations=1)
+def test_ablation_metadata_reset(experiment_cache, record_result):
+    result = experiment_cache("abl_reset", E.ablation, "metadata_reset",
+                              BENCH_SCALE, ["LR", "LL", "RC"])
     record_result("ablation_metadata_reset", result)
     rows = {r[0]: r for r in result.rows}
     # LR's main thread initializes every accumulator: without the reset,
@@ -28,11 +25,9 @@ def test_ablation_metadata_reset(benchmark, experiment_cache,
     assert rows["LR"][1] > 1.05, rows["LR"]
 
 
-def test_ablation_hysteresis(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("abl_hc", E.ablation, "hysteresis",
-                                 BENCH_SCALE, ["SF", "LL", "RC"]),
-        rounds=1, iterations=1)
+def test_ablation_hysteresis(experiment_cache, record_result):
+    result = experiment_cache("abl_hc", E.ablation, "hysteresis",
+                              BENCH_SCALE, ["SF", "LL", "RC"])
     record_result("ablation_hysteresis", result)
     rows = {r[0]: r for r in result.rows}
     # SF intersperse true sharing with false sharing: without HC it churns
@@ -42,15 +37,12 @@ def test_ablation_hysteresis(benchmark, experiment_cache, record_result):
     assert 0.95 <= rows["RC"][1] <= 1.05
 
 
-def test_ablation_detection_disabled_is_baseline(benchmark, record_result):
+def test_ablation_detection_disabled_is_baseline():
     """Sanity anchor: FSLite with an impossible threshold behaves like
     plain MESI (privatization never triggers)."""
-    def run():
-        cfg = SystemConfig().with_protocol(tau_p=127, tau_r1=127)
-        base = run_workload("RC", scale=BENCH_SCALE)
-        neutered = run_workload("RC", ProtocolMode.FSLITE, config=cfg,
-                                scale=BENCH_SCALE)
-        return base, neutered
-    base, neutered = benchmark.pedantic(run, rounds=1, iterations=1)
+    cfg = SystemConfig().with_protocol(tau_p=127, tau_r1=127)
+    base = run_workload("RC", scale=BENCH_SCALE)
+    neutered = run_workload("RC", ProtocolMode.FSLITE, config=cfg,
+                            scale=BENCH_SCALE)
     assert neutered.stats.privatizations == 0
     assert abs(neutered.cycles - base.cycles) / base.cycles < 0.05

@@ -11,10 +11,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_big_l1d(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("big_l1d", E.big_l1d, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_big_l1d(experiment_cache, record_result):
+    result = experiment_cache("big_l1d", E.big_l1d, BENCH_SCALE)
     record_result("big_l1d", result)
 
     # Iso-storage: capacity does not cure false sharing.

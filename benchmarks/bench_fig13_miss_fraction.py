@@ -9,11 +9,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_fig13_miss_fraction(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("fig13", E.fig13_miss_fraction,
-                                 BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig13_miss_fraction(experiment_cache, record_result):
+    result = experiment_cache("fig13", E.fig13_miss_fraction, BENCH_SCALE)
     record_result("fig13_miss_fraction", result)
     miss = dict(zip(result.column("app"), result.column("miss_fraction")))
 

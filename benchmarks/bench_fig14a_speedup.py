@@ -10,11 +10,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_fig14a_speedup(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("fig14", E.fig14_speedup_energy,
-                                 BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig14a_speedup(experiment_cache, record_result):
+    result = experiment_cache("fig14", E.fig14_speedup_energy, BENCH_SCALE)
     record_result("fig14a_speedup", result)
     det = dict(zip(result.column("app"), result.column("fsdetect_speedup")))
     fsl = dict(zip(result.column("app"), result.column("fslite_speedup")))
@@ -38,15 +35,13 @@ def test_fig14a_speedup(benchmark, experiment_cache, record_result):
     assert 0.97 <= fsl["SC"] <= 1.05
 
 
-def test_fig14a_fslite_beats_manual_on_rc_and_lt(benchmark,
-                                                 experiment_cache,
+def test_fig14a_fslite_beats_manual_on_rc_and_lt(experiment_cache,
                                                  record_result):
     """The paper's key qualitative claim: automated repair can beat the
     hand fix because it neither inflates the working set (LT) nor changes
     the data layout (RC)."""
     fig14 = experiment_cache("fig14", E.fig14_speedup_energy, BENCH_SCALE)
     fig02 = experiment_cache("fig02", E.fig02_manual_fix, BENCH_SCALE)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     fsl = dict(zip(fig14.column("app"), fig14.column("fslite_speedup")))
     man = dict(zip(fig02.column("app"), fig02.column("speedup")))
     assert fsl["RC"] > man["RC"]

@@ -9,11 +9,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_fig14b_energy(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("fig14", E.fig14_speedup_energy,
-                                 BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig14b_energy(experiment_cache, record_result):
+    result = experiment_cache("fig14", E.fig14_speedup_energy, BENCH_SCALE)
     record_result("fig14b_energy", result)
     det = dict(zip(result.column("app"), result.column("fsdetect_energy")))
     fsl = dict(zip(result.column("app"), result.column("fslite_energy")))

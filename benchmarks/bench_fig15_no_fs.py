@@ -9,10 +9,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_fig15_no_fs(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("fig15", E.fig15_no_fs, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig15_no_fs(experiment_cache, record_result):
+    result = experiment_cache("fig15", E.fig15_no_fs, BENCH_SCALE)
     record_result("fig15_no_fs", result)
 
     assert abs(result.summary["speedup_geomean"] - 1.0) < 0.01

@@ -9,10 +9,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_fig16_tau_p(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("fig16", E.fig16_tau_p, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig16_tau_p(experiment_cache, record_result):
+    result = experiment_cache("fig16", E.fig16_tau_p, BENCH_SCALE)
     record_result("fig16_tau_p", result)
 
     g32 = result.summary["rel32_geomean"]

@@ -11,10 +11,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_fig17_huron(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("fig17", E.fig17_huron, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_fig17_huron(experiment_cache, record_result):
+    result = experiment_cache("fig17", E.fig17_huron, BENCH_SCALE)
     record_result("fig17_huron", result)
     man = dict(zip(result.column("app"), result.column("manual")))
     hur = dict(zip(result.column("app"), result.column("huron")))

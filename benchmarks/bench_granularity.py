@@ -13,20 +13,15 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_granularity(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("granularity", E.granularity, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_granularity(experiment_cache, record_result):
+    result = experiment_cache("granularity", E.granularity, BENCH_SCALE)
     record_result("granularity", result)
 
     assert 0.95 <= result.summary["rel2_geomean"] <= 1.05
     assert 0.95 <= result.summary["rel4_geomean"] <= 1.05
 
 
-def test_granularity_storage(benchmark, record_result):
-    def compute():
-        cfg4 = SystemConfig().with_protocol(tracking_granularity=4)
-        area = AreaModel(cfg4)
-        return area.pam_table_bits() / 8 / 1024
-    pam_kb = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_granularity_storage():
+    cfg4 = SystemConfig().with_protocol(tracking_granularity=4)
+    pam_kb = AreaModel(cfg4).pam_table_bits() / 8 / 1024
     assert pam_kb < 2.5  # paper: "reduces the size of the PAM table to 2 KB"

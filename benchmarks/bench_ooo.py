@@ -13,10 +13,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_ooo(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("ooo", E.ooo, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_ooo(experiment_cache, record_result):
+    result = experiment_cache("ooo", E.ooo, BENCH_SCALE)
     record_result("ooo", result)
 
     # OoO meaningfully accelerates the baseline...

@@ -12,10 +12,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_reader_opt(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("reader_opt", E.reader_opt, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_reader_opt(experiment_cache, record_result):
+    result = experiment_cache("reader_opt", E.reader_opt, BENCH_SCALE)
     record_result("reader_opt", result)
 
     assert result.summary["sam_entry_bits_full"] == 769

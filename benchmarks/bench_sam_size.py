@@ -11,10 +11,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_sam_size(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("sam_size", E.sam_size, BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_sam_size(experiment_cache, record_result):
+    result = experiment_cache("sam_size", E.sam_size, BENCH_SCALE)
     record_result("sam_size", result)
     rel = dict(zip(result.column("app"), result.column("rel_speedup_256")))
 

@@ -12,10 +12,8 @@ from repro.harness import experiments as E
 from _bench_common import BENCH_SCALE
 
 
-def test_table2_overheads(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("table2", E.table2_overheads),
-        rounds=1, iterations=1)
+def test_table2_overheads(experiment_cache, record_result):
+    result = experiment_cache("table2", E.table2_overheads)
     record_result("table2_overheads", result)
     values = dict(zip(result.column("structure"), result.column("value")))
 

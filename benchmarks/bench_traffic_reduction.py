@@ -12,11 +12,8 @@ from repro.harness.runner import run_workload
 from _bench_common import BENCH_SCALE
 
 
-def test_traffic_reduction(benchmark, experiment_cache, record_result):
-    result = benchmark.pedantic(
-        lambda: experiment_cache("traffic", E.traffic_reduction,
-                                 BENCH_SCALE),
-        rounds=1, iterations=1)
+def test_traffic_reduction(experiment_cache, record_result):
+    result = experiment_cache("traffic", E.traffic_reduction, BENCH_SCALE)
     record_result("traffic_reduction", result)
     req = dict(zip(result.column("app"),
                    result.column("l1_request_reduction")))
@@ -33,17 +30,11 @@ def test_traffic_reduction(benchmark, experiment_cache, record_result):
             assert frac < 0.25, (app, frac)
 
 
-def test_fsdetect_traffic_overhead_small(benchmark, record_result):
-    def run():
-        rows = []
-        for tag in ("LL", "RC", "SM"):
-            base = run_workload(tag, scale=BENCH_SCALE)
-            det = run_workload(tag, ProtocolMode.FSDETECT,
-                               scale=BENCH_SCALE)
-            rows.append((tag, det.stats.total_bytes / base.stats.total_bytes))
-        return rows
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    for tag, ratio in rows:
+def test_fsdetect_traffic_overhead_small():
+    for tag in ("LL", "RC", "SM"):
+        base = run_workload(tag, scale=BENCH_SCALE)
+        det = run_workload(tag, ProtocolMode.FSDETECT, scale=BENCH_SCALE)
+        ratio = det.stats.total_bytes / base.stats.total_bytes
         # Detection metadata inflates traffic modestly (paper: 1-2% of the
         # baseline's *network bandwidth*; message-count overhead is higher
         # because contended lines each carry REP_MDs).

@@ -8,10 +8,10 @@ and to ``benchmarks/results/<name>.txt``.
 Experiments are cached per session so e.g. Figure 14a and 14b share their
 underlying simulation runs.  All experiment drivers execute through one
 shared :class:`~repro.harness.engine.Engine` with the persistent result
-cache **disabled** — benchmark timings must reflect real simulation work,
-never cache replay.  ``REPRO_BENCH_SCALE`` scales workload lengths
-(default 1.0); ``REPRO_BENCH_JOBS`` sets the engine's worker-process count
-(default 1; 0 = one per CPU).
+cache **disabled**, so every table is re-simulated from the current
+source, never replayed from a cache.  ``REPRO_BENCH_SCALE`` scales
+workload lengths (default 1.0); ``REPRO_BENCH_JOBS`` sets the engine's
+worker-process count (default 1; 0 = one per CPU).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _cache = {}
 
 #: One engine for the whole benchmark session: in-batch dedup and
-#: parallelism on, persistent cache off (honest timings).
+#: parallelism on, persistent cache off (every table re-simulated).
 _engine = Engine(jobs=BENCH_JOBS, cache_dir=None)
 
 

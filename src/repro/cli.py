@@ -168,8 +168,7 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument("--progress", action="store_true",
                        help="print per-spec progress plus the engine's "
                             "batch counters (runs, cache hits, dedup, "
-                            "retries, quarantines, warm-start builds/hits) "
-                            "to stderr")
+                            "retries, quarantines) to stderr")
     _add_engine_args(run_p)
 
     cmp_p = sub.add_parser("compare",
@@ -343,8 +342,7 @@ def _print_engine_stats(engine: Engine) -> None:
     s = engine.stats
     print(f"engine: {s['executed']} executed, {s['cache_hits']} cache "
           f"hit(s), {s['deduped']} deduped, {s['retries']} retry(ies), "
-          f"{s['quarantined']} quarantined, {s['warm_built']} warm built, "
-          f"{s['warm_hits']} warm hit(s)", file=sys.stderr)
+          f"{s['quarantined']} quarantined", file=sys.stderr)
 
 
 def _engine_from_args(args, progress=None) -> Engine:

@@ -16,10 +16,11 @@ The model keeps a bounded window of in-flight memory operations:
 Commit-stall accounting mirrors the paper's metric: cycles the oldest
 in-flight op spends blocking retirement beyond the issue-side cost.
 
-Like :class:`~repro.cpu.core.InOrderCore`, the core records its program's
-replay trace so machine snapshots can drop the (unpicklable) generator and
-:meth:`rebind_program` can rebuild it: every sent result, or only the op
-count for a program that ignores its results (``record_results=False``).
+Like :class:`~repro.cpu.core.InOrderCore`, a core built with
+``keep_history=True`` records every result sent into its program, so
+machine snapshots can drop the (unpicklable) generator and
+:meth:`rebind_program` can rebuild it; without it the core keeps nothing
+per op.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class OutOfOrderCore:
         program: ThreadProgram,
         window: int = 8,
         on_done: Optional[Callable[[int], None]] = None,
-        record_results: bool = True,
+        keep_history: bool = False,
     ) -> None:
         self.core_id = core_id
         self.queue = queue
@@ -76,7 +77,7 @@ class OutOfOrderCore:
         self._retire_cursor = 0
         # Program replay trace (snapshot support); see InOrderCore.
         self._started = False
-        self._sent = new_send_history(record_results)
+        self._sent = new_send_history(keep_history)
 
     def start(self) -> None:
         self.queue.schedule(0, self._advance)
@@ -165,13 +166,9 @@ class OutOfOrderCore:
     def __setstate__(self, state):
         self.__dict__.update(state)
 
-    @property
-    def records_results(self) -> bool:
-        """False when the send history is count-only (see InOrderCore)."""
-        return isinstance(self._sent, list)
-
     def rebind_program(self, program: Optional[ThreadProgram]) -> None:
-        """Re-attach a fresh program after unpickling (see InOrderCore)."""
+        """Attach ``program`` in place of the current one (see
+        InOrderCore)."""
         if not self._program_exhausted and self._started:
-            fast_forward(program, self._sent, self.ops_executed)
+            fast_forward(program, self._sent)
         self.program = program

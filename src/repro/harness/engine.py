@@ -7,9 +7,9 @@ executes simulations:
   (figure drivers routinely share baselines, e.g. the MESI runs of the FS
   apps appear in fig02, fig13, fig14, fig16 and the traffic study).
 * **Cache** — completed :class:`RunRecord`\\ s are memoized to an on-disk
-  JSON store keyed by ``spec.digest()``; entries (and warm snapshots)
-  carry a :func:`code_version` stamp, a fingerprint of the simulator's
-  source, and are invalidated when any behaviour module changes.
+  JSON store keyed by ``spec.digest()``; entries carry a
+  :func:`code_version` stamp, a fingerprint of the simulator's source,
+  and are invalidated when any behaviour module changes.
 * **Parallelism** — with ``jobs > 1`` pending specs fan out over a
   spawn-based process pool.  Simulations are deterministic per spec, so
   parallel and serial execution produce cycle-for-cycle identical records.
@@ -41,8 +41,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.common.errors import ReproError
 from repro.harness.export import record_from_dict, record_to_dict
-from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
-                                  execute_spec, warm_digest)
+from repro.harness.runner import RunRecord, RunSpec, execute_spec
 
 #: Source (relative to the :mod:`repro` package; a directory stands for
 #: every ``.py`` file under it) that decides what a cached ``RunRecord``
@@ -76,8 +75,8 @@ def source_fingerprint(root: pathlib.Path) -> str:
 
 @functools.lru_cache(maxsize=None)
 def code_version() -> str:
-    """Version stamp baked into every result-cache entry and warm
-    snapshot: the :func:`source_fingerprint` of this installation,
+    """Version stamp baked into every result-cache entry: the
+    :func:`source_fingerprint` of this installation,
     computed on first use and then reused for the life of the process.
     Any edit to a behaviour module changes it, so stale results are
     re-simulated instead of replayed."""
@@ -121,23 +120,6 @@ def _timed_call(executor: Callable[[RunSpec], RunRecord],
     return record, time.perf_counter() - start
 
 
-class _WarmCall:
-    """Picklable executor binding one warm-start snapshot to a spec's run.
-
-    Travels into spawn workers whole: the snapshot payload is bytes, so a
-    worker forks the machine from the warmup point instead of re-simulating
-    the shared prefix."""
-
-    __slots__ = ("executor", "warm")
-
-    def __init__(self, executor, warm) -> None:
-        self.executor = executor
-        self.warm = warm
-
-    def __call__(self, spec: RunSpec) -> RunRecord:
-        return self.executor(spec, warm=self.warm)
-
-
 class Engine:
     """Batched simulation runner with dedup, caching and process fan-out.
 
@@ -156,18 +138,12 @@ class Engine:
         self.progress = progress
         self._executor = executor
         #: Counters: simulations executed, cache hits, in-batch duplicates
-        #: absorbed, retries performed, corrupted cache entries quarantined,
-        #: and warm-start snapshots built / reused (``warm_hits`` counts
-        #: forks that skipped warmup re-simulation).
+        #: absorbed, retries performed, corrupted cache entries quarantined.
         self.stats: Dict[str, int] = {"executed": 0, "cache_hits": 0,
                                       "deduped": 0, "retries": 0,
-                                      "quarantined": 0,
-                                      "warm_built": 0, "warm_hits": 0}
+                                      "quarantined": 0}
         #: Per-spec wall-clock seconds, keyed by ``spec.digest()``.
         self.timings: Dict[str, float] = {}
-        # Per-batch warm-start snapshots, keyed by spec (see
-        # :meth:`_prepare_warmups`).
-        self._warm: Dict[RunSpec, object] = {}
 
     # ------------------------------------------------------------- running
 
@@ -201,27 +177,22 @@ class Engine:
             self._notify(done, total, spec, None, "cache")
 
         failures: List[EngineError] = []
-        self._warm = self._prepare_warmups(pending)
-        try:
-            for spec, outcome in self._first_attempts(pending):
-                if isinstance(outcome, Exception):
-                    # The worker died or the run raised: one retry, here.
-                    self.stats["retries"] += 1
-                    try:
-                        outcome = _timed_call(self._exec_for(spec), spec)
-                    except Exception as exc:
-                        failures.append(EngineError(spec, attempts=2,
-                                                    cause=exc))
-                        continue
-                record, seconds = outcome
-                results[spec] = record
-                self.stats["executed"] += 1
-                self.timings[spec.digest()] = seconds
-                self._cache_put(spec, record)
-                done += 1
-                self._notify(done, total, spec, seconds, "run")
-        finally:
-            self._warm = {}
+        for spec, outcome in self._first_attempts(pending):
+            if isinstance(outcome, Exception):
+                # The worker died or the run raised: one retry, here.
+                self.stats["retries"] += 1
+                try:
+                    outcome = _timed_call(self._executor, spec)
+                except Exception as exc:
+                    failures.append(EngineError(spec, attempts=2, cause=exc))
+                    continue
+            record, seconds = outcome
+            results[spec] = record
+            self.stats["executed"] += 1
+            self.timings[spec.digest()] = seconds
+            self._cache_put(spec, record)
+            done += 1
+            self._notify(done, total, spec, seconds, "run")
         if failures:
             failures[0].partial = dict(results)
             raise failures[0]
@@ -236,14 +207,6 @@ class Engine:
 
     # ------------------------------------------------------------ internals
 
-    def _exec_for(self, spec: RunSpec) -> Callable[[RunSpec], RunRecord]:
-        """The executor to use for ``spec`` — wrapped with its warm-start
-        snapshot when one was prepared for this batch."""
-        warm = self._warm.get(spec)
-        if warm is None:
-            return self._executor
-        return _WarmCall(self._executor, warm)
-
     def _first_attempts(self, pending: List[RunSpec]) -> Iterator[tuple]:
         """Attempt each pending spec once, yielding ``(spec, (record,
         seconds))`` or ``(spec, exception)`` in completion order.
@@ -255,14 +218,13 @@ class Engine:
         if self.jobs == 1 or len(pending) <= 1:
             for spec in pending:
                 try:
-                    yield spec, _timed_call(self._exec_for(spec), spec)
+                    yield spec, _timed_call(self._executor, spec)
                 except Exception as exc:
                     yield spec, exc
             return
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)),
                                  mp_context=get_context("spawn")) as pool:
-            futures = {pool.submit(_timed_call, self._exec_for(spec),
-                                   spec): spec
+            futures = {pool.submit(_timed_call, self._executor, spec): spec
                        for spec in pending}
             for future in as_completed(futures):
                 try:
@@ -274,92 +236,6 @@ class Engine:
                 seconds: Optional[float], source: str) -> None:
         if self.progress is not None:
             self.progress(done, total, spec, seconds, source)
-
-    # ---------------------------------------------------------- warm start
-
-    def _prepare_warmups(self, pending: Sequence[RunSpec]) -> Dict[RunSpec,
-                                                                   object]:
-        """Build (or recall) one warm-start snapshot per :func:`warm_digest`
-        group among ``pending`` and map each spec to its snapshot.
-
-        N sweep points sharing a warmup prefix simulate it once and fork.
-        Any failure to build or load a snapshot falls back to cold
-        execution for that group — warm start is an optimisation, never a
-        correctness dependency.  Warm snapshots only apply to the default
-        :func:`execute_spec` executor (custom executors do not take a
-        ``warm`` argument)."""
-        if self._executor is not execute_spec:
-            return {}
-        groups: Dict[str, List[RunSpec]] = {}
-        for spec in pending:
-            if spec.warmup > 0:
-                groups.setdefault(warm_digest(spec), []).append(spec)
-        out: Dict[RunSpec, object] = {}
-        for digest, members in groups.items():
-            snap = self._warm_get(digest)
-            if snap is None:
-                try:
-                    snap = build_warm_snapshot(members[0])
-                except Exception as exc:  # noqa: BLE001 - cold fallback
-                    _log.warning("warm-start snapshot for %s failed (%s); "
-                                 "running cold", digest,
-                                 f"{type(exc).__name__}: {exc}")
-                    continue
-                self.stats["warm_built"] += 1
-                self._warm_put(digest, snap)
-            else:
-                self.stats["warm_hits"] += 1
-            for spec in members:
-                out[spec] = snap
-        return out
-
-    def _warm_path(self, digest: str) -> Optional[pathlib.Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"warm_{digest}.pkl"
-
-    def _warm_get(self, digest: str):
-        """Load a warm snapshot from the disk cache; quarantine corrupt
-        entries (same policy as the JSON result cache)."""
-        import pickle
-
-        from repro.system.snapshot import MachineSnapshot
-
-        path = self._warm_path(digest)
-        if path is None or not path.exists():
-            return None
-        try:
-            data = pickle.loads(path.read_bytes())
-        except Exception:  # noqa: BLE001 - any unpickling failure
-            self._quarantine(path, "undecodable warm snapshot")
-            return None
-        if (not isinstance(data, dict)
-                or data.get("code_version") != code_version()):
-            return None  # stale: rebuild and overwrite
-        try:
-            return MachineSnapshot(payload=data["payload"],
-                                   cycle=data["cycle"],
-                                   executed=data["executed"])
-        except (KeyError, TypeError):
-            self._quarantine(path, "malformed warm snapshot")
-            return None
-
-    def _warm_put(self, digest: str, snap) -> None:
-        import pickle
-
-        path = self._warm_path(digest)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            tmp.write_bytes(pickle.dumps({
-                "code_version": code_version(), "payload": snap.payload,
-                "cycle": snap.cycle, "executed": snap.executed}))
-            os.replace(tmp, path)
-        except OSError as exc:
-            _log.warning("could not persist warm snapshot %s (%s)",
-                         digest, exc)
 
     # --------------------------------------------------------------- cache
 

@@ -26,7 +26,7 @@ from repro.system.builder import build_machine
 from repro.system.simulator import Simulator, flush_machine_memory
 from repro.system.stats import SimStats
 from repro.workloads.registry import make_workload
-from repro.workloads.trace import TracePrograms, TraceRef
+from repro.workloads.trace import TraceRef
 
 #: The paper evaluates with 4 child threads on an 8-core machine.
 DEFAULT_THREADS = 4
@@ -56,17 +56,11 @@ class RunSpec:
     #: Observation never changes simulated behaviour; the payload lands in
     #: ``RunRecord.extra["obs"]``.
     obs: Optional[ObsConfig] = None
-    #: Warm-start split point in cycles.  When nonzero, the engine may run
-    #: the machine to this cycle once, snapshot it, and fork every spec
-    #: sharing the same warm digest (see :func:`warm_digest`) from that
-    #: snapshot instead of re-simulating the prefix.  0 = always cold.
-    #: Results are bit-for-bit identical either way.
-    warmup: int = 0
     #: Content-addressed ``.rtrace`` reference (None = live workload).
     #: When set, thread programs stream from the trace file instead of
     #: ``make_workload(tag)`` — ``tag``/``layout``/``scale``/``seed`` become
     #: labels only — and the trace's content digest is part of the spec's
-    #: serialized form, keying the result cache and warm-start snapshots.
+    #: serialized form, keying the result cache.
     #: ``verify`` is ignored (traces carry no expected-result predicate).
     #: Build replay specs with :func:`repro.workloads.trace.trace_spec`.
     trace: Optional[TraceRef] = None
@@ -100,9 +94,6 @@ class RunSpec:
         if self.ooo_window < 1:
             raise ConfigError(
                 f"RunSpec.ooo_window={self.ooo_window} must be >= 1")
-        if self.warmup < 0:
-            raise ConfigError(
-                f"RunSpec.warmup={self.warmup} must be >= 0")
         if self.trace is not None and not isinstance(self.trace, TraceRef):
             raise ConfigError(
                 "RunSpec.trace must be a TraceRef (use TraceRef.of(path) "
@@ -123,12 +114,9 @@ class RunSpec:
             "verify": self.verify,
         }
         # Only serialized when set, so pre-observability digests (golden
-        # cycle-identity table, cached results) stay valid verbatim; same
-        # for ``warmup``, which does not change the simulated outcome.
+        # cycle-identity table, cached results) stay valid verbatim.
         if self.obs is not None:
             d["obs"] = asdict(self.obs)
-        if self.warmup:
-            d["warmup"] = self.warmup
         if self.trace is not None:
             d["trace"] = {"path": self.trace.path,
                           "digest": self.trace.digest}
@@ -149,7 +137,6 @@ class RunSpec:
             verify=data["verify"],
             obs=(ObsConfig(**data["obs"]) if data.get("obs") is not None
                  else None),
-            warmup=data.get("warmup", 0),
             trace=(TraceRef(path=data["trace"]["path"],
                             digest=data["trace"]["digest"])
                    if data.get("trace") is not None else None),
@@ -199,58 +186,21 @@ class RunRecord:
         return self.energy_nj / baseline.energy_nj
 
 
-class _WorkloadPrograms:
-    """Picklable thread-program factory for a workload spec.
-
-    Machines attached through this factory can be snapshot/restored: the
-    factory travels inside the snapshot and rebuilds identical generators
-    (workload construction is deterministic in its arguments) which each
-    core then fast-forwards via its recorded send history.
-    """
-
-    __slots__ = ("tag", "num_threads", "scale", "layout", "seed")
-
-    def __init__(self, tag: str, num_threads: int, scale: float,
-                 layout: str, seed: int) -> None:
-        self.tag = tag
-        self.num_threads = num_threads
-        self.scale = scale
-        self.layout = layout
-        self.seed = seed
-
-    def __call__(self):
-        return make_workload(self.tag, num_threads=self.num_threads,
-                             scale=self.scale, layout=self.layout,
-                             seed=self.seed).programs()
-
-
-def warm_digest(spec: RunSpec) -> str:
-    """Key of the warm-start snapshot ``spec`` can fork from.
-
-    Everything that shapes the simulation up to the ``warmup`` cycle is
-    included; ``verify`` is not (it only affects post-run checking), so
-    verified and unverified sweep points share one warm snapshot.
-    """
-    d = spec.to_dict()
-    d.pop("verify", None)
-    payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-
-
 def _build_and_attach(spec: RunSpec):
     """Build the machine for ``spec`` with programs and instruments
-    attached (sanitizer/observers land in ``machine.extras`` so they
-    travel with snapshots).  Returns the machine, not yet started."""
+    attached (sanitizer/observers land in ``machine.extras``, where
+    :meth:`~repro.system.builder.Machine.close` drops them).  Returns the
+    machine, not yet started."""
     machine = build_machine(spec.config, spec.mode)
     if spec.trace is not None:
-        factory = TracePrograms(spec.trace.path, spec.trace.digest,
-                                spec.num_threads, spec.config.block_size)
+        programs = spec.trace.programs(spec.num_threads,
+                                       spec.config.block_size)
     else:
-        factory = _WorkloadPrograms(spec.tag, spec.num_threads, spec.scale,
-                                    spec.layout, spec.seed)
-    machine.attach_programs(
-        program_factory=factory,
-        core_model=spec.core_model, ooo_window=spec.ooo_window)
+        programs = make_workload(spec.tag, num_threads=spec.num_threads,
+                                 scale=spec.scale, layout=spec.layout,
+                                 seed=spec.seed).programs()
+    machine.attach_programs(programs=programs, core_model=spec.core_model,
+                            ooo_window=spec.ooo_window)
     if spec.config.sanitizer.enabled:
         # Imported lazily: the sanitizer is opt-in and nothing on the plain
         # simulation path should pay for the check package.
@@ -269,41 +219,21 @@ def _build_and_attach(spec: RunSpec):
     return machine
 
 
-def build_warm_snapshot(spec: RunSpec):
-    """Run ``spec``'s machine to its ``warmup`` cycle and snapshot it.
-
-    The snapshot captures cores mid-program, in-flight messages, pending
-    events and attached instruments; any spec with the same
-    :func:`warm_digest` can resume from it bit-for-bit."""
-    if spec.warmup <= 0:
-        raise ConfigError("build_warm_snapshot needs spec.warmup > 0")
-    machine = _build_and_attach(spec)
-    try:
-        for core in machine.cores:
-            core.start()
-        machine.queue.run(until=spec.warmup)
-        return machine.snapshot()
-    finally:
-        machine.close()
-
-
-def execute_spec(spec: RunSpec, warm=None) -> RunRecord:
+def execute_spec(spec: RunSpec) -> RunRecord:
     """Build, run and (optionally) verify the simulation ``spec`` describes.
 
     ``spec.verify`` checks the final coherent memory image against the
     workload's expected result — a full end-to-end coherence check on every
     harness run.  This is the single place simulations actually happen; the
     engine calls it (possibly in a worker process) and everything else goes
-    through the engine.  ``warm`` is an optional
-    :class:`~repro.system.snapshot.MachineSnapshot` built by
-    :func:`build_warm_snapshot` for this spec's :func:`warm_digest`.
+    through the engine.
     """
-    record, machine = execute_spec_with_machine(spec, warm=warm)
+    record, machine = execute_spec_with_machine(spec)
     machine.close()  # freed by reference counting, not the cyclic GC
     return record
 
 
-def execute_spec_with_machine(spec: RunSpec, warm=None):
+def execute_spec_with_machine(spec: RunSpec):
     """Like :func:`execute_spec` but also returns the finished
     :class:`~repro.system.builder.Machine` for post-run inspection (the
     differential oracle reads caches, SAM/PAM tables and network
@@ -312,21 +242,16 @@ def execute_spec_with_machine(spec: RunSpec, warm=None):
     (:meth:`~repro.system.builder.Machine.close`) once it has been read.
     If the run or the verify raises, the machine is closed first.
     """
-    if warm is not None:
-        from repro.system.builder import Machine
-
-        machine = Machine.restore(warm)
-    else:
-        machine = _build_and_attach(spec)
+    machine = _build_and_attach(spec)
     try:
-        return _run_built(spec, machine, resume=warm is not None), machine
+        return _run_built(spec, machine), machine
     except BaseException:
         machine.close()
         raise
 
 
-def _run_built(spec: RunSpec, machine, resume: bool = False) -> RunRecord:
-    """Run a machine built (or restored) for ``spec``, verify it and
+def _run_built(spec: RunSpec, machine) -> RunRecord:
+    """Run a machine built for ``spec``, verify it and
     assemble its :class:`RunRecord` — the run half of
     :func:`execute_spec_with_machine`, which :func:`~repro.workloads.
     trace.record_trace` shares.  The caller owns ``machine`` and closes
@@ -335,7 +260,7 @@ def _run_built(spec: RunSpec, machine, resume: bool = False) -> RunRecord:
     tracker = machine.extras.get("tracker")
     sampler = machine.extras.get("sampler")
     try:
-        result = Simulator(machine).run(resume=resume)
+        result = Simulator(machine).run()
         if sanitizer is not None:
             sanitizer.check_all()
     finally:

@@ -45,9 +45,7 @@ class Machine:
     #: Zero-argument callable rebuilding the thread-program generators
     #: (one per attached core, same order).  Required for snapshot/restore:
     #: generators don't pickle, so restore re-creates them from this
-    #: factory and replays each core's recorded send history — every sent
-    #: result, or only the op count when the factory's class sets
-    #: ``ignores_results = True`` (its generators never read a sent value).
+    #: factory and replays each core's recorded send history.
     program_factory: Optional[Callable[[], List[ThreadProgram]]] = None
 
     def home_slice(self, block_addr: int) -> DirectorySlice:
@@ -67,8 +65,9 @@ class Machine:
         Pass ``program_factory`` (a picklable zero-argument callable
         returning a fresh list of generators) to make the machine
         snapshot-capable; ``programs`` then defaults to ``factory()``.
-        A factory whose ``ignores_results`` attribute is true gets cores
-        with a count-only send history (constant memory per core).
+        Only then do the cores keep the per-op send history a restore
+        replays: a machine attached with plain ``programs`` keeps none
+        and cannot be snapshotted.
         """
         if programs is None:
             if program_factory is None:
@@ -78,17 +77,16 @@ class Machine:
             raise ValueError(
                 f"{len(programs)} programs for {self.config.num_cores} cores")
         self.program_factory = program_factory
-        record_results = not getattr(program_factory, "ignores_results",
-                                     False)
+        keep_history = program_factory is not None
         self.cores = []
         for core_id, program in enumerate(programs):
             if core_model == "inorder":
                 core = InOrderCore(core_id, self.queue, self.l1s[core_id],
-                                   program, record_results=record_results)
+                                   program, keep_history=keep_history)
             elif core_model == "ooo":
                 core = OutOfOrderCore(core_id, self.queue, self.l1s[core_id],
                                       program, window=ooo_window,
-                                      record_results=record_results)
+                                      keep_history=keep_history)
             else:
                 raise ValueError(f"unknown core model {core_model!r}")
             self.cores.append(core)
@@ -102,15 +100,6 @@ class Machine:
         from repro.system.snapshot import take_snapshot
 
         return take_snapshot(self)
-
-    @staticmethod
-    def restore(snap) -> "Machine":
-        """Rebuild a machine from a snapshot.  The returned machine is an
-        independent object graph; resuming it is bit-for-bit identical to
-        never having snapshotted."""
-        from repro.system.snapshot import restore_snapshot
-
-        return restore_snapshot(snap)
 
     def close(self) -> None:
         """Drop the machine's back-references so it is freed by reference

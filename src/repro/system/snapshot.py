@@ -1,5 +1,10 @@
 """Deterministic whole-machine snapshot and restore.
 
+The prefix-replay cache (:mod:`repro.check.replay`) is the one client: it
+snapshots fuzz-schedule machines mid-run and resumes shrink candidates
+from them.  Only a machine attached with a ``program_factory`` can be
+snapshotted; spec runs attach plain programs and keep no send history.
+
 A snapshot is one pickle of the entire wired object graph — event queue
 (heap of pending ``(time, seq, callback, arg)`` events), network (handlers,
 FIFO floors, stats, hooks), L1 controllers (lines, MSHRs, write buffers),
@@ -20,20 +25,14 @@ suspension point.  This is exact because thread programs are pure
 functions of the values sent into them (they never read simulator state
 directly).
 
-Programs from a factory that sets ``ignores_results`` (trace replays) do
-not read those values at all, so their cores record only the op count and
-the rebind sends ``None`` that many times.  Restoring such a snapshot
-under a factory whose programs do read results would silently diverge;
-:func:`restore_snapshot` refuses it with :class:`SnapshotError`.
-
 Determinism contract
 --------------------
 
 * Restoring a snapshot and resuming is **bit-for-bit identical** to never
   having snapshotted: same event order, same cycle counts, same stats,
-  same reports (``tests/test_cycle_identity.py`` pins this against the
-  golden digests; ``tests/test_snapshot.py`` property-tests it across
-  modes, sanitizer, observers, and armed fault injectors).
+  same reports (``tests/test_snapshot.py`` checks it across modes, with
+  the sanitizer and with armed fault injectors, and pins the replay
+  cache's resumed reports to cold ones).
 * Snapshotting is **read-only**: taking a snapshot does not perturb the
   machine (pickling mutates nothing in this graph).
 * :meth:`MachineSnapshot.digest` is a stable fingerprint of the payload
@@ -128,12 +127,6 @@ def restore_snapshot(
     if machine.cores:
         if factory is None:
             raise SnapshotError("snapshot has cores but no program_factory")
-        if not getattr(factory, "ignores_results", False) and not all(
-                core.records_results for core in machine.cores):
-            raise SnapshotError(
-                "snapshot cores kept only an op count (their programs "
-                "ignored results), but this program_factory's programs "
-                "read results and cannot be fast-forwarded from it")
         machine.program_factory = factory
         programs = factory()
         if len(programs) < len(machine.cores):

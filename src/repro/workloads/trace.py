@@ -77,7 +77,7 @@ from repro.cpu.ops import (
 
 __all__ = [
     "TraceFormatError", "TraceInfo", "TraceRef", "TraceWriter",
-    "TraceWorkload", "TracePrograms", "SharingProfile",
+    "TraceWorkload", "SharingProfile",
     "record_trace", "synthesize_trace", "trace_info", "verify_trace",
     "read_trace", "iter_thread_ops", "trace_spec",
 ]
@@ -731,58 +731,15 @@ class TraceWorkload:
         return None
 
 
-class TracePrograms:
-    """Picklable thread-program factory for trace-backed :class:`RunSpec`\\ s
-    (the trace analogue of ``harness.runner._WorkloadPrograms``).
-
-    Validates at open time that the file still has the content digest the
-    spec was keyed on — the engine's result cache and warm-start snapshots
-    are content-addressed, so a silently swapped trace file must fail loudly
-    rather than replay the wrong ops.  Travels inside machine snapshots;
-    restore rebuilds fresh streaming generators which each core then
-    fast-forwards by its op count.  Trace programs ignore the results sent
-    back to them, so ``ignores_results`` lets the machine keep a
-    count-only send history per core instead of one entry per op."""
-
-    __slots__ = ("path", "digest", "num_threads", "block_size")
-
-    ignores_results = True
-
-    def __init__(self, path: str, digest: Optional[str], num_threads: int,
-                 block_size: Optional[int] = None) -> None:
-        self.path = path
-        self.digest = digest
-        self.num_threads = num_threads
-        self.block_size = block_size
-
-    def __call__(self):
-        info = trace_info(self.path)
-        if self.digest is not None and info.digest != self.digest:
-            raise TraceFormatError(
-                f"{self.path}: trace content digest changed under the spec "
-                f"(expected {self.digest[:12]}…, file has "
-                f"{info.digest[:12]}…)")
-        if info.num_threads != self.num_threads:
-            raise ConfigError(
-                f"{self.path}: trace has {info.num_threads} threads but "
-                f"the spec expects {self.num_threads}")
-        if self.block_size is not None and info.block_size != self.block_size:
-            raise ConfigError(
-                f"{self.path}: trace was captured at {info.block_size}B "
-                f"lines but the machine config uses {self.block_size}B")
-        workload = TraceWorkload(self.path, expect_digest=self.digest)
-        return workload.programs()
-
-
 @dataclass(frozen=True)
 class TraceRef:
     """Content-addressed trace reference carried by ``RunSpec.trace``.
 
     The digest is part of the spec's serialized form, so it feeds the
-    engine's result-cache key and the warm-start snapshot key: two specs
-    replaying byte-identical traces share cache entries, and a trace file
-    whose content changed can never satisfy a stale cached result
-    (:class:`TracePrograms` re-checks the digest at open)."""
+    engine's result-cache key: two specs replaying byte-identical traces
+    share cache entries, and a trace file whose content changed can never
+    satisfy a stale cached result (:meth:`programs` re-checks the digest
+    at open)."""
 
     path: str
     digest: str
@@ -791,6 +748,22 @@ class TraceRef:
     def of(cls, path) -> "TraceRef":
         info = trace_info(path)
         return cls(path=info.path, digest=info.digest)
+
+    def programs(self, num_threads: int, block_size: int) -> list:
+        """Open the trace and return one streaming program per thread.
+        The file must still have this content digest (a silently swapped
+        trace must fail loudly rather than replay the wrong ops),
+        ``num_threads`` threads and ``block_size``-byte lines."""
+        workload = TraceWorkload(self.path, expect_digest=self.digest)
+        if workload.num_threads != num_threads:
+            raise ConfigError(
+                f"{self.path}: trace has {workload.num_threads} threads but "
+                f"the spec expects {num_threads}")
+        if workload.block_size != block_size:
+            raise ConfigError(
+                f"{self.path}: trace was captured at {workload.block_size}B "
+                f"lines but the machine config uses {block_size}B")
+        return workload.programs()
 
 
 # --------------------------------------------------------------------------

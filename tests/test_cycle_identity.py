@@ -34,7 +34,6 @@ encoding itself drifts.
 
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 
@@ -149,36 +148,6 @@ def test_faults_package_inert_without_a_plan(mode):
     record = execute_spec(spec)
     assert record.cycles == entry["cycles"]
     assert record_stats_digest(record) == entry["stats_sha256"]
-
-
-@pytest.mark.parametrize("digest,entry", sorted(GOLDEN.items()),
-                         ids=[_case_id(kv) for kv in sorted(GOLDEN.items())])
-def test_snapshot_restore_is_cycle_identical(digest, entry):
-    """Warm-starting from a mid-run snapshot must be bit-for-bit the cold
-    golden run: simulate to half the golden cycle count, snapshot, fork,
-    and finish — same cycles, same message counts, same canonical stats
-    digest for every golden spec (all modes, sanitizer off and on)."""
-    from repro.harness.runner import build_warm_snapshot
-
-    spec = replace(_spec_for(entry), warmup=entry["cycles"] // 2)
-    snap = build_warm_snapshot(spec)
-    assert 0 < snap.cycle <= entry["cycles"]
-    record = execute_spec(spec, warm=snap)
-    network = record.stats.network
-    assert record.cycles == entry["cycles"]
-    assert network["msgs_total"] == entry["msgs_total"]
-    assert network["bytes_total"] == entry["bytes_total"]
-    assert record_stats_digest(record) == entry["stats_sha256"]
-
-
-def test_warmup_zero_does_not_change_spec_digests():
-    """``RunSpec.warmup`` serializes only when nonzero, so every pre-warmup
-    digest (golden keys, result-cache entries) stays valid."""
-    spec = RunSpec(tag="RC", mode=ProtocolMode.MESI, scale=0.2)
-    assert "warmup" not in spec.to_dict()
-    warm = RunSpec(tag="RC", mode=ProtocolMode.MESI, scale=0.2, warmup=100)
-    assert "warmup" in warm.to_dict()
-    assert warm.digest() != spec.digest()
 
 
 def test_golden_covers_all_modes_and_sanitizer_states():

@@ -106,8 +106,7 @@ class TestCache:
         rec1 = first.run_one(spec)
         assert first.stats == {"executed": 1, "cache_hits": 0,
                                "deduped": 0, "retries": 0,
-                               "quarantined": 0,
-                               "warm_built": 0, "warm_hits": 0}
+                               "quarantined": 0}
         second = Engine(cache_dir=tmp_path)
         rec2 = second.run_one(spec)
         assert second.stats["cache_hits"] == 1
@@ -268,6 +267,27 @@ class TestRetry:
         assert isinstance(err.cause, RuntimeError)
         assert engine.stats["retries"] == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partial_results_survive_batch_failure(self, tmp_path, jobs):
+        """When one spec of a batch keeps failing, serially or in the pool,
+        the specs that *did* complete land in ``EngineError.partial`` and
+        in the persistent result cache — a crashed campaign resumes from
+        the cache."""
+        good1 = RunSpec(tag="RC", scale=SCALE)
+        bad = RunSpec(tag="ww", scale=SCALE, seed=POISON_SEED)
+        good2 = RunSpec(tag="SC", scale=SCALE)
+        engine = Engine(executor=crashing_executor, jobs=jobs,
+                        cache_dir=tmp_path)
+        with pytest.raises(EngineError) as info:
+            engine.run_many([good1, bad, good2])
+        err = info.value
+        assert err.spec == bad
+        assert err.attempts == 2
+        assert set(err.partial) == {good1, good2}
+        cached_tags = sorted(json.loads(p.read_text())["record"]["tag"]
+                             for p in tmp_path.glob("*.json"))
+        assert cached_tags == ["RC", "SC"]
+
 
 class TestValidation:
     def test_bad_layout_fails_at_construction(self):
@@ -404,7 +424,7 @@ class TestCliEngineFlags:
 class TestCodeVersion:
     """The cache stamp is a fingerprint of the behaviour packages' source,
     so an edit that forgets to announce itself still invalidates every
-    cached result and warm snapshot."""
+    cached result."""
 
     @staticmethod
     def _copy_package(tmp_path):

@@ -46,7 +46,6 @@ from repro.faults.chaos import run_chaos_case
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.harness.runner import (
     RunSpec,
-    build_warm_snapshot,
     execute_spec,
     execute_spec_with_machine,
 )
@@ -161,16 +160,6 @@ def test_diff_trace_all_modes_leaves_no_cycles():
     def action():
         report = diff_trace(path)
         assert report.ok and set(report.modes_run) == set(ProtocolMode)
-
-    assert _cyclic_garbage(action) == 0
-
-
-def test_build_warm_snapshot_leaves_no_cycles():
-    spec = RunSpec(tag="RC", mode=ProtocolMode.FSLITE, scale=0.05,
-                   warmup=400)
-
-    def action():
-        assert build_warm_snapshot(spec).size_bytes() > 0
 
     assert _cyclic_garbage(action) == 0
 

@@ -1,23 +1,16 @@
-"""Snapshot/restore round-trips, the prefix-replay cache, and the
-engine's warm-start fork.
+"""Snapshot/restore round-trips and the prefix-replay cache.
 
 The determinism contract under test (see ``src/repro/system/snapshot.py``):
 restoring a mid-run snapshot and resuming is bit-for-bit identical to
 never having snapshotted — across every protocol mode, with the sanitizer
-attached, with observers attached, and with an armed (scripted) fault
-injector.  On top of that sit the `PrefixReplayCache` unit properties
-(ddmin shrinks every seeded mutation to the same schedule with the cache
-on or off) and the engine-level behaviours added with `RunSpec.warmup`:
-warm grouping, a fork that simulates only the suffix, trace replays
-forked from cores that kept only an op count, the on-disk warm snapshot
-cache with quarantine, cold fallback, and partial-batch result persistence
-on failure.
+attached, and with an armed (scripted) fault injector.  On top of that sit
+the `PrefixReplayCache` unit properties (a resumed evaluation returns the
+cold report; ddmin shrinks every seeded mutation to the same schedule with
+the cache on or off).  Spec runs attach plain programs: their cores keep
+no per-op send history and their machines cannot be snapshotted.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import json
 
 import pytest
 
@@ -27,29 +20,14 @@ from repro.check.mutations import MUTATIONS
 from repro.coherence.states import ProtocolMode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.harness.engine import Engine, EngineError
-from repro.harness.export import record_stats_digest
-from repro.harness.runner import (
-    RunSpec,
-    _WorkloadPrograms,
-    build_warm_snapshot,
-    execute_spec,
-    execute_spec_with_machine,
-    warm_digest,
-)
-from repro.system.builder import Machine, build_machine
+from repro.harness.runner import RunSpec, execute_spec_with_machine
+from repro.system.builder import build_machine
 from repro.system.simulator import Simulator
 from repro.system.snapshot import (
     SnapshotError,
     restore_snapshot,
     snapshot_digest,
     take_snapshot,
-)
-from repro.workloads.trace import (
-    SharingProfile,
-    TracePrograms,
-    synthesize_trace,
-    trace_spec,
 )
 
 SCALE = 0.2
@@ -98,7 +76,7 @@ def _fork_and_finish(machine):
         core.start()
     machine.queue.run(until=300)
     snap = take_snapshot(machine)
-    fork = Machine.restore(snap)
+    fork = restore_snapshot(snap)
     Simulator(machine).run(resume=True)
     Simulator(fork).run(resume=True)
     for m in (machine, fork):
@@ -133,23 +111,6 @@ def test_round_trip_with_armed_injector():
     assert a == b
 
 
-def test_round_trip_with_observers():
-    """Observer state (episode tracker, metrics sampler) is part of the
-    captured graph: a warm-started observed run reproduces the cold one."""
-    from repro.common.config import ObsConfig
-
-    spec = RunSpec(tag="RC", mode=ProtocolMode.FSDETECT, scale=SCALE,
-                   obs=ObsConfig(sample_period=500))
-    cold = execute_spec(spec)
-    warm_spec = RunSpec(tag="RC", mode=ProtocolMode.FSDETECT, scale=SCALE,
-                        obs=ObsConfig(sample_period=500),
-                        warmup=cold.cycles // 2)
-    record = execute_spec(warm_spec, warm=build_warm_snapshot(warm_spec))
-    assert record.cycles == cold.cycles
-    assert record.stats.summary() == cold.stats.summary()
-    assert record.extra["obs"] == cold.extra["obs"]
-
-
 def test_snapshot_is_read_only():
     machine = _machine_for(ProtocolMode.MESI)
     for core in machine.cores:
@@ -161,8 +122,6 @@ def test_snapshot_is_read_only():
 
 
 def test_restore_rejects_short_program_factory():
-    from repro.system.snapshot import restore_snapshot
-
     machine = _machine_for(ProtocolMode.MESI)
     for core in machine.cores:
         core.start()
@@ -309,172 +268,45 @@ def test_replay_cache_leaves_shrunk_schedules_unchanged(mutation):
     assert warm.shrunk == cold.shrunk
 
 
-# -------------------------------------------------------- engine warm-start
+# ------------------------------------------------------ spec-run machines
 
 
-def test_warm_digest_ignores_verify_only():
-    spec = RunSpec(tag="RC", scale=SCALE, warmup=500)
-    assert warm_digest(spec) \
-        == warm_digest(RunSpec(tag="RC", scale=SCALE, warmup=500,
-                               verify=False))
-    assert warm_digest(spec) \
-        != warm_digest(RunSpec(tag="RC", scale=SCALE, warmup=400))
+def _spec_run_peak_bytes(scale: float, core_model: str) -> int:
+    """Traced heap peak of a live RC spec run at ``scale``, its machine
+    still open."""
+    import tracemalloc
+
+    spec = RunSpec(tag="RC", scale=scale, core_model=core_model)
+    tracemalloc.start()
+    try:
+        _, machine = execute_spec_with_machine(spec)
+        machine.close()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_engine_forks_one_warm_snapshot_per_group():
-    spec = RunSpec(tag="RC", scale=SCALE)
-    cold = execute_spec(spec)
-    warm = RunSpec(tag="RC", scale=SCALE, warmup=cold.cycles // 2)
-    engine = Engine()
-    records = engine.run_many(
-        [warm, RunSpec(tag="RC", scale=SCALE, warmup=cold.cycles // 2,
-                       verify=False)])
-    assert engine.stats["warm_built"] == 1
-    assert [r.cycles for r in records] == [cold.cycles] * 2
-    assert records[0].stats.summary() == cold.stats.summary()
-
-
-def test_warm_fork_runs_only_the_suffix():
-    """A sweep point forked from a 95% warmup snapshot (BS, FSLite, 8
-    threads: heavy invalidation traffic) is cycle- and stats-identical to
-    the cold run, and simulates at most a tenth of its events."""
-    spec = RunSpec(tag="BS", mode=ProtocolMode.FSLITE, scale=0.1,
-                   num_threads=8)
-    cold, cold_machine = execute_spec_with_machine(spec)
-    warm_spec = RunSpec(tag="BS", mode=ProtocolMode.FSLITE, scale=0.1,
-                        num_threads=8, warmup=cold.cycles * 19 // 20)
-    snap = build_warm_snapshot(warm_spec)
-    restored_at = Machine.restore(snap).queue.executed
-    warm, warm_machine = execute_spec_with_machine(warm_spec, warm=snap)
-    assert warm.cycles == cold.cycles
-    assert warm.stats.summary() == cold.stats.summary()
-    forked_events = warm_machine.queue.executed - restored_at
-    assert 0 < forked_events <= cold_machine.queue.executed // 10
-
-
-def _trace_replay_spec(tmp_path, core_model):
-    path = tmp_path / "fork.rtrace"
-    synthesize_trace(SharingProfile(num_threads=4, ops_per_thread=400,
-                                    seed=3), path)
-    return trace_spec(path, mode=ProtocolMode.FSDETECT,
-                      core_model=core_model)
-
-
-@pytest.mark.parametrize("point", ["first-cycle", "mid-run",
-                                   "first-exhausted"])
 @pytest.mark.parametrize("core_model", ["inorder", "ooo"])
-def test_trace_warm_fork_matches_cold(tmp_path, core_model, point):
-    """Trace programs ignore their results, so their cores keep only an
-    op count and a restore fast-forwards by it: a trace replay forked at
-    its first cycle, mid-run, or once the first core's program is
-    exhausted digests identically to the cold replay."""
-    spec = _trace_replay_spec(tmp_path, core_model)
-    cold, cold_machine = execute_spec_with_machine(spec)
-    warmup = {
-        "first-cycle": 1,
-        "mid-run": cold.cycles // 2,
-        "first-exhausted": 1 + min(core.finish_cycle
-                                   for core in cold_machine.cores),
-    }[point]
-    warm_spec = dataclasses.replace(spec, warmup=warmup)
-    snap = build_warm_snapshot(warm_spec)
-    restored = Machine.restore(snap)
-    assert not any(core.records_results for core in restored.cores)
-    assert all(core.ops_executed > 0 for core in restored.cores)
-    if point == "first-exhausted":
-        done = [core.done for core in restored.cores]
-        assert any(done) and not all(done)
-    warm = execute_spec(warm_spec, warm=snap)
-    assert record_stats_digest(warm) == record_stats_digest(cold)
-
-
-def test_restore_rejects_result_reading_factory_for_count_only_cores(
-        tmp_path):
-    """A snapshot whose cores kept only an op count cannot rebind programs
-    that read their results: the fast-forward would feed them ``None``
-    and diverge silently, so restore refuses.  A factory that also
-    ignores results restores fine."""
-    spec = _trace_replay_spec(tmp_path, "inorder")
-    snap = build_warm_snapshot(dataclasses.replace(spec, warmup=200))
-    with pytest.raises(SnapshotError, match="op count"):
-        restore_snapshot(snap, program_factory=_WorkloadPrograms(
-            "RC", 4, SCALE, "packed", 0))
-    machine = restore_snapshot(snap, program_factory=TracePrograms(
-        spec.trace.path, spec.trace.digest, spec.num_threads))
-    assert all(core.program is not None for core in machine.cores)
-
-
-def test_engine_warm_disk_cache_hit_and_quarantine(tmp_path):
-    spec = RunSpec(tag="RC", scale=SCALE)
-    cold = execute_spec(spec)
-    warm = RunSpec(tag="RC", scale=SCALE, warmup=cold.cycles // 2)
-
-    first = Engine(cache_dir=tmp_path)
-    first.run_many([warm])
-    assert first.stats["warm_built"] == 1
-    warm_files = list(tmp_path.glob("warm_*.pkl"))
-    assert len(warm_files) == 1
-
-    # Second engine: result-cache entries removed so it must re-run, but
-    # the warm snapshot comes from disk.
-    for p in tmp_path.glob("*.json"):
-        p.unlink()
-    second = Engine(cache_dir=tmp_path)
-    records = second.run_many([warm])
-    assert second.stats["warm_hits"] == 1
-    assert second.stats["warm_built"] == 0
-    assert records[0].cycles == cold.cycles
-
-    # Corrupt snapshot: quarantined, rebuilt, run still correct.
-    warm_files[0].write_bytes(b"not a pickle")
-    for p in tmp_path.glob("*.json"):
-        p.unlink()
-    third = Engine(cache_dir=tmp_path)
-    records = third.run_many([warm])
-    assert third.stats["quarantined"] == 1
-    assert third.stats["warm_built"] == 1
-    assert records[0].cycles == cold.cycles
-    assert (tmp_path / ".quarantine" / warm_files[0].name).exists()
-
-
-def test_engine_warm_build_failure_falls_back_cold(monkeypatch):
-    import repro.harness.engine as engine_mod
-
-    def boom(spec):
-        raise RuntimeError("no snapshot for you")
-
-    monkeypatch.setattr(engine_mod, "build_warm_snapshot", boom)
-    spec = RunSpec(tag="RC", scale=SCALE)
-    cold = execute_spec(spec)
-    engine = Engine()
-    records = engine.run_many(
-        [RunSpec(tag="RC", scale=SCALE, warmup=cold.cycles // 2)])
-    assert engine.stats["warm_built"] == 0
-    assert records[0].cycles == cold.cycles
-
-
-def _sometimes_failing_executor(spec, warm=None):
-    if spec.tag == "ww":
-        raise RuntimeError("boom")
-    return execute_spec(spec, warm=warm)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_partial_results_survive_batch_failure(tmp_path, jobs):
-    """When one spec of a batch keeps failing, serially or in the pool,
-    the specs that *did* complete land in ``EngineError.partial`` and in
-    the persistent result cache — a crashed campaign resumes warm."""
-    good1 = RunSpec(tag="RC", scale=SCALE)
-    bad = RunSpec(tag="ww", scale=SCALE)
-    good2 = RunSpec(tag="SC", scale=SCALE)
-    engine = Engine(executor=_sometimes_failing_executor, jobs=jobs,
-                    cache_dir=tmp_path)
-    with pytest.raises(EngineError) as excinfo:
-        engine.run_many([good1, bad, good2])
-    err = excinfo.value
-    assert err.spec == bad
-    assert err.attempts == 2
-    assert set(err.partial) == {good1, good2}
-    cached_tags = sorted(json.loads(p.read_text())["record"]["tag"]
-                         for p in tmp_path.glob("*.json"))
-    assert cached_tags == ["RC", "SC"]
+def test_spec_run_keeps_no_send_history(core_model):
+    """A live workload spec run attaches plain programs, so its cores keep
+    nothing per op: its heap peak is flat in workload length, and its
+    machine cannot be snapshotted.  Only a machine attached with a
+    program factory (the replay cache's) keeps the history a restore
+    replays."""
+    _spec_run_peak_bytes(0.05, core_model)  # lazy imports, first-use caches
+    short = _spec_run_peak_bytes(0.2, core_model)
+    long = _spec_run_peak_bytes(0.8, core_model)
+    assert long <= 1.1 * short, (
+        f"peak {long / 2**20:.2f} MB at scale 0.8 vs "
+        f"{short / 2**20:.2f} MB at scale 0.2")
+    _, machine = execute_spec_with_machine(
+        RunSpec(tag="RC", scale=SCALE, core_model=core_model))
+    try:
+        assert machine.program_factory is None
+        for core in machine.cores:
+            assert core.ops_executed > 1
+            assert len(core._sent) == 0
+        with pytest.raises(SnapshotError, match="program_factory"):
+            take_snapshot(machine)
+    finally:
+        machine.close()
