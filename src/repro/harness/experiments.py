@@ -47,6 +47,10 @@ class ExperimentResult:
     #: The specs whose simulations produced this result (empty for pure
     #: analytical tables such as Table II).
     specs: List[RunSpec] = field(default_factory=list)
+    #: Summed cycles of the records behind the table, printed as its last
+    #: line so a one-cycle change shows even where rounded ratios hide it
+    #: (None for analytical tables).
+    cycles: Optional[int] = None
 
     def render(self) -> str:
         lines = [f"== {self.name} ==", format_table(self.headers, self.rows)]
@@ -54,6 +58,8 @@ class ExperimentResult:
             parts = ", ".join(f"{k}={v:.3f}" if isinstance(v, float) else
                               f"{k}={v}" for k, v in self.summary.items())
             lines.append(parts)
+        if self.cycles is not None:
+            lines.append(f"cycles={self.cycles}")
         return "\n".join(lines)
 
     def column(self, header: str) -> list:
@@ -69,6 +75,10 @@ def _run_keyed(engine: Optional[Engine],
                keyed: Dict[object, RunSpec]) -> Dict[object, RunRecord]:
     """Submit one batch of keyed specs and return keyed records."""
     return _engine(engine).run_keyed(keyed)
+
+
+def _cycles(recs: Dict[object, RunRecord]) -> int:
+    return sum(rec.cycles for rec in recs.values())
 
 
 # ---------------------------------------------------------------- Figure 2
@@ -95,7 +105,7 @@ def fig02_manual_fix(scale: float = 1.0,
         name="Figure 2: speedup of the manual fix over baseline MESI "
              "(paper geomean 1.34, RC peak 3.06)",
         headers=["app", "speedup"], rows=rows, summary={"geomean": g},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 # ---------------------------------------------------------------- Figure 13
@@ -120,7 +130,7 @@ def fig13_miss_fraction(scale: float = 1.0,
         name="Figure 13: fraction of L1D accesses that miss "
              "(paper mean 0.05, RC 0.18)",
         headers=["app", "miss_fraction"], rows=rows, summary={"mean": mean},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 # ---------------------------------------------------------------- Figure 14
@@ -163,7 +173,7 @@ def fig14_speedup_energy(scale: float = 1.0,
         rows=rows,
         summary={"fslite_geomean": geomean(fsl_speedups),
                  "fslite_energy_geomean": geomean(fsl_energy)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 # ---------------------------------------------------------------- Figure 15
@@ -196,7 +206,7 @@ def fig15_no_fs(scale: float = 1.0,
         rows=rows,
         summary={"speedup_geomean": geomean(speedups),
                  "energy_geomean": geomean(energies)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 # ---------------------------------------------------------------- Figure 16
@@ -234,7 +244,7 @@ def fig16_tau_p(scale: float = 1.0,
         headers=["app", "tauP=32", "tauP=64"], rows=rows,
         summary={"rel32_geomean": geomean(rel32),
                  "rel64_geomean": geomean(rel64)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 # ---------------------------------------------------------------- Figure 17
@@ -277,7 +287,7 @@ def fig17_huron(scale: float = 1.0,
         summary={"manual_geomean": geomean(man_s),
                  "huron_geomean": geomean(hur_s),
                  "fslite_geomean": geomean(fsl_s)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 # --------------------------------------------------- §VIII-B text studies
@@ -318,7 +328,7 @@ def traffic_reduction(scale: float = 1.0,
         rows=rows,
         summary={"mean_request_reduction":
                  sum(req_reductions) / len(req_reductions)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 def sam_size(scale: float = 1.0,
@@ -352,7 +362,7 @@ def sam_size(scale: float = 1.0,
         headers=["app", "rel_speedup_256", "valid_replacement_rate"],
         rows=rows, summary={"mean_replacement_rate":
                             sum(rates) / len(rates)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 def _sam_replacement_rate(record: RunRecord) -> float:
@@ -399,7 +409,7 @@ def reader_opt(scale: float = 1.0,
                  "sam_entry_bits_opt": opt_bits,
                  "storage_saving": saving,
                  "all_equal": float(same)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 def granularity(scale: float = 1.0,
@@ -435,7 +445,7 @@ def granularity(scale: float = 1.0,
         headers=["app", "rel_2B", "rel_4B"], rows=rows,
         summary={"rel2_geomean": geomean(rel2),
                  "rel4_geomean": geomean(rel4)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 def big_l1d(scale: float = 1.0,
@@ -475,7 +485,7 @@ def big_l1d(scale: float = 1.0,
         rows=rows,
         summary={"iso_geomean": geomean(iso),
                  "fs512_geomean": geomean(big_fsl)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 def ooo(scale: float = 1.0,
@@ -518,7 +528,7 @@ def ooo(scale: float = 1.0,
         rows=rows,
         summary={"ooo_gain_geomean": geomean(ooo_gain),
                  "fslite_ooo_geomean": geomean(fsl_ooo)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))
 
 
 def table2_overheads(config: Optional[SystemConfig] = None
@@ -582,4 +592,4 @@ def ablation(flag: str, scale: float = 1.0, tags: Optional[List[str]] = None,
         name=f"Ablation: {flag} disabled (slowdown factor vs full FSLite)",
         headers=["app", "slowdown_without", "priv_with", "priv_without"],
         rows=rows, summary={"geomean_slowdown": geomean(rels)},
-        specs=list(specs.values()))
+        specs=list(specs.values()), cycles=_cycles(recs))

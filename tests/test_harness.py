@@ -5,6 +5,7 @@ import pytest
 from repro.coherence.states import ProtocolMode
 from repro.harness import experiments as E
 from repro.harness.baselines import run_huron, run_manual_fix
+from repro.harness.engine import Engine
 from repro.harness.runner import RunRecord, run_workload
 from repro.harness.tables import format_table, geomean
 
@@ -88,6 +89,7 @@ class TestExperimentDrivers:
         r = E.table2_overheads()
         assert r.summary["overhead_fraction"] < 0.05
         assert "PAM" in r.render()
+        assert r.cycles is None and "cycles=" not in r.render()
 
     def test_reader_opt(self):
         r = E.reader_opt(scale=SCALE)
@@ -97,6 +99,13 @@ class TestExperimentDrivers:
         r = E.fig13_miss_fraction(scale=SCALE)
         text = r.render()
         assert "RC" in text and "mean" in text
+
+    def test_render_ends_with_cycle_checksum(self, tmp_path):
+        engine = Engine(cache_dir=tmp_path)
+        r = E.fig13_miss_fraction(scale=SCALE, engine=engine)
+        total = sum(rec.cycles for rec in engine.run_many(r.specs))
+        assert r.cycles == total > 0
+        assert r.render().splitlines()[-1] == f"cycles={total}"
 
     def test_column_accessor(self):
         r = E.fig13_miss_fraction(scale=SCALE)
