@@ -1,7 +1,9 @@
 """Small helpers for integers used as bit vectors.
 
-PAM read/write vectors, SAM reader vectors and sharer lists are all plain
-Python ints treated as bit sets; these helpers keep that idiom readable.
+PAM read/write vectors, SAM granule masks and the directory's core sets
+(sharers, PRV sharers, busy-context waits, pending metadata; bit ``c`` =
+core ``c``) are plain Python ints treated as bit sets; these helpers keep
+that idiom readable.
 The helpers stay the single call sites so hot-path representation choices
 (native ``int.bit_count``, the byte-indexed set-bit table) live here only.
 """

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.common.bitvec import iter_set_bits
 from repro.common.errors import SimulationError
 from repro.common.statkeys import (
     CORE_LOADS,
@@ -236,7 +237,7 @@ def flush_machine_memory(machine: Machine) -> "MemoryImage":
                 sam_entry = sl.detector.sam.peek(addr)
                 lw = (sam_entry.last_writer_map()
                       if sam_entry is not None else [])
-                for core_id in line.prv_sharers:
+                for core_id in iter_set_bits(line.prv_sharers):
                     l1 = machine.l1s[core_id]
                     l1_entry = l1.cache.peek(addr)
                     if l1_entry is None:

@@ -57,19 +57,31 @@ class TestHysteresis:
 class TestPmmc:
     def test_expect_and_arrive(self):
         m = DirEntryMeta()
-        m.expect_md({0, 1, 2})
+        m.expect_md(0b111)
         assert m.pmmc == 3
         assert m.md_arrived(1)
         assert m.pmmc == 2
+        assert m.pending_md == 0b101
 
     def test_duplicate_arrival_idempotent(self):
         m = DirEntryMeta()
-        m.expect_md({0})
+        m.expect_md(0b1)
         assert m.md_arrived(0)
         assert not m.md_arrived(0)
         assert m.pmmc == 0
+        assert m.pending_md == 0
 
     def test_unexpected_arrival_ignored(self):
         m = DirEntryMeta()
         assert not m.md_arrived(5)
         assert m.pmmc == 0
+
+    def test_expect_is_a_union(self):
+        m = DirEntryMeta()
+        m.expect_md(0b0011)
+        m.expect_md(0b0110)
+        assert m.pending_md == 0b0111
+        assert m.pmmc == 3
+
+    def test_no_instance_dict(self):
+        assert not hasattr(DirEntryMeta(), "__dict__")

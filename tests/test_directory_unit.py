@@ -22,15 +22,15 @@ from repro.interconnect.message import Message, MessageType
 from repro.memsys.main_memory import MainMemory
 
 CORES = 4
-DIR_NODE = CORES
 BLOCK = 0x1000
 DATA = bytes(range(64))
 
 
 class Harness:
-    def __init__(self, mode=ProtocolMode.MESI, tau_p=16):
+    def __init__(self, mode=ProtocolMode.MESI, tau_p=16, cores=CORES):
         self.queue = EventQueue()
-        self.config = SystemConfig(num_cores=CORES, num_llc_slices=1)
+        self.node = cores
+        self.config = SystemConfig(num_cores=cores, num_llc_slices=1)
         if tau_p != 16:
             self.config = self.config.with_protocol(tau_p=tau_p,
                                                     tau_r1=tau_p)
@@ -52,12 +52,12 @@ class Harness:
                                  latency=self.config.memory_latency)
         self.memory.write_block(BLOCK, DATA)
         self.dir = DirectorySlice(
-            slice_id=0, node_id=DIR_NODE, config=self.config, mode=mode,
+            slice_id=0, node_id=self.node, config=self.config, mode=mode,
             queue=self.queue, network=self.net, memory=self.memory,
             num_slices=1)
 
     def inject(self, mtype, src, block=BLOCK, **payload):
-        self.deliver(Message(mtype, src=src, dst=DIR_NODE,
+        self.deliver(Message(mtype, src=src, dst=self.node,
                              block_addr=block, payload=payload))
         self.queue.run()
 
@@ -92,7 +92,7 @@ class TestBaselinePaths:
         h.clear()
         h.inject(MessageType.XFER_ACK, src=0, requestor=1)
         assert h.line().state == DirState.S
-        assert h.line().sharers == {0, 1}
+        assert h.line().sharers == 0b11
 
     def test_getx_to_shared_invalidates_and_collects(self):
         # Make it S with two sharers via the proper path.
@@ -228,3 +228,64 @@ class TestExternalSocket:
         h.inject(MessageType.GET, src=0, touched_mask=0xF)
         h.dir.external_access(BLOCK)  # must not raise or change state
         assert h.line().state == DirState.EM
+
+
+#: Adds and discards after which a CPython ``set`` of these core ids
+#: iterates as [0, 1, 3, 4, 2, 6, 7] rather than ascending.
+HISTORY = (("add", (1, 4, 5, 7, 2, 3, 6)), ("discard", (2, 5)),
+           ("add", (0, 2)))
+#: The cores left after HISTORY, ascending.
+SURVIVORS = [0, 1, 2, 3, 4, 6, 7]
+
+
+def _with_history(mask: int) -> int:
+    for op, cores in HISTORY:
+        for core in cores:
+            mask = mask | 1 << core if op == "add" else mask & ~(1 << core)
+    return mask
+
+
+class TestFanOutOrder:
+    """INV, INV_PRV and recall fan-outs go out in ascending core id,
+    whatever order the sharers arrived in (docs/PROTOCOL.md)."""
+
+    def test_invalidations_ascend(self):
+        h = Harness(cores=8)
+        # GETs add sharers 1, 4, 5, 7, 2, 3, 6 in that order (the first
+        # two through an intervention).
+        h.inject(MessageType.GET, src=1, touched_mask=0xF)
+        h.inject(MessageType.GET, src=4, touched_mask=0xF)
+        h.inject(MessageType.XFER_ACK, src=1, requestor=4)
+        for core in (5, 7, 2, 3, 6):
+            h.inject(MessageType.GET, src=core, touched_mask=0xF)
+        # No message drops a sharer while the line stays shared, so the
+        # discards edit the vector directly; GETs re-add 0 and 2.
+        h.line().sharers &= ~(1 << 2 | 1 << 5)
+        for core in (0, 2):
+            h.inject(MessageType.GET, src=core, touched_mask=0xF)
+        assert h.line().state == DirState.S
+        assert h.line().sharers == _with_history(0)
+        h.clear()
+        h.inject(MessageType.GETX, src=5, touched_mask=0xF)
+        assert [d for t, d in h.sent() if t == MessageType.INV] == SURVIVORS
+
+    def test_prv_termination_ascends(self):
+        h = Harness(mode=ProtocolMode.FSLITE, cores=8)
+        h.inject(MessageType.GET, src=0, touched_mask=0xF)
+        line = h.line()
+        line.state, line.owner = DirState.PRV, None
+        line.prv_sharers = _with_history(line.prv_sharers)
+        h.clear()
+        h.dir.external_access(BLOCK)
+        assert h.sent() == [(MessageType.INV_PRV, c) for c in SURVIVORS]
+
+    def test_recall_ascends(self):
+        h = Harness(cores=8)
+        h.inject(MessageType.GET, src=0, touched_mask=0xF)
+        line = h.line()
+        line.state, line.owner = DirState.S, None
+        line.sharers = _with_history(line.sharers)
+        h.clear()
+        assert h.dir.fault_llc_eviction(BLOCK)
+        assert h.sent() == [(MessageType.INV, c) for c in SURVIVORS]
+        assert all(m.payload["recall"] for m in h.net.sent)

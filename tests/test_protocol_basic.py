@@ -99,7 +99,7 @@ class TestTwoCoreSharing:
         result, machine = run_programs([reader(), reader()])
         line = machine.home_slice(0x1000).llc.peek(0x1000).payload
         assert line.state == DirState.S
-        assert line.sharers == {0, 1}
+        assert line.sharers == 0b11
 
     def test_ownership_migrates(self):
         log = []
