@@ -541,6 +541,20 @@ class TraceWriter:
         for op in op_iter:
             self.append(tid, op)
 
+    def _append_records(self, tid: int, records, n_ops: int,
+                        prev_addr: int) -> None:
+        """Append ``n_ops`` records already encoded against ``tid``'s delta
+        chain, whose last address is ``prev_addr``.  The caller keeps them
+        from carrying the thread's buffer past ``chunk_ops``, so the frames
+        come out exactly as ``n_ops`` :meth:`append` calls cut them."""
+        buf_ops = self._buf_ops[tid] + n_ops
+        self._bufs[tid] += records
+        self._prev_addr[tid] = prev_addr
+        self._counts[tid] += n_ops
+        self._buf_ops[tid] = buf_ops
+        if buf_ops == self._chunk_ops:
+            self._flush(tid)
+
     def _flush(self, tid: int) -> None:
         buf = self._bufs[tid]
         if not buf:
@@ -902,6 +916,11 @@ class SharingProfile:
                 f"slot on a {self.block_size}B falsely-shared line")
         if self.private_lines < 1:
             raise ConfigError("SharingProfile.private_lines must be >= 1")
+        if self.compute_every < 0:
+            raise ConfigError("SharingProfile.compute_every must be >= 0 "
+                              "(0 means no compute ops)")
+        if self.compute_cycles < 0:
+            raise ConfigError("SharingProfile.compute_cycles must be >= 0")
         for name in ("write_fraction", "fs_fraction", "ts_fraction",
                      "rmw_fraction", "locality"):
             v = getattr(self, name)
@@ -915,55 +934,108 @@ class SharingProfile:
             raise ConfigError("nonzero fs/ts fraction needs fs/ts lines")
 
 
+#: Head bytes of the three memory records :func:`synthesize_trace` writes:
+#: an 8-byte LOAD with ``need_value``, an 8-byte STORE and an 8-byte
+#: FETCH_ADD; the FETCH_ADD's operand is always +1 (zigzag 2).
+_SYNTH_LOAD = _K_LOAD | _SIZE_LOG2[8] << 3 | 0x20
+_SYNTH_STORE = _K_STORE | _SIZE_LOG2[8] << 3
+_SYNTH_FETCH_ADD = _K_FETCH_ADD | _SIZE_LOG2[8] << 3
+
+
 def synthesize_trace(profile: SharingProfile, path,
                      chunk_ops: int = _DEFAULT_CHUNK_OPS) -> TraceInfo:
     """Generate a deterministic trace from ``profile`` (same profile, same
     bytes).  Streams straight through a :class:`TraceWriter`, so synthesis
-    memory is bounded regardless of ``ops_per_thread``."""
+    memory is bounded regardless of ``ops_per_thread``.
+
+    Each thread's records are encoded inline and handed to the writer a
+    chunk at a time; no :class:`Op` is built.  The RNG draws are those of
+    building each op and appending it, in the same order, and the bytes
+    are what :func:`_encode_op` writes for those ops.  None of its checks
+    can fail here: every access is 8 bytes at a line base plus a multiple
+    of 8, store values are 32-bit draws, and :class:`SharingProfile`
+    rejects negative compute cycles."""
     bs = profile.block_size
+    slots = bs // 8
     fs_base = 0x40000
     ts_base = fs_base + profile.fs_lines * bs
     priv_base = ts_base + profile.ts_lines * bs
-    writer = TraceWriter(
-        path, num_threads=profile.num_threads, block_size=bs,
-        meta={"source": {"tag": "synth", "num_threads": profile.num_threads},
-              "profile": asdict(profile)},
-        chunk_ops=chunk_ops)
-    try:
+    ts_lines = profile.ts_lines
+    fs_lines = profile.fs_lines
+    private_lines = profile.private_lines
+    ts_fraction = profile.ts_fraction
+    shared_fraction = profile.ts_fraction + profile.fs_fraction
+    rmw_fraction = profile.rmw_fraction
+    write_fraction = profile.write_fraction
+    locality = profile.locality
+    compute_every = profile.compute_every
+    compute = bytearray([_K_COMPUTE])
+    _append_uvarint(compute, profile.compute_cycles)
+    load, store, fetch_add = _SYNTH_LOAD, _SYNTH_STORE, _SYNTH_FETCH_ADD
+    total = profile.ops_per_thread
+    with TraceWriter(
+            path, num_threads=profile.num_threads, block_size=bs,
+            meta={"source": {"tag": "synth",
+                             "num_threads": profile.num_threads},
+                  "profile": asdict(profile)},
+            chunk_ops=chunk_ops) as writer:
         for tid in range(profile.num_threads):
             rng = Random(profile.seed * 1_000_003 + tid)
+            random, randrange = rng.random, rng.randrange
+            getrandbits = rng.getrandbits
+            fs_slot = fs_base + tid * 8
+            tbase = priv_base + tid * private_lines * bs
+            next_compute = compute_every - 1 if compute_every else -1
             line = 0  # current private line for the locality chain
-            tbase = priv_base + tid * profile.private_lines * bs
-            for i in range(profile.ops_per_thread):
-                if profile.compute_every and \
-                        i % profile.compute_every == profile.compute_every - 1:
-                    writer.append(tid, ops.compute(profile.compute_cycles))
-                    continue
-                r = rng.random()
-                if r < profile.ts_fraction:
-                    addr = ts_base + rng.randrange(profile.ts_lines) * bs
-                    if rng.random() < profile.rmw_fraction:
-                        writer.append(tid, ops.fetch_add(addr, 1, size=8))
-                    elif rng.random() < profile.write_fraction:
-                        writer.append(tid, ops.store(
-                            addr, rng.getrandbits(32), size=8))
+            prev = 0
+            for start in range(0, total, chunk_ops):
+                stop = min(start + chunk_ops, total)
+                buf = bytearray()
+                put = buf.append
+                for i in range(start, stop):
+                    if i == next_compute:
+                        next_compute += compute_every
+                        buf += compute
+                        continue
+                    r = random()
+                    if r < ts_fraction:
+                        addr = ts_base + randrange(ts_lines) * bs
+                        if random() < rmw_fraction:
+                            head = fetch_add
+                        elif random() < write_fraction:
+                            head = store
+                        else:
+                            head = load
                     else:
-                        writer.append(tid, ops.load(addr, size=8))
-                    continue
-                if r < profile.ts_fraction + profile.fs_fraction:
-                    addr = (fs_base + rng.randrange(profile.fs_lines) * bs
-                            + tid * 8)
-                else:
-                    if rng.random() >= profile.locality:
-                        line = rng.randrange(profile.private_lines)
-                    addr = (tbase + line * bs
-                            + rng.randrange(bs // 8) * 8)
-                if rng.random() < profile.write_fraction:
-                    writer.append(tid, ops.store(addr, rng.getrandbits(32),
-                                                 size=8))
-                else:
-                    writer.append(tid, ops.load(addr, size=8))
-    except BaseException:
-        writer.abort()
-        raise
-    return writer.close()
+                        if r < shared_fraction:
+                            addr = fs_slot + randrange(fs_lines) * bs
+                        else:
+                            if random() >= locality:
+                                line = randrange(private_lines)
+                            addr = tbase + line * bs + randrange(slots) * 8
+                        head = store if random() < write_fraction else load
+                    put(head)
+                    delta = addr - prev
+                    prev = addr
+                    delta = delta << 1 if delta >= 0 else ((-delta) << 1) - 1
+                    while delta > 0x7F:
+                        put((delta & 0x7F) | 0x80)
+                        delta >>= 7
+                    put(delta)
+                    if head == store:
+                        value = getrandbits(32)
+                        if value >> 28:  # five varint bytes, 15 draws in 16
+                            put((value & 0x7F) | 0x80)
+                            put((value >> 7 & 0x7F) | 0x80)
+                            put((value >> 14 & 0x7F) | 0x80)
+                            put((value >> 21 & 0x7F) | 0x80)
+                            put(value >> 28)
+                        else:
+                            while value > 0x7F:
+                                put((value & 0x7F) | 0x80)
+                                value >>= 7
+                            put(value)
+                    elif head == fetch_add:
+                        put(2)
+                writer._append_records(tid, buf, stop - start, prev)
+        return writer.close()
