@@ -117,3 +117,57 @@ def read_u(image, addr: int, size: int = 4, block_size: int = 64) -> int:
     data = image.get(block, bytes(block_size))
     off = addr - block
     return int.from_bytes(data[off:off + size], "little")
+
+
+class L1Harness:
+    """One L1 controller driven directly: ``issue`` runs an op against it
+    and ``inject`` delivers a scripted directory message, so a test can
+    read the PAM bits and the requests a hit or miss leaves behind."""
+
+    #: Node id of the scripted directory the controller talks to.
+    DIR_NODE = 1
+
+    def __init__(self, mode=ProtocolMode.FSLITE, granularity: int = 1):
+        from repro.coherence.l1_controller import L1Controller
+        from repro.common.events import EventQueue
+
+        self.queue = EventQueue()
+        self.config = SystemConfig(num_cores=1, num_llc_slices=1)
+        if granularity != 1:
+            self.config = self.config.with_protocol(
+                tracking_granularity=granularity)
+        self.sent: list = []
+        outer = self
+
+        class FakeNetwork:
+            def register(self, node, handler):
+                outer.deliver = handler
+
+            def send(self, msg, extra_delay=0):
+                outer.sent.append(msg)
+
+        self.l1 = L1Controller(0, self.config, mode, self.queue,
+                               FakeNetwork(), home_of=lambda b: self.DIR_NODE)
+        self.completions: list = []
+
+    def issue(self, op) -> None:
+        self.l1.access(op, self.completions.append)
+        self.queue.run()
+
+    def inject(self, mtype, block: int, **payload) -> None:
+        from repro.interconnect.message import Message
+
+        self.deliver(Message(mtype, src=self.DIR_NODE, dst=0,
+                             block_addr=block, payload=payload))
+        self.queue.run()
+
+    def sent_types(self) -> list:
+        """The types of the messages sent since the last call."""
+        types = [m.mtype for m in self.sent]
+        self.sent.clear()
+        return types
+
+    def pam_bits(self, block: int):
+        """``(read_bits, write_bits)`` of the block's PAM entry."""
+        entry = self.l1.pam.get(block)
+        return entry.read_bits, entry.write_bits

@@ -5,6 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.core.pam import PamTable, expand_granule_mask, granule_mask
+from repro.cpu.ops import load, store
+from repro.interconnect.message import MessageType
+
+from _helpers import L1Harness
 
 
 class TestGranuleMask:
@@ -31,19 +35,36 @@ class TestGranuleMask:
         assert expanded & byte_mask == byte_mask
 
 
+#: The block the L1-driven tests below fill.
+BLOCK = 0x1000
+
+
+def _filled(response=MessageType.DATA_E, first=None, granularity=1):
+    """An L1 whose first access (default: a 4-byte load of byte 0) missed
+    and was filled by ``response``."""
+    h = L1Harness(granularity=granularity)
+    h.issue(first or load(BLOCK))
+    h.inject(response, BLOCK, data=bytes(64))
+    h.sent_types()
+    return h
+
+
 class TestPamTable:
+    """The table's own bookkeeping, and (driving an L1, the only code that
+    sets PAM bits) the bits accesses leave and the coverage they give."""
+
     def make(self, capacity=8, granularity=1):
         return PamTable(capacity=capacity, granularity=granularity,
                         block_size=64)
 
     def test_allocate_and_record(self):
-        pam = self.make()
-        pam.allocate(0x1000)
-        pam.record_access(0x1000, 0x0F, is_write=False)
-        pam.record_access(0x1000, 0xF0, is_write=True)
-        entry = pam.get(0x1000)
-        assert entry.read_bits == 0x0F
-        assert entry.write_bits == 0xF0
+        h = L1Harness()
+        assert h.l1.pam.get(BLOCK) is None
+        h.issue(load(BLOCK))
+        h.inject(MessageType.DATA_E, BLOCK, data=bytes(64))
+        assert h.l1.pam.allocations == 1
+        h.issue(store(BLOCK + 4, 1))
+        assert h.pam_bits(BLOCK) == (0x0F, 0xF0)
 
     def test_double_allocate_rejected(self):
         pam = self.make()
@@ -65,35 +86,41 @@ class TestPamTable:
         pam.allocate(64)
 
     def test_access_without_entry_rejected(self):
-        pam = self.make()
-        with pytest.raises(ProtocolError):
-            pam.record_access(0, 0x1, is_write=True)
+        h = _filled()
+        h.l1.pam.invalidate(BLOCK)
+        with pytest.raises(ProtocolError, match="no PAM entry"):
+            h.issue(load(BLOCK))
+        h = _filled(MessageType.DATA_PRV)
+        h.l1.pam.invalidate(BLOCK)
+        with pytest.raises(ProtocolError, match="without a PAM entry"):
+            h.issue(load(BLOCK))
 
     def test_covered_for_read_accepts_either_bit(self):
-        pam = self.make()
-        pam.allocate(0)
-        pam.record_access(0, 0x1, is_write=False)
-        pam.record_access(0, 0x2, is_write=True)
-        entry = pam.get(0)
-        assert entry.covered_for_read(0x3)
-        assert not entry.covered_for_read(0x7)
+        h = _filled(MessageType.DATA_PRV, load(BLOCK, size=1))
+        h.issue(store(BLOCK + 1, 1, size=1))
+        h.sent_types()
+        h.inject(MessageType.ACK_PRV, BLOCK)
+        assert h.pam_bits(BLOCK) == (0x1, 0x2)
+        h.issue(load(BLOCK, size=2))
+        assert h.sent_types() == []
+        h.issue(load(BLOCK, size=4))
+        assert h.sent_types() == [MessageType.GETCHK]
 
     def test_covered_for_write_needs_write_bit(self):
-        pam = self.make()
-        pam.allocate(0)
-        pam.record_access(0, 0x1, is_write=False)
-        entry = pam.get(0)
-        assert not entry.covered_for_write(0x1)
-        pam.record_access(0, 0x1, is_write=True)
-        assert entry.covered_for_write(0x1)
+        h = _filled(MessageType.DATA_PRV, load(BLOCK, size=1))
+        h.issue(store(BLOCK, 1, size=1))
+        assert h.sent_types() == [MessageType.GETXCHK]
+        h.inject(MessageType.ACK_PRV, BLOCK)
+        h.issue(store(BLOCK, 2, size=1))
+        assert h.sent_types() == []
 
     def test_coarse_granularity_collapses(self):
-        pam = self.make(granularity=4)
-        pam.allocate(0)
-        pam.record_access(0, 0x1, is_write=True)  # byte 0 -> granule 0
-        entry = pam.get(0)
-        # The whole granule is now write-covered.
-        assert entry.covered_for_write(pam.to_granule_mask(0xF))
+        # Byte 0 -> granule 0: the whole granule is now write-covered.
+        h = _filled(MessageType.DATA_PRV, store(BLOCK, 1, size=1),
+                    granularity=4)
+        assert h.pam_bits(BLOCK) == (0, 0b1)
+        h.issue(store(BLOCK, 2, size=4))
+        assert h.sent_types() == []
 
     def test_entry_bits_table2(self):
         # 64-byte lines at byte granularity: 2*64 + 1 = 129 bits (paper).
@@ -105,10 +132,8 @@ class TestPamTable:
         assert pam.entry_bits() == 33
 
     def test_clear(self):
-        pam = self.make()
-        entry = pam.allocate(0)
-        entry.send_md = True
-        pam.record_access(0, 0xFF, is_write=True)
-        entry.clear()
-        assert entry.empty
-        assert not entry.send_md
+        # TR_PRV starts a privatized episode with empty PAM bits.
+        h = _filled(first=store(BLOCK, 0xFF, size=8))
+        assert not h.l1.pam.get(BLOCK).empty
+        h.inject(MessageType.TR_PRV, BLOCK)
+        assert h.l1.pam.get(BLOCK).empty
