@@ -6,6 +6,13 @@ fuzzer exist to catch. They are used by ``repro fuzz --mutate`` and the
 shrinker unit tests to demonstrate that every mutation is (a) detected and
 (b) shrinkable to a minimal reproducing schedule.
 
+Each patches the one place its rule lives (``docs/PROTOCOL.md``, "Where
+each PRV rule lives"): the directory's binding of ``merge_block``, the
+``SamEntry`` check/record names that ``check_access`` and ``record_grant``
+call, ``L1Controller._perform`` and the counters' saturation reset.  No
+hot path checks for a patch; the final memory image binds its own
+``merge_block`` and so stays unmutated.
+
 All patches restore the original behaviour on exit, so a mutation can wrap
 a single fuzz run without poisoning the process.
 """
@@ -23,6 +30,8 @@ def merge_drop_granule() -> Iterator[None]:
     Models a byte-enable bug in the Prv_WB merge path (paper Section V-C):
     one granule of one core's privatized writes is lost at termination.
     Detected as a final-image mismatch (and by merge property tests).
+    Patches only the directory's ``merge_block`` binding, so
+    ``flush_machine_memory`` still builds the unmutated image.
     """
     import repro.coherence.directory as directory
 
@@ -52,6 +61,8 @@ def chk_write_always_passes() -> Iterator[None]:
     granule all believe they own it, keep privatized copies, and apply RMWs
     to stale values. Detected as lost updates in the final image (and often
     first by the sanitizer's ``prv-pam`` byte-disjointness invariant).
+    Every PRV check goes through ``SamEntry.check_access``, which calls
+    this name.
     """
     from repro.core.sam import SamEntry
 
@@ -71,19 +82,31 @@ def pam_reads_count_as_writes() -> Iterator[None]:
     coverage of granules whose SAM last writer is someone else (or nobody),
     so a later covered "write hit" would bypass the GetXCHK conflict check.
     Detected by the sanitizer's ``prv-pam`` invariant.
+
+    Wraps ``L1Controller._perform``, the one place an access updates the
+    PAM: after the real update, the access's granules move into the write
+    bits and the read bits are put back as they were.
     """
-    from repro.core.pam import PamTable
+    from repro.coherence.l1_controller import L1Controller
 
-    original = PamTable.record_access
+    original = L1Controller._perform
 
-    def mutated(self, block_addr, byte_mask, is_write):
-        original(self, block_addr, byte_mask, True)
+    def mutated(self, block, line, op):
+        pentry = self._pam_entries.get(block)
+        if pentry is None:
+            return original(self, block, line, op)
+        read_bits = pentry.read_bits
+        result = original(self, block, line, op)
+        byte_mask = ((1 << op.size) - 1) << (op.addr & self._offset_mask)
+        pentry.write_bits |= self.pam.to_granule_mask(byte_mask)
+        pentry.read_bits = read_bits
+        return result
 
-    PamTable.record_access = mutated
+    L1Controller._perform = mutated
     try:
         yield
     finally:
-        PamTable.record_access = original
+        L1Controller._perform = original
 
 
 @contextmanager
@@ -94,6 +117,8 @@ def sam_drops_writes() -> Iterator[None]:
     the termination merge keeps only stale LLC bytes — privatized stores
     are lost wholesale. Detected by ``prv-pam`` (write bits with no
     recorded writer) before the final image even gets a chance to differ.
+    Every PRV grant goes through ``SamEntry.record_grant``, which calls
+    this name; the REP_MD merge does not.
     """
     from repro.core.sam import SamEntry
 

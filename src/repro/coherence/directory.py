@@ -546,19 +546,13 @@ class DirectorySlice:
         block = ctx.block
         line = self._line(block)
         msg = ctx.request
+        gmask = self._gmask(msg.payload.get("touched_mask", 0))
+        is_write = msg.mtype in (MSG_GETX, MSG_UPGRADE)
         sam_entry = self.detector.sam.peek(block)
-        if sam_entry is None:
-            # Displaced while collecting (extremely small SAM): abort.
-            conflict = True
-        else:
-            gmask = self._gmask(msg.payload.get("touched_mask", 0))
-            is_write = msg.mtype in (MSG_GETX, MSG_UPGRADE)
-            if sam_entry.ts or ctx.conflict:
-                conflict = True
-            elif is_write:
-                conflict = not sam_entry.check_write(msg.src, gmask)
-            else:
-                conflict = not sam_entry.check_read(msg.src, gmask)
+        # A SAM entry displaced while collecting (extremely small SAM)
+        # aborts the privatization.
+        conflict = (sam_entry is None or sam_entry.ts or ctx.conflict
+                    or not sam_entry.check_access(msg.src, gmask, is_write))
         if conflict:
             self.stats[SLICE_PRIVATIZATION_ABORTS] += 1
             if self.obs is not None:
@@ -570,13 +564,8 @@ class DirectorySlice:
             return
         # Privatize: fresh SAM state seeded with the trigger's bytes.
         sam_entry.clear()
-        gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        if msg.mtype in (MSG_GETX, MSG_UPGRADE):
-            sam_entry.record_write(msg.src, gmask)
-            if msg.payload.get("is_rmw"):
-                sam_entry.record_read(msg.src, gmask)
-        else:
-            sam_entry.record_read(msg.src, gmask)
+        sam_entry.record_grant(msg.src, gmask, is_write,
+                               msg.payload.get("is_rmw"))
         line.state = DIR_PRV
         line.owner = None
         line.sharers = 0
@@ -598,19 +587,13 @@ class DirectorySlice:
             raise ProtocolError("PRV block without a SAM entry")
         self.stats[SLICE_SAM_ACCESSES] += 1
         gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        ok = (sam_entry.check_write(core, gmask) if is_write
-              else sam_entry.check_read(core, gmask))
-        if not ok:
+        if not sam_entry.check_access(core, gmask, is_write):
             self.detector.record_conflict_abort(block)
             self._start_termination(block, TERM_CONFLICT,
                                     rerun=msg)
             return
-        if is_write:
-            sam_entry.record_write(core, gmask)
-            if msg.payload.get("is_rmw"):
-                sam_entry.record_read(core, gmask)
-        else:
-            sam_entry.record_read(core, gmask)
+        sam_entry.record_grant(core, gmask, is_write,
+                               msg.payload.get("is_rmw"))
         line.prv_sharers |= 1 << core
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
@@ -629,16 +612,10 @@ class DirectorySlice:
             raise ProtocolError("PRV block without a SAM entry")
         self.stats[SLICE_SAM_ACCESSES] += 1
         gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        ok = (sam_entry.check_write(core, gmask) if is_write
-              else sam_entry.check_read(core, gmask))
-        if ok:
+        if sam_entry.check_access(core, gmask, is_write):
             self.stats[SLICE_CHK_PASS] += 1
-            if is_write:
-                sam_entry.record_write(core, gmask)
-                if msg.payload.get("is_rmw"):
-                    sam_entry.record_read(core, gmask)
-            else:
-                sam_entry.record_read(core, gmask)
+            sam_entry.record_grant(core, gmask, is_write,
+                                   msg.payload.get("is_rmw"))
             if msg.mtype is MSG_UPGRADE:
                 self._send(MSG_UPG_ACK_PRV, core, block, {}, self._chk_latency)
             else:

@@ -55,10 +55,9 @@ from repro.coherence.states import (
 )
 from repro.core.pam import PamTable
 
-#: Pristine PAM-update seam. ``_perform`` inlines the bit-OR update only
-#: while ``PamTable.record_access`` is unpatched; mutation injection
-#: (:mod:`repro.check.mutations`) replaces the class attribute and the hot
-#: path falls back to calling it, so injected PAM bugs stay observable.
+#: Not read by the simulator: ``benchmarks/e2e/test_e2e.py`` still checks
+#: that its wrappers leave ``PamTable.record_access`` identical to this
+#: name (see there).  The one PAM update is inline in ``_perform``.
 _PAM_RECORD_PRISTINE = PamTable.record_access
 from repro.cpu.ops import OP_LOAD, OP_RMW, OP_STORE, Op
 from repro.interconnect.message import (
@@ -287,16 +286,10 @@ class L1Controller:
             line.dirty = True
             result = old
         if self._detects:
+            # The one PAM update (Section IV): a load sets the touched
+            # granules' read bits, a store their write bits, an RMW both.
             byte_mask = ((1 << size) - 1) << offset
             self.stats[CORE_PAM_ACCESSES] += 1
-            if PamTable.record_access is not _PAM_RECORD_PRISTINE:
-                # The seam is patched (mutation injection): honour it.
-                if kind is OP_RMW:
-                    self.pam.record_access(block, byte_mask, is_write=True)
-                    self.pam.record_access(block, byte_mask, is_write=False)
-                else:
-                    self.pam.record_access(block, byte_mask, op.is_write)
-                return result
             pentry = self._pam_entries.get(block)
             if pentry is None:
                 raise ProtocolError(
@@ -828,8 +821,10 @@ class L1Controller:
 #: functions, bound once at import (``handle_message`` passes ``self``), so
 #: no controller references itself through a table of bound methods and a
 #: finished machine is freed by reference counting.  Patching a handler
-#: therefore means patching this table, not the class attribute (the
-#: seeded mutations patch only the SAM, PAM, merge and counter seams).
+#: therefore means patching this table, not the class attribute.  The
+#: seeded mutations patch no handler: they patch the SAM's check/record
+#: names, ``_perform`` (the PAM update), the directory's ``merge_block``
+#: and the counters' saturation reset (:mod:`repro.check.mutations`).
 _L1_DISPATCH: tuple = table_by_value({
     MSG_DATA: L1Controller._on_data,
     MSG_DATA_E: L1Controller._on_data,

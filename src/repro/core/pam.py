@@ -48,7 +48,9 @@ class PamEntry:
     """Per-block read/write granule bits plus the SEND_MD bit.
 
     A ``__slots__`` class: entries are touched on every detected-mode
-    memory access, and the hot path reads/ORs the bit fields directly.
+    memory access.  The L1 controller reads and ORs the bit fields
+    directly; ``L1Controller._perform`` is the one place an access sets
+    them, and a TR_PRV resets them.
     """
 
     __slots__ = ("read_bits", "write_bits", "send_md")
@@ -58,26 +60,6 @@ class PamEntry:
         self.read_bits = read_bits
         self.write_bits = write_bits
         self.send_md = send_md
-
-    def record_read(self, gmask: int) -> None:
-        self.read_bits |= gmask
-
-    def record_write(self, gmask: int) -> None:
-        self.write_bits |= gmask
-
-    def covered_for_read(self, gmask: int) -> bool:
-        """True if every granule has its read *or* write bit set (Section V-B:
-        a load needs a GetCHK only for bytes with neither bit set)."""
-        return ((self.read_bits | self.write_bits) & gmask) == gmask
-
-    def covered_for_write(self, gmask: int) -> bool:
-        """True if every granule already has its write bit set."""
-        return (self.write_bits & gmask) == gmask
-
-    def clear(self) -> None:
-        self.read_bits = 0
-        self.write_bits = 0
-        self.send_md = False
 
     @property
     def empty(self) -> bool:
@@ -118,19 +100,11 @@ class PamTable:
         """Drop the entry (block evicted/invalidated); return its last state."""
         return self._entries.pop(block_addr, None)
 
-    def record_access(self, block_addr: int, byte_mask: int, is_write: bool) -> None:
-        """Set R/W bits for an access; the entry must exist (block resident)."""
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            raise ProtocolError(
-                f"access to block {block_addr:#x} with no PAM entry")
-        gmask = (byte_mask if self.granularity == 1
-                 else granule_mask(byte_mask, self.granularity,
-                                   self.block_size))
-        if is_write:
-            entry.write_bits |= gmask
-        else:
-            entry.read_bits |= gmask
+    #: Not an update rule: accesses set PAM bits only inline in
+    #: ``L1Controller._perform``.  The name stays because
+    #: ``benchmarks/e2e/test_e2e.py`` checks that its wrappers leave it
+    #: alone; it goes with that file's next change.
+    record_access = None
 
     def to_granule_mask(self, byte_mask: int) -> int:
         return granule_mask(byte_mask, self.granularity, self.block_size)

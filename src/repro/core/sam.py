@@ -15,7 +15,8 @@ The entry exposes the paper's three conflict predicates:
 * :meth:`update_from_md` — REP_MD ingestion with the Section IV true-sharing
   conditions,
 * :meth:`check_write` / :meth:`check_read` — the PRV-state GetXCHK / GetCHK
-  conditions of Section V-B.
+  conditions of Section V-B, applied to a request by :meth:`check_access`
+  and followed, once granted, by :meth:`record_grant`.
 
 The hardware evaluates these conditions on every byte of the block at
 once. :class:`SamEntry` does the same with the state held bit-sliced: one
@@ -120,6 +121,33 @@ class SamEntry:
         """GetCHK predicate: every granule must have no valid last writer or
         last writer == core."""
         return not gmask & self.written & ~self.write_masks[core]
+
+    # -- PRV grants (Section V-A/B) ------------------------------------------
+    #
+    # The directory's one copy of each PRV bookkeeping rule: every
+    # privatization trigger, PRV join and GetCHK/GetXCHK is checked with
+    # :meth:`check_access` and, once granted, recorded with
+    # :meth:`record_grant`.  Both go through the ``check_*``/``record_*``
+    # names, which mutations patch.
+
+    def check_access(self, core: int, gmask: int, is_write: bool) -> bool:
+        """The PRV-state check of a request: :meth:`check_write` for a
+        write (GetX, Upgrade, GetXCHK), else :meth:`check_read`."""
+        if is_write:
+            return self.check_write(core, gmask)
+        return self.check_read(core, gmask)
+
+    def record_grant(self, core: int, gmask: int, is_write: bool,
+                     is_rmw: bool) -> None:
+        """Record a granted PRV access: a write makes ``core`` the last
+        writer of ``gmask`` (an RMW also reads it), a read adds ``core``
+        to its readers."""
+        if is_write:
+            self.record_write(core, gmask)
+            if is_rmw:
+                self.record_read(core, gmask)
+        else:
+            self.record_read(core, gmask)
 
     def _merge_write(self, core: int, gmask: int) -> None:
         """Make ``core`` the last writer of the granules in ``gmask``."""

@@ -41,90 +41,36 @@ class Counter:
         self.value += amount
 
 
-# -- picklable metric sources -------------------------------------------------
+# -- metric sources -------------------------------------------------------------
 #
-# Zero-argument callables registered as counter/gauge sources.  These are
-# ``__slots__`` classes instead of closures so an attached MetricsSampler
-# (and the registry it owns) survives machine snapshots.
+# Zero-argument callables registered as counter/gauge sources.
 
 
-class _CounterValue:
-    __slots__ = ("counter",)
-
-    def __init__(self, counter: Counter) -> None:
-        self.counter = counter
-
-    def __call__(self) -> float:
-        return self.counter.value
+def _stat_sum(parts, *keys: str) -> Callable[[], int]:
+    """Sum of the stats-dict ``keys`` over a list of controllers."""
+    return lambda: sum(part.stats[key] for part in parts for key in keys)
 
 
-class _StatSum:
-    """Sum of one stats-dict key over a list of controllers."""
-
-    __slots__ = ("parts", "key")
-
-    def __init__(self, parts, key: str) -> None:
-        self.parts = parts
-        self.key = key
-
-    def __call__(self) -> int:
-        key = self.key
-        return sum(part.stats[key] for part in self.parts)
+def _network_total(network, attr: str) -> Callable[[], int]:
+    return lambda: getattr(network.stats, attr)
 
 
-class _StatKeysSum:
-    """Sum of several stats-dict keys over a list of controllers."""
-
-    __slots__ = ("parts", "keys")
-
-    def __init__(self, parts, keys) -> None:
-        self.parts = parts
-        self.keys = list(keys)
-
-    def __call__(self) -> int:
-        return sum(part.stats[key] for part in self.parts
-                   for key in self.keys)
-
-
-class _NetworkTotal:
-    __slots__ = ("network", "attr")
-
-    def __init__(self, network, attr: str) -> None:
-        self.network = network
-        self.attr = attr
-
-    def __call__(self) -> int:
-        return getattr(self.network.stats, self.attr)
-
-
-class _DetectorSum:
+def _detector_sum(detectors, attr: str) -> Callable[[], int]:
     """Sum of one detector attribute (int or sized container) over slices."""
-
-    __slots__ = ("detectors", "attr")
-
-    def __init__(self, detectors, attr: str) -> None:
-        self.detectors = detectors
-        self.attr = attr
-
-    def __call__(self) -> int:
-        total = 0
-        for det in self.detectors:
-            value = getattr(det, self.attr)
-            total += value if isinstance(value, int) else len(value)
-        return total
+    def total() -> int:
+        out = 0
+        for det in detectors:
+            value = getattr(det, attr)
+            out += value if isinstance(value, int) else len(value)
+        return out
+    return total
 
 
-class _PrvBlockGauge:
-    __slots__ = ("slices",)
+def _prv_block_gauge(slices) -> Callable[[], int]:
+    from repro.coherence.states import DirState
 
-    def __init__(self, slices) -> None:
-        self.slices = slices
-
-    def __call__(self) -> int:
-        from repro.coherence.states import DirState
-
-        return sum(1 for sl in self.slices for entry in sl.llc.iter_valid()
-                   if entry.payload.state is DirState.PRV)
+    return lambda: sum(1 for sl in slices for entry in sl.llc.iter_valid()
+                       if entry.payload.state is DirState.PRV)
 
 
 class MetricsRegistry:
@@ -156,7 +102,7 @@ class MetricsRegistry:
             self._register(name, source, COUNTER)
             return None
         owned = Counter(name)
-        self._register(name, _CounterValue(owned), COUNTER)
+        self._register(name, lambda: owned.value, COUNTER)
         return owned
 
     def gauge(self, name: str, source: Callable[[], float]) -> None:
@@ -227,28 +173,27 @@ class MetricsSampler(Observer):
         reg = self.registry
         l1s, slices, net = machine.l1s, machine.slices, machine.network
 
-        reg.counter("network.msgs_total", _NetworkTotal(net, "total_messages"))
-        reg.counter("network.bytes_total", _NetworkTotal(net, "total_bytes"))
-        reg.counter("l1.hits", _StatSum(l1s, CORE_HITS))
-        reg.counter("l1.misses", _StatSum(l1s, CORE_MISSES))
-        reg.counter("l1.chk_misses", _StatSum(l1s, CORE_CHK_MISSES))
+        reg.counter("network.msgs_total", _network_total(net, "total_messages"))
+        reg.counter("network.bytes_total", _network_total(net, "total_bytes"))
+        reg.counter("l1.hits", _stat_sum(l1s, CORE_HITS))
+        reg.counter("l1.misses", _stat_sum(l1s, CORE_MISSES))
+        reg.counter("l1.chk_misses", _stat_sum(l1s, CORE_CHK_MISSES))
         for l1 in l1s:
-            reg.counter(
-                f"core{l1.core_id}.accesses",
-                _StatKeysSum([l1], (CORE_LOADS, CORE_STORES, CORE_RMWS)))
+            reg.counter(f"core{l1.core_id}.accesses",
+                        _stat_sum([l1], CORE_LOADS, CORE_STORES, CORE_RMWS))
         reg.counter("dir.privatizations",
-                    _StatSum(slices, SLICE_PRIVATIZATIONS))
-        reg.counter("dir.prv_joins", _StatSum(slices, SLICE_PRV_JOINS))
-        reg.counter("dir.chk_fail", _StatSum(slices, SLICE_CHK_FAIL))
+                    _stat_sum(slices, SLICE_PRIVATIZATIONS))
+        reg.counter("dir.prv_joins", _stat_sum(slices, SLICE_PRV_JOINS))
+        reg.counter("dir.chk_fail", _stat_sum(slices, SLICE_CHK_FAIL))
         term_keys = [term_key(cause) for cause in TERM_CAUSES]
-        reg.counter("dir.terminations", _StatKeysSum(slices, term_keys))
+        reg.counter("dir.terminations", _stat_sum(slices, *term_keys))
         detectors = [sl.detector for sl in slices if sl.detector is not None]
         if detectors:
             reg.counter("fsdetect.reports",
-                        _DetectorSum(detectors, "reports"))
+                        _detector_sum(detectors, "reports"))
             reg.counter("fsdetect.metadata_resets",
-                        _DetectorSum(detectors, "metadata_resets"))
-            reg.gauge("fsdetect.prv_blocks", _PrvBlockGauge(slices))
+                        _detector_sum(detectors, "metadata_resets"))
+            reg.gauge("fsdetect.prv_blocks", _prv_block_gauge(slices))
 
     # -- observer callbacks ------------------------------------------------
 

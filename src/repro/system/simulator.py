@@ -27,6 +27,7 @@ from repro.common.statkeys import (
     SLICE_SAM_VALID_REPLACEMENTS,
     SLICE_TRUE_SHARING_DETECTIONS,
 )
+from repro.core.merge import merge_block
 from repro.energy.model import EnergyModel
 from repro.system.builder import Machine
 from repro.system.stats import SimStats
@@ -213,10 +214,13 @@ class MemoryImage(dict):
 
 def flush_machine_memory(machine: Machine) -> "MemoryImage":
     """Return the *coherent* final memory image: main memory overlaid with
-    LLC and private dirty copies (merged by SAM last-writer for PRV blocks).
+    LLC and private dirty copies (merged by SAM last-writer for PRV blocks,
+    with the one termination merge rule, :func:`repro.core.merge.merge_block`).
 
     Used by tests and the built-in self-check to compare against a reference
-    execution.
+    execution.  It binds ``merge_block`` from :mod:`repro.core.merge`, not
+    through the directory, so a mutation of the directory's merge never
+    reaches the image it is checked against.
     """
     from repro.coherence.states import DirState, L1State
 
@@ -235,20 +239,14 @@ def flush_machine_memory(machine: Machine) -> "MemoryImage":
             block_of(addr)[:] = line.data
             if line.state == DirState.PRV and sl.detector is not None:
                 sam_entry = sl.detector.sam.peek(addr)
-                lw = (sam_entry.last_writer_map()
-                      if sam_entry is not None else [])
+                if sam_entry is None:
+                    continue
+                lw = sam_entry.last_writer_map()
                 for core_id in iter_set_bits(line.prv_sharers):
-                    l1 = machine.l1s[core_id]
-                    l1_entry = l1.cache.peek(addr)
-                    if l1_entry is None:
-                        continue
-                    data = l1_entry.payload.data
-                    gran = sl.granularity
-                    for granule, writer in enumerate(lw):
-                        if writer == core_id:
-                            start = granule * gran
-                            block_of(addr)[start:start + gran] = \
-                                data[start:start + gran]
+                    l1_entry = machine.l1s[core_id].cache.peek(addr)
+                    if l1_entry is not None:
+                        merge_block(block_of(addr), l1_entry.payload.data,
+                                    core_id, lw, sl.granularity)
     for l1 in machine.l1s:
         for entry in l1.cache.iter_valid():
             addr = l1.cache.addr_of(entry)

@@ -104,6 +104,44 @@ class TestPrvChecks:
         assert e.check_write(0, 0b0001)
 
 
+class TestPrvGrant:
+    """The directory's one check and one record rule for PRV requests."""
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_check_access_picks_the_predicate(self, is_write):
+        e = entry()
+        e.record_read(1, 0b0001)
+        # A foreign reader blocks a write only; a foreign writer blocks both.
+        assert e.check_access(0, 0b0001, is_write) is not is_write
+        e.record_write(1, 0b0010)
+        assert not e.check_access(0, 0b0010, is_write)
+
+    @pytest.mark.parametrize("is_write,is_rmw,reads,writes", [
+        (False, False, 0b0110, 0),
+        (False, True, 0b0110, 0),
+        (True, False, 0, 0b0110),
+        (True, True, 0b0110, 0b0110),
+    ])
+    def test_record_grant(self, is_write, is_rmw, reads, writes):
+        e = entry()
+        e.record_grant(2, 0b0110, is_write, is_rmw)
+        assert e.read_masks[2] == reads and e.read_any == reads
+        assert e.write_masks[2] == writes and e.written == writes
+
+    def test_rules_go_through_the_mutation_seams(self):
+        from repro.check.mutations import mutation_context
+
+        e = entry()
+        with mutation_context("sam-drops-writes"):
+            e.record_grant(0, 0b0001, True, True)
+        assert e.written == 0 and e.read_masks[0] == 0b0001
+        e.record_grant(1, 0b0010, True, False)
+        with mutation_context("chk-write-always-passes"):
+            assert e.check_access(0, 0b0010, True)
+            assert not e.check_access(0, 0b0010, False)
+        assert not e.check_access(0, 0b0010, True)
+
+
 class TestReaderOptEncoding:
     """Last-reader + overflow (Section VI) must be conservative: it may
     report spurious conflicts, never miss a real one."""
