@@ -124,11 +124,9 @@ class SamEntry:
 
     # -- PRV grants (Section V-A/B) ------------------------------------------
     #
-    # The directory's one copy of each PRV bookkeeping rule: every
-    # privatization trigger, PRV join and GetCHK/GetXCHK is checked with
-    # :meth:`check_access` and, once granted, recorded with
-    # :meth:`record_grant`.  Both go through the ``check_*``/``record_*``
-    # names, which mutations patch.
+    # Every privatization trigger, PRV join and GetCHK/GetXCHK is checked
+    # with check_access and, once granted, recorded with record_grant.
+    # Both must call the check_*/record_* names: mutations patch those.
 
     def check_access(self, core: int, gmask: int, is_write: bool) -> bool:
         """The PRV-state check of a request: :meth:`check_write` for a
