@@ -124,6 +124,12 @@ class LlcLine:
         self.sharers = 0
         self.prv_sharers = 0
 
+    def take_data(self, data: bytes) -> None:
+        """Install a core's copy of the block (a writeback, flush or
+        transfer): the LLC copy is now newer than memory."""
+        self.data = bytearray(data)
+        self.dirty = True
+
     @property
     def holders(self) -> int:
         if self.state is DIR_EM:
@@ -348,10 +354,8 @@ class DirectorySlice:
                 mtype = MSG_GET
             elif mtype is MSG_GETXCHK:
                 mtype = MSG_GETX
-        if mtype is MSG_GET:
-            self._do_get(msg, line)
-        elif mtype is MSG_GETX:
-            self._do_getx(msg, line)
+        if mtype is MSG_GET or mtype is MSG_GETX:
+            self._do_demand(msg, line, mtype is MSG_GETX)
         elif mtype is MSG_UPGRADE:
             self._do_upgrade(msg, line)
         else:
@@ -359,43 +363,33 @@ class DirectorySlice:
 
     # -- baseline MESI ---------------------------------------------------------
 
-    def _do_get(self, msg: Message, line: LlcLine) -> None:
+    def _do_demand(self, msg: Message, line: LlcLine,
+                   exclusive: bool) -> None:
+        """Serve a GET, or a GETX when ``exclusive``."""
         block, core = msg.block_addr, msg.src
         if line.state is DIR_I:
             line.state = DIR_EM
             line.owner = core
             self._send_data(MSG_DATA_E, core, block, line)
         elif line.state is DIR_S:
-            line.sharers |= 1 << core
-            self._send_data(MSG_DATA, core, block, line)
+            if exclusive:
+                # A GETX from a listed sharer means the core silently
+                # evicted its copy and the directory info is stale; drop
+                # it and serve.
+                line.sharers &= ~(1 << core)
+                self._invalidate_sharers(msg, line, upgrade=False)
+            else:
+                line.sharers |= 1 << core
+                self._send_data(MSG_DATA, core, block, line)
         elif line.state is DIR_EM:
             if line.owner == core:
                 self.stats[SLICE_REGRANTS] += 1
                 self._send_data(MSG_DATA_E, core, block, line)
                 return
-            self._intervene(msg, line, MSG_FWD_GET)
+            self._intervene(msg, line,
+                            MSG_FWD_GETX if exclusive else MSG_FWD_GET)
         else:  # PRV
-            self._prv_join(msg, line, is_write=False)
-
-    def _do_getx(self, msg: Message, line: LlcLine) -> None:
-        block, core = msg.block_addr, msg.src
-        if line.state is DIR_I:
-            line.state = DIR_EM
-            line.owner = core
-            self._send_data(MSG_DATA_E, core, block, line)
-        elif line.state is DIR_S:
-            # A GETX from a listed sharer means the core silently evicted
-            # its copy and the directory info is stale; drop it and serve.
-            line.sharers &= ~(1 << core)
-            self._invalidate_sharers(msg, line, upgrade=False)
-        elif line.state is DIR_EM:
-            if line.owner == core:
-                self.stats[SLICE_REGRANTS] += 1
-                self._send_data(MSG_DATA_E, core, block, line)
-                return
-            self._intervene(msg, line, MSG_FWD_GETX)
-        else:  # PRV
-            self._prv_join(msg, line, is_write=True)
+            self._prv_join(msg, line, is_write=exclusive)
 
     def _do_upgrade(self, msg: Message, line: LlcLine) -> None:
         block, core = msg.block_addr, msg.src
@@ -418,14 +412,8 @@ class DirectorySlice:
         # The requestor was invalidated while its upgrade was in flight:
         # convert to a GetX (gem5 MESI does the same).
         self.stats[SLICE_UPGRADES_CONVERTED] += 1
-        converted = Message(MSG_GETX, msg.src, msg.dst, block,
-                            dict(msg.payload))
-        if line.state is DIR_I:
-            self._do_getx(converted, line)
-        elif line.state is DIR_S:
-            self._invalidate_sharers(converted, line, upgrade=False)
-        else:
-            self._intervene(converted, line, MSG_FWD_GETX)
+        self._do_demand(Message(MSG_GETX, msg.src, msg.dst, block,
+                                dict(msg.payload)), line, True)
 
     def _req_md_for(self, block: int) -> bool:
         if self.detector is None:
@@ -579,21 +567,29 @@ class DirectorySlice:
             self._send_data(MSG_DATA_PRV, msg.src, block, line)
         self._release_busy(block)
 
-    def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
-        """Serve a Get/GetX for a privatized block (Section V-A, Fig. 8)."""
+    def _prv_grant(self, msg: Message, is_write: bool) -> bool:
+        """Check a request on a privatized block against the SAM (Fig. 8).
+        On a pass, record the grant and return True; on a conflict,
+        terminate the episode with the request to rerun and return False."""
         block, core = msg.block_addr, msg.src
         sam_entry = self.detector.sam.peek(block)
         if sam_entry is None:
             raise ProtocolError("PRV block without a SAM entry")
         self.stats[SLICE_SAM_ACCESSES] += 1
         gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        if not sam_entry.check_access(core, gmask, is_write):
-            self.detector.record_conflict_abort(block)
-            self._start_termination(block, TERM_CONFLICT,
-                                    rerun=msg)
+        if sam_entry.check_access(core, gmask, is_write):
+            sam_entry.record_grant(core, gmask, is_write,
+                                   msg.payload.get("is_rmw"))
+            return True
+        self.detector.record_conflict_abort(block)
+        self._start_termination(block, TERM_CONFLICT, rerun=msg)
+        return False
+
+    def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
+        """Serve a Get/GetX for a privatized block (Section V-A, Fig. 8)."""
+        if not self._prv_grant(msg, is_write):
             return
-        sam_entry.record_grant(core, gmask, is_write,
-                               msg.payload.get("is_rmw"))
+        block, core = msg.block_addr, msg.src
         line.prv_sharers |= 1 << core
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
@@ -603,28 +599,15 @@ class DirectorySlice:
 
     def _do_chk(self, msg: Message, line: LlcLine, is_write: bool) -> None:
         """First-touch conflict check on a privatized block (Fig. 8)."""
-        block, core = msg.block_addr, msg.src
+        core = msg.src
         if not line.prv_sharers >> core & 1:
             self._prv_join(msg, line, is_write)
-            return
-        sam_entry = self.detector.sam.peek(block)
-        if sam_entry is None:
-            raise ProtocolError("PRV block without a SAM entry")
-        self.stats[SLICE_SAM_ACCESSES] += 1
-        gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        if sam_entry.check_access(core, gmask, is_write):
+        elif self._prv_grant(msg, is_write):
             self.stats[SLICE_CHK_PASS] += 1
-            sam_entry.record_grant(core, gmask, is_write,
-                                   msg.payload.get("is_rmw"))
-            if msg.mtype is MSG_UPGRADE:
-                self._send(MSG_UPG_ACK_PRV, core, block, {}, self._chk_latency)
-            else:
-                self._send(MSG_ACK_PRV, core, block, {}, self._chk_latency)
+            ack = MSG_UPG_ACK_PRV if msg.mtype is MSG_UPGRADE else MSG_ACK_PRV
+            self._send(ack, core, msg.block_addr, {}, self._chk_latency)
         else:
             self.stats[SLICE_CHK_FAIL] += 1
-            self.detector.record_conflict_abort(block)
-            self._start_termination(block, TERM_CONFLICT,
-                                    rerun=msg)
 
     # -- FSLite: termination -------------------------------------------------------
 
@@ -809,90 +792,76 @@ class DirectorySlice:
 
     # ------------------------------------------------------ response path
 
+    def _collect(self, ctx: BusyCtx, core: int) -> None:
+        """Count ``core``'s response to ``ctx``; the last one finishes it."""
+        ctx.waiting &= ~(1 << core)
+        if not ctx.waiting:
+            _FINISH_BY_KIND[ctx.kind._value_](self, ctx)
+
+    def _depart_prv(self, block: int, line: LlcLine, core: int,
+                    data: bytes) -> None:
+        """A PRV sharer left mid-episode (its eviction PUTM, or a Prv_WB
+        that crossed its termination's finish): merge its copy by the live
+        SAM last writer and drop it from the PRV sharers."""
+        sam_entry = (self.detector.sam.peek(block)
+                     if self.detector is not None else None)
+        if sam_entry is not None:
+            merge_block(line.data, data, core,
+                        sam_entry.last_writer_map(), self.granularity)
+            # The departed core's SAM claims must survive the merge:
+            # sharers that joined before this merge landed hold copies
+            # that are stale exactly on these granules, and the claim
+            # is what turns their next CHK into a conflict instead of
+            # a silent read/RMW of stale data. Claims are reclaimed
+            # wholesale when the episode terminates.
+        line.prv_sharers &= ~(1 << core)
+        line.dirty = True
+
     def _on_putm(self, msg: Message) -> None:
         block, core = msg.block_addr, msg.src
         data = msg.payload["data"]
         ctx = self._busy.get(block)
         if ctx is not None:
-            if ctx.kind is BUSY_FWD and core == ctx.owner:
-                line = self._line(block)
-                line.data = bytearray(data)
-                line.dirty = True
-                self._send(MSG_WB_ACK, core, block, {})
-                return  # stay busy; the wb-buffer response completes the FWD
-            if ctx.kind is BUSY_PRV_TERM:
+            kind = ctx.kind
+            if kind is BUSY_PRV_TERM:
                 if ctx.waiting >> core & 1:
                     self._term_merge(ctx, core, data)
-                    ctx.waiting &= ~(1 << core)
-                self._send(MSG_WB_ACK, core, block, {})
-                if not ctx.waiting:
-                    self._finish_termination(ctx)
-                return
-            if ctx.kind is BUSY_PRV_INIT:
-                line = self._line(block)
-                line.data = bytearray(data)
-                line.dirty = True
-                ctx.prospective &= ~(1 << core)
-                self._send(MSG_WB_ACK, core, block, {})
-                # The evicting holder's writeback doubles as its TR_PRV
-                # response (see putm_in_flight): the init may finish now.
-                if ctx.waiting >> core & 1:
-                    ctx.waiting &= ~(1 << core)
-                    if not ctx.waiting:
-                        self._finish_prv_init(ctx)
-                return
-            if ctx.kind is BUSY_RECALL:
-                line = self._line(block)
-                line.data = bytearray(data)
-                line.dirty = True
-                ctx.waiting &= ~(1 << core)
-                self._send(MSG_WB_ACK, core, block, {})
-                if not ctx.waiting:
-                    self._finish_recall(ctx)
-                return
-            raise ProtocolError(f"PUTM during {ctx.kind} for {block:#x}")
-        entry = self._llc_index.get(block)
-        if entry is None:
-            # Terminating-eviction already wrote to memory; stale PUTM.
-            self.stats[SLICE_STALE_PUTM] += 1
+            elif (kind is BUSY_RECALL or kind is BUSY_PRV_INIT
+                  or (kind is BUSY_FWD and core == ctx.owner)):
+                self._line(block).take_data(data)
+                if kind is BUSY_PRV_INIT:
+                    # The evictor's writeback doubles as its TR_PRV
+                    # response (see putm_in_flight); it does not join.
+                    ctx.prospective &= ~(1 << core)
+            else:
+                raise ProtocolError(f"PUTM during {ctx.kind} for {block:#x}")
             self._send(MSG_WB_ACK, core, block, {})
+            # A FWD waits on no response bits: it stays busy until the
+            # owner's wb-buffer response completes it.
+            if ctx.waiting >> core & 1:
+                self._collect(ctx, core)
             return
-        line = entry.payload
-        if line.state is DIR_EM and line.owner == core:
-            line.data = bytearray(data)
-            line.dirty = True
+        entry = self._llc_index.get(block)
+        line = entry.payload if entry is not None else None
+        if line is not None and line.state is DIR_EM and line.owner == core:
+            line.take_data(data)
             line.state = DIR_I
             line.owner = None
-        elif line.state is DIR_PRV and line.prv_sharers >> core & 1:
-            sam_entry = (self.detector.sam.peek(block)
-                         if self.detector else None)
-            if sam_entry is not None:
-                merge_block(line.data, data, core,
-                            sam_entry.last_writer_map(), self.granularity)
-                # The departed core's SAM claims must survive the merge:
-                # sharers that joined before this merge landed hold copies
-                # that are stale exactly on these granules, and the claim
-                # is what turns their next CHK into a conflict instead of
-                # a silent read/RMW of stale data. Claims are reclaimed
-                # wholesale when the episode terminates.
-            line.prv_sharers &= ~(1 << core)
-            line.dirty = True
+        elif (line is not None and line.state is DIR_PRV
+              and line.prv_sharers >> core & 1):
+            self._depart_prv(block, line, core, data)
         else:
+            # Not the owner or a PRV sharer (or a terminating eviction
+            # already wrote the block to memory): a stale PUTM.
             self.stats[SLICE_STALE_PUTM] += 1
         self._send(MSG_WB_ACK, core, block, {})
 
     def _on_inv_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None:
-            return  # stale ack after a recall raced with something else
-        if ctx.kind is BUSY_INV_COLLECT:
-            ctx.waiting &= ~(1 << msg.src)
-            if not ctx.waiting:
-                self._finish_inv_collect(ctx)
-        elif ctx.kind is BUSY_RECALL:
-            ctx.waiting &= ~(1 << msg.src)
-            if not ctx.waiting:
-                self._finish_recall(ctx)
+        # No context: a stale ack after a recall raced with something else.
+        if ctx is not None and (ctx.kind is BUSY_INV_COLLECT
+                                or ctx.kind is BUSY_RECALL):
+            self._collect(ctx, msg.src)
 
     def _on_data_wb(self, msg: Message) -> None:
         block, data = msg.block_addr, msg.payload["data"]
@@ -902,34 +871,25 @@ class DirectorySlice:
             # a stale downgrade; accept the data.
             entry = self._llc_index.get(block)
             if entry is not None:
-                entry.payload.data = bytearray(data)
-                entry.payload.dirty = True
+                entry.payload.take_data(data)
             return
-        if ctx.kind is BUSY_FWD:
-            line = self._line(block)
-            line.data = bytearray(data)
-            line.dirty = True
+        kind = ctx.kind
+        if kind is BUSY_PRV_TERM:
+            self._term_merge(ctx, msg.src, data)
+            self._collect(ctx, msg.src)
+            return
+        if (kind is not BUSY_FWD and kind is not BUSY_PRV_INIT
+                and kind is not BUSY_RECALL):
+            raise ProtocolError(f"DATA_WB during {ctx.kind}")
+        self._line(block).take_data(data)
+        if kind is BUSY_FWD:
             owner_kept = not msg.payload.get("from_wb") and not msg.payload.get("xfer")
             self._finish_fwd(ctx, owner_kept_copy=owner_kept,
                              dir_serves_data=False)
-        elif ctx.kind is BUSY_PRV_INIT:
-            line = self._line(block)
-            line.data = bytearray(data)
-            line.dirty = True
-        elif ctx.kind is BUSY_RECALL:
-            line = self._line(block)
-            line.data = bytearray(data)
-            line.dirty = True
-            ctx.waiting &= ~(1 << msg.src)
-            if not ctx.waiting:
-                self._finish_recall(ctx)
-        elif ctx.kind is BUSY_PRV_TERM:
-            self._term_merge(ctx, msg.src, data)
-            ctx.waiting &= ~(1 << msg.src)
-            if not ctx.waiting:
-                self._finish_termination(ctx)
-        else:
-            raise ProtocolError(f"DATA_WB during {ctx.kind}")
+        elif kind is BUSY_RECALL:
+            self._collect(ctx, msg.src)
+        # A PRV_INIT flush only refreshes the LLC copy: the metadata
+        # response answers the TR_PRV.
 
     def _on_xfer_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
@@ -946,9 +906,7 @@ class DirectorySlice:
             # The owner silently dropped its clean copy: serve from the LLC.
             self._finish_fwd(ctx, owner_kept_copy=False, dir_serves_data=True)
         elif ctx.kind is BUSY_RECALL:
-            ctx.waiting &= ~(1 << msg.src)
-            if not ctx.waiting:
-                self._finish_recall(ctx)
+            self._collect(ctx, msg.src)
 
     # -- metadata ------------------------------------------------------------------
 
@@ -979,9 +937,7 @@ class DirectorySlice:
                 if msg.payload.get("putm_in_flight"):
                     ctx.prospective &= ~(1 << core)
                     return  # the PUTM completes this core's response
-                ctx.waiting &= ~(1 << core)
-                if not ctx.waiting:
-                    self._finish_prv_init(ctx)
+                self._collect(ctx, core)
 
     def _on_phantom(self, msg: Message) -> None:
         if self.detector is None:
@@ -991,43 +947,31 @@ class DirectorySlice:
         ctx = self._busy.get(block)
         if ctx is not None and ctx.kind is BUSY_PRV_INIT:
             ctx.prospective &= ~(1 << core)
-            if ctx.waiting >> core & 1:
-                if msg.payload.get("putm_in_flight"):
-                    return  # hold the init open until the PUTM lands
-                ctx.waiting &= ~(1 << core)
-                if not ctx.waiting:
-                    self._finish_prv_init(ctx)
+            # With a PUTM in flight, hold the init open until it lands.
+            if (ctx.waiting >> core & 1
+                    and not msg.payload.get("putm_in_flight")):
+                self._collect(ctx, core)
 
     # -- termination responses ---------------------------------------------------------
 
     def _on_prv_wb(self, msg: Message) -> None:
-        ctx = self._busy.get(msg.block_addr)
+        block, core = msg.block_addr, msg.src
+        ctx = self._busy.get(block)
         if ctx is None or ctx.kind is not BUSY_PRV_TERM:
             # A termination that no longer exists (the core's response
-            # crossed the finish): merge against live SAM if still PRV.
-            entry = self._llc_index.get(msg.block_addr)
+            # crossed the finish): a departure, if the block is still PRV.
+            entry = self._llc_index.get(block)
             if entry is not None and entry.payload.state is DIR_PRV:
-                sam_entry = self.detector.sam.peek(msg.block_addr)
-                if sam_entry is not None:
-                    merge_block(entry.payload.data, msg.payload["data"],
-                                msg.src, sam_entry.last_writer_map(),
-                                self.granularity)
-                    # Keep the claims (see the PUTM departure merge).
-                entry.payload.prv_sharers &= ~(1 << msg.src)
-            return
-        if ctx.waiting >> msg.src & 1:
-            self._term_merge(ctx, msg.src, msg.payload["data"])
-            ctx.waiting &= ~(1 << msg.src)
-            if not ctx.waiting:
-                self._finish_termination(ctx)
+                self._depart_prv(block, entry.payload, core,
+                                 msg.payload["data"])
+        elif ctx.waiting >> core & 1:
+            self._term_merge(ctx, core, msg.payload["data"])
+            self._collect(ctx, core)
 
     def _on_ctrl_wb(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind is not BUSY_PRV_TERM:
-            return
-        ctx.waiting &= ~(1 << msg.src)
-        if not ctx.waiting:
-            self._finish_termination(ctx)
+        if ctx is not None and ctx.kind is BUSY_PRV_TERM:
+            self._collect(ctx, msg.src)
 
     # ----------------------------------------------------------------- misc
 
@@ -1134,3 +1078,13 @@ _DIR_DISPATCH: tuple = table_by_value({
     MSG_PRV_WB: DirectorySlice._on_prv_wb,
     MSG_CTRL_WB: DirectorySlice._on_ctrl_wb,
 })
+
+#: The finisher of each context kind that collects responses, indexed by
+#: ``BusyKind._value_`` (slot 0 padding; FETCH and FWD collect none):
+#: ``_collect`` runs it when the last awaited response lands.
+_FINISH_BY_KIND: tuple = (None,) + tuple({
+    BUSY_INV_COLLECT: DirectorySlice._finish_inv_collect,
+    BUSY_PRV_INIT: DirectorySlice._finish_prv_init,
+    BUSY_PRV_TERM: DirectorySlice._finish_termination,
+    BUSY_RECALL: DirectorySlice._finish_recall,
+}.get(kind) for kind in BusyKind)

@@ -28,11 +28,9 @@ def merge_block(
             f"block size mismatch: {len(incoming)} vs {len(llc_data)}")
     updated = 0
     for granule, writer in enumerate(last_writer_map):
-        if writer != core:
-            continue
-        start = granule * granularity
-        for offset in range(start, start + granularity):
-            if llc_data[offset] != incoming[offset]:
-                llc_data[offset] = incoming[offset]
-            updated += 1
+        if writer == core:
+            start = granule * granularity
+            end = start + granularity
+            llc_data[start:end] = incoming[start:end]
+            updated += granularity
     return updated

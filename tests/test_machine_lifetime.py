@@ -229,8 +229,8 @@ L1_ROUTES = {
     "UPG_ACK_PRV": "_on_upg_ack",
     "ACK_PRV": "_on_ack_prv",
     "INV": "_on_inv",
-    "FWD_GET": "_on_fwd_get",
-    "FWD_GETX": "_on_fwd_getx",
+    "FWD_GET": "_on_fwd",
+    "FWD_GETX": "_on_fwd",
     "TR_PRV": "_on_tr_prv",
     "INV_PRV": "_on_inv_prv",
     "RECALL": "_on_recall",
