@@ -9,8 +9,8 @@ its ``xfail`` marker so the repro becomes a regression test.
 
 The last two tests are such regression tests: streamed trace replay's
 memory once grew with trace length, because every core kept each result
-it sent back to its program; trace programs ignore results, so their
-cores now keep only an op count.
+it sent back to its program; trace programs ignore results, and a core
+that runs a spec now keeps no per-op history at all.
 """
 
 import tracemalloc
