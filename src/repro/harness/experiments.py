@@ -10,13 +10,15 @@ Drivers are **batch-first**: each one builds its full set of
 :class:`~repro.harness.engine.Engine` (``engine=None`` means a private
 serial engine), then does table assembly on the returned records.  That
 separation is what lets the engine dedup shared baselines, recall cached
-records and fan the rest out over worker processes.
+records and fan the rest out over worker processes.  The per-app tables
+share one builder, :func:`_per_app_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.coherence.states import ProtocolMode
 from repro.common.config import SystemConfig
@@ -67,18 +69,69 @@ class ExperimentResult:
         return [row[idx] for row in self.rows]
 
 
-def _engine(engine: Optional[Engine]) -> Engine:
-    return engine if engine is not None else Engine()
+class _Col(NamedTuple):
+    """One column of a per-app table: ``value`` maps one app's records
+    (keyed by variant) to its cell, rounded to ``digits`` (None: as is);
+    ``agg`` (``geomean`` or ``_mean``; None: empty footer cell) makes the
+    footer cell and the summary value from the unrounded cells."""
+
+    header: str
+    value: Callable[[Dict[object, RunRecord]], object]
+    digits: Optional[int] = None
+    agg: Optional[Callable[[Sequence[float]], float]] = None
 
 
-def _run_keyed(engine: Optional[Engine],
-               keyed: Dict[object, RunSpec]) -> Dict[object, RunRecord]:
-    """Submit one batch of keyed specs and return keyed records."""
-    return _engine(engine).run_keyed(keyed)
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
 
 
-def _cycles(recs: Dict[object, RunRecord]) -> int:
-    return sum(rec.cycles for rec in recs.values())
+def _speedup(base: object, new: object) -> Callable[..., float]:
+    """Column value: cycles of variant ``base`` over cycles of ``new``."""
+    return lambda r: r[base].cycles / r[new].cycles
+
+
+def _per_app_table(name: str, apps: Sequence[str],
+                   variants: Dict[object, Callable[[str], RunSpec]],
+                   columns: Sequence[_Col], engine: Optional[Engine],
+                   footer: Optional[str] = "geomean",
+                   summary: Optional[Dict[str, str]] = None
+                   ) -> ExperimentResult:
+    """Run every app under every variant (``variants[key](tag)`` is the
+    spec) in one batch and tabulate one row per app.
+
+    The ``footer`` row (None: no footer) holds each column's aggregate;
+    ``summary`` maps a summary key to the header of the column whose
+    unrounded aggregate it reports.
+    """
+    specs = {(tag, key): make(tag)
+             for tag in apps for key, make in variants.items()}
+    recs = (engine or Engine()).run_keyed(specs)
+    cells = [[col.value({key: recs[(tag, key)] for key in variants})
+              for col in columns] for tag in apps]
+    aggs = {col.header: col.agg(list(values))
+            for col, values in zip(columns, zip(*cells)) if col.agg}
+
+    def cell(col: _Col, value):
+        return value if col.digits is None else round(value, col.digits)
+
+    rows = [[tag] + [cell(col, v) for col, v in zip(columns, row)]
+            for tag, row in zip(apps, cells)]
+    if footer is not None:
+        rows.append([footer] + [cell(col, aggs[col.header]) if col.agg
+                                else "" for col in columns])
+    return ExperimentResult(
+        name=name, headers=["app"] + [col.header for col in columns],
+        rows=rows,
+        summary={key: aggs[header] for key, header in (summary or {}).items()},
+        specs=list(specs.values()),
+        cycles=sum(rec.cycles for rec in recs.values()))
+
+
+def _base_and_fslite(scale: float, config: Optional[SystemConfig]) -> dict:
+    """Variants ``"base"`` (MESI) and ``"fsl"`` (FSLite) of each app."""
+    return {"base": partial(RunSpec, config=config, scale=scale),
+            "fsl": partial(RunSpec, mode=ProtocolMode.FSLITE, config=config,
+                           scale=scale)}
 
 
 # ---------------------------------------------------------------- Figure 2
@@ -87,25 +140,14 @@ def fig02_manual_fix(scale: float = 1.0,
                      config: Optional[SystemConfig] = None,
                      engine: Optional[Engine] = None) -> ExperimentResult:
     """Speedup achieved after manually fixing false sharing (padding)."""
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_WORKLOADS:
-        specs[(tag, "base")] = RunSpec(tag=tag, config=config, scale=scale)
-        specs[(tag, "manual")] = manual_fix_spec(tag, config=config,
-                                                 scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    speedups = []
-    for tag in FS_WORKLOADS:
-        s = recs[(tag, "base")].cycles / recs[(tag, "manual")].cycles
-        speedups.append(s)
-        rows.append([tag, round(s, 2)])
-    g = geomean(speedups)
-    rows.append(["geomean", round(g, 2)])
-    return ExperimentResult(
-        name="Figure 2: speedup of the manual fix over baseline MESI "
-             "(paper geomean 1.34, RC peak 3.06)",
-        headers=["app", "speedup"], rows=rows, summary={"geomean": g},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    return _per_app_table(
+        "Figure 2: speedup of the manual fix over baseline MESI "
+        "(paper geomean 1.34, RC peak 3.06)",
+        FS_WORKLOADS,
+        {"base": partial(RunSpec, config=config, scale=scale),
+         "manual": partial(manual_fix_spec, config=config, scale=scale)},
+        [_Col("speedup", _speedup("base", "manual"), 2, geomean)],
+        engine, summary={"geomean": "speedup"})
 
 
 # ---------------------------------------------------------------- Figure 13
@@ -115,22 +157,12 @@ def fig13_miss_fraction(scale: float = 1.0,
                         engine: Optional[Engine] = None
                         ) -> ExperimentResult:
     """Fraction of L1D accesses that miss, FS apps under baseline MESI."""
-    specs = {tag: RunSpec(tag=tag, config=config, scale=scale)
-             for tag in FS_WORKLOADS}
-    recs = _run_keyed(engine, specs)
-    rows = []
-    fractions = []
-    for tag in FS_WORKLOADS:
-        rate = recs[tag].l1_miss_rate
-        fractions.append(rate)
-        rows.append([tag, round(rate, 4)])
-    mean = sum(fractions) / len(fractions)
-    rows.append(["mean", round(mean, 4)])
-    return ExperimentResult(
-        name="Figure 13: fraction of L1D accesses that miss "
-             "(paper mean 0.05, RC 0.18)",
-        headers=["app", "miss_fraction"], rows=rows, summary={"mean": mean},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    return _per_app_table(
+        "Figure 13: fraction of L1D accesses that miss "
+        "(paper mean 0.05, RC 0.18)",
+        FS_WORKLOADS, {"base": partial(RunSpec, config=config, scale=scale)},
+        [_Col("miss_fraction", lambda r: r["base"].l1_miss_rate, 4, _mean)],
+        engine, footer="mean", summary={"mean": "miss_fraction"})
 
 
 # ---------------------------------------------------------------- Figure 14
@@ -140,40 +172,22 @@ def fig14_speedup_energy(scale: float = 1.0,
                          engine: Optional[Engine] = None
                          ) -> ExperimentResult:
     """FSDetect/FSLite speedup (14a) and normalized energy (14b)."""
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_WORKLOADS:
-        for mode in (ProtocolMode.MESI, ProtocolMode.FSDETECT,
-                     ProtocolMode.FSLITE):
-            specs[(tag, mode)] = RunSpec(tag=tag, mode=mode, config=config,
-                                         scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    det_speedups, fsl_speedups, det_energy, fsl_energy = [], [], [], []
-    for tag in FS_WORKLOADS:
-        base = recs[(tag, ProtocolMode.MESI)]
-        det = recs[(tag, ProtocolMode.FSDETECT)]
-        fsl = recs[(tag, ProtocolMode.FSLITE)]
-        sd, sf = base.cycles / det.cycles, base.cycles / fsl.cycles
-        ed, ef = det.energy_vs(base), fsl.energy_vs(base)
-        det_speedups.append(sd)
-        fsl_speedups.append(sf)
-        det_energy.append(ed)
-        fsl_energy.append(ef)
-        rows.append([tag, round(sd, 3), round(sf, 2),
-                     round(ed, 2), round(ef, 2)])
-    rows.append(["geomean", round(geomean(det_speedups), 3),
-                 round(geomean(fsl_speedups), 2),
-                 round(geomean(det_energy), 2),
-                 round(geomean(fsl_energy), 2)])
-    return ExperimentResult(
-        name="Figure 14: FSDetect/FSLite speedup and normalized energy "
-             "(paper: FSLite 1.39X speedup, 0.73 energy)",
-        headers=["app", "fsdetect_speedup", "fslite_speedup",
-                 "fsdetect_energy", "fslite_energy"],
-        rows=rows,
-        summary={"fslite_geomean": geomean(fsl_speedups),
-                 "fslite_energy_geomean": geomean(fsl_energy)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    mesi, det, fsl = (ProtocolMode.MESI, ProtocolMode.FSDETECT,
+                      ProtocolMode.FSLITE)
+    return _per_app_table(
+        "Figure 14: FSDetect/FSLite speedup and normalized energy "
+        "(paper: FSLite 1.39X speedup, 0.73 energy)",
+        FS_WORKLOADS,
+        {mode: partial(RunSpec, mode=mode, config=config, scale=scale)
+         for mode in (mesi, det, fsl)},
+        [_Col("fsdetect_speedup", _speedup(mesi, det), 3, geomean),
+         _Col("fslite_speedup", _speedup(mesi, fsl), 2, geomean),
+         _Col("fsdetect_energy", lambda r: r[det].energy_vs(r[mesi]), 2,
+              geomean),
+         _Col("fslite_energy", lambda r: r[fsl].energy_vs(r[mesi]), 2,
+              geomean)],
+        engine, summary={"fslite_geomean": "fslite_speedup",
+                         "fslite_energy_geomean": "fslite_energy"})
 
 
 # ---------------------------------------------------------------- Figure 15
@@ -182,31 +196,16 @@ def fig15_no_fs(scale: float = 1.0,
                 config: Optional[SystemConfig] = None,
                 engine: Optional[Engine] = None) -> ExperimentResult:
     """FSLite impact on applications without false sharing (≈1.0/≈1.0)."""
-    specs: Dict[object, RunSpec] = {}
-    for tag in NO_FS_WORKLOADS:
-        specs[(tag, "base")] = RunSpec(tag=tag, config=config, scale=scale)
-        specs[(tag, "fsl")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                      config=config, scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    speedups, energies = [], []
-    for tag in NO_FS_WORKLOADS:
-        base, fsl = recs[(tag, "base")], recs[(tag, "fsl")]
-        s, e = base.cycles / fsl.cycles, fsl.energy_vs(base)
-        speedups.append(s)
-        energies.append(e)
-        rows.append([tag, round(s, 3), round(e, 3),
-                     fsl.stats.privatizations])
-    rows.append(["geomean", round(geomean(speedups), 3),
-                 round(geomean(energies), 3), ""])
-    return ExperimentResult(
-        name="Figure 15: FSLite on apps without false sharing "
-             "(paper: both within 0.1% of baseline)",
-        headers=["app", "speedup", "norm_energy", "privatizations"],
-        rows=rows,
-        summary={"speedup_geomean": geomean(speedups),
-                 "energy_geomean": geomean(energies)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    return _per_app_table(
+        "Figure 15: FSLite on apps without false sharing "
+        "(paper: both within 0.1% of baseline)",
+        NO_FS_WORKLOADS, _base_and_fslite(scale, config),
+        [_Col("speedup", _speedup("base", "fsl"), 3, geomean),
+         _Col("norm_energy", lambda r: r["fsl"].energy_vs(r["base"]), 3,
+              geomean),
+         _Col("privatizations", lambda r: r["fsl"].stats.privatizations)],
+        engine, summary={"speedup_geomean": "speedup",
+                         "energy_geomean": "norm_energy"})
 
 
 # ---------------------------------------------------------------- Figure 16
@@ -216,78 +215,47 @@ def fig16_tau_p(scale: float = 1.0,
                 engine: Optional[Engine] = None) -> ExperimentResult:
     """Sensitivity of FSLite to the privatization threshold τP."""
     config = config or SystemConfig()
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_STUDY:
-        specs[(tag, 16)] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                   config=config, scale=scale)
-        specs[(tag, 32)] = RunSpec(
-            tag=tag, mode=ProtocolMode.FSLITE, scale=scale,
-            config=config.with_protocol(tau_p=32, tau_r1=32))
-        specs[(tag, 64)] = RunSpec(
-            tag=tag, mode=ProtocolMode.FSLITE, scale=scale,
-            config=config.with_protocol(tau_p=64, tau_r1=64))
-    recs = _run_keyed(engine, specs)
-    rows = []
-    rel32, rel64 = [], []
-    for tag in FS_STUDY:
-        ref = recs[(tag, 16)]
-        s32 = ref.cycles / recs[(tag, 32)].cycles
-        s64 = ref.cycles / recs[(tag, 64)].cycles
-        rel32.append(s32)
-        rel64.append(s64)
-        rows.append([tag, round(s32, 3), round(s64, 3)])
-    rows.append(["geomean", round(geomean(rel32), 3),
-                 round(geomean(rel64), 3)])
-    return ExperimentResult(
-        name="Figure 16: FSLite speedup with τP=32/64 relative to τP=16 "
-             "(paper: ~1% mean slowdown)",
-        headers=["app", "tauP=32", "tauP=64"], rows=rows,
-        summary={"rel32_geomean": geomean(rel32),
-                 "rel64_geomean": geomean(rel64)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    fsl = partial(RunSpec, mode=ProtocolMode.FSLITE, scale=scale)
+    return _per_app_table(
+        "Figure 16: FSLite speedup with τP=32/64 relative to τP=16 "
+        "(paper: ~1% mean slowdown)",
+        FS_STUDY,
+        {16: partial(fsl, config=config),
+         32: partial(fsl, config=config.with_protocol(tau_p=32, tau_r1=32)),
+         64: partial(fsl, config=config.with_protocol(tau_p=64, tau_r1=64))},
+        [_Col("tauP=32", _speedup(16, 32), 3, geomean),
+         _Col("tauP=64", _speedup(16, 64), 3, geomean)],
+        engine, summary={"rel32_geomean": "tauP=32",
+                         "rel64_geomean": "tauP=64"})
 
 
 # ---------------------------------------------------------------- Figure 17
+
+#: The apps of the Huron artifact (Fig. 17) and of the OoO study.
+_HURON_APPS = ["BS", "LL", "LR", "LT", "RC", "SM"]
+
 
 def fig17_huron(scale: float = 1.0,
                 config: Optional[SystemConfig] = None,
                 engine: Optional[Engine] = None) -> ExperimentResult:
     """Baseline vs manual fix vs Huron vs FSLite (Huron-artifact apps)."""
-    tags = ["BS", "LL", "LR", "LT", "RC", "SM"]
-    specs: Dict[object, RunSpec] = {}
-    for tag in tags:
-        specs[(tag, "base")] = RunSpec(tag=tag, config=config, scale=scale)
-        specs[(tag, "manual")] = manual_fix_spec(tag, config=config,
-                                                 scale=scale)
-        specs[(tag, "huron")] = huron_spec(tag, config=config, scale=scale)
-        specs[(tag, "fsl")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                      config=config, scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    man_s, hur_s, fsl_s = [], [], []
-    for tag in tags:
-        base = recs[(tag, "base")]
-        man = recs[(tag, "manual")]
-        hur = apply_huron_discount(recs[(tag, "huron")])
-        fsl = recs[(tag, "fsl")]
-        sm_ = base.cycles / man.cycles
-        sh = base.cycles / hur.cycles
-        sf = base.cycles / fsl.cycles
-        man_s.append(sm_)
-        hur_s.append(sh)
-        fsl_s.append(sf)
-        rows.append([tag, round(sm_, 2), round(sh, 2), round(sf, 2)])
-    rows.append(["geomean", round(geomean(man_s), 2),
-                 round(geomean(hur_s), 2), round(geomean(fsl_s), 2)])
-    return ExperimentResult(
-        name="Figure 17: manual vs Huron vs FSLite "
-             "(paper: FSLite beats Huron by ~19.8% geomean; Huron wins BS, "
-             "lags badly on RC)",
-        headers=["app", "manual", "huron", "fslite"], rows=rows,
-        summary={"manual_geomean": geomean(man_s),
-                 "huron_geomean": geomean(hur_s),
-                 "fslite_geomean": geomean(fsl_s)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    return _per_app_table(
+        "Figure 17: manual vs Huron vs FSLite "
+        "(paper: FSLite beats Huron by ~19.8% geomean; Huron wins BS, "
+        "lags badly on RC)",
+        _HURON_APPS,
+        {"base": partial(RunSpec, config=config, scale=scale),
+         "manual": partial(manual_fix_spec, config=config, scale=scale),
+         "huron": partial(huron_spec, config=config, scale=scale),
+         "fsl": partial(RunSpec, mode=ProtocolMode.FSLITE, config=config,
+                        scale=scale)},
+        [_Col("manual", _speedup("base", "manual"), 2, geomean),
+         _Col("huron", lambda r: r["base"].cycles / apply_huron_discount(
+             r["huron"]).cycles, 2, geomean),
+         _Col("fslite", _speedup("base", "fsl"), 2, geomean)],
+        engine, summary={"manual_geomean": "manual",
+                         "huron_geomean": "huron",
+                         "fslite_geomean": "fslite"})
 
 
 # --------------------------------------------------- §VIII-B text studies
@@ -298,37 +266,21 @@ def traffic_reduction(scale: float = 1.0,
                       ) -> ExperimentResult:
     """L1 request-message and interconnect-traffic reduction under FSLite
     (paper: 80% fewer L1 requests; ~5% metadata traffic; 75% overall)."""
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_STUDY:
-        specs[(tag, "base")] = RunSpec(tag=tag, config=config, scale=scale)
-        specs[(tag, "fsl")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                      config=config, scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    req_reductions, traffic_reductions, md_fractions = [], [], []
-    for tag in FS_STUDY:
-        base, fsl = recs[(tag, "base")], recs[(tag, "fsl")]
-        req_red = 1 - fsl.stats.l1_requests / max(1, base.stats.l1_requests)
-        traffic_red = 1 - fsl.stats.total_bytes / max(1, base.stats.total_bytes)
-        md_frac = fsl.stats.metadata_messages / max(1, fsl.stats.total_messages)
-        req_reductions.append(req_red)
-        traffic_reductions.append(traffic_red)
-        md_fractions.append(md_frac)
-        rows.append([tag, round(req_red, 3), round(traffic_red, 3),
-                     round(md_frac, 3)])
-    rows.append(["mean",
-                 round(sum(req_reductions) / len(req_reductions), 3),
-                 round(sum(traffic_reductions) / len(traffic_reductions), 3),
-                 round(sum(md_fractions) / len(md_fractions), 3)])
-    return ExperimentResult(
-        name="Interconnect traffic: FSLite vs baseline "
-             "(paper: 80% fewer L1 requests, 75% less traffic)",
-        headers=["app", "l1_request_reduction", "traffic_reduction",
-                 "metadata_msg_fraction"],
-        rows=rows,
-        summary={"mean_request_reduction":
-                 sum(req_reductions) / len(req_reductions)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    def reduction(counter):
+        return lambda r: 1 - (getattr(r["fsl"].stats, counter)
+                              / max(1, getattr(r["base"].stats, counter)))
+
+    return _per_app_table(
+        "Interconnect traffic: FSLite vs baseline "
+        "(paper: 80% fewer L1 requests, 75% less traffic)",
+        FS_STUDY, _base_and_fslite(scale, config),
+        [_Col("l1_request_reduction", reduction("l1_requests"), 3, _mean),
+         _Col("traffic_reduction", reduction("total_bytes"), 3, _mean),
+         _Col("metadata_msg_fraction",
+              lambda r: (r["fsl"].stats.metadata_messages
+                         / max(1, r["fsl"].stats.total_messages)), 3, _mean)],
+        engine, footer="mean",
+        summary={"mean_request_reduction": "l1_request_reduction"})
 
 
 def sam_size(scale: float = 1.0,
@@ -337,32 +289,19 @@ def sam_size(scale: float = 1.0,
     """SAM-table size sensitivity: 128 vs 256 entries per slice
     (paper: ~0.13% valid-entry replacement rate; no perf difference)."""
     config = config or SystemConfig()
-    big = config.with_protocol(sam_sets=16)  # 16x16 = 256 entries
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_STUDY:
-        specs[(tag, 128)] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                    config=config, scale=scale)
-        specs[(tag, 256)] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                    config=big, scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    rels, rates = [], []
-    for tag in FS_STUDY:
-        r128, r256 = recs[(tag, 128)], recs[(tag, 256)]
-        rel = r128.cycles / r256.cycles
-        rate = _sam_replacement_rate(r128)
-        rels.append(rel)
-        rates.append(rate)
-        rows.append([tag, round(rel, 3), round(rate, 4)])
-    rows.append(["mean", round(geomean(rels), 3),
-                 round(sum(rates) / len(rates), 4)])
-    return ExperimentResult(
-        name="SAM table size: 256-entry speedup relative to 128-entry "
-             "(paper: no difference; replacement rate 0.13%)",
-        headers=["app", "rel_speedup_256", "valid_replacement_rate"],
-        rows=rows, summary={"mean_replacement_rate":
-                            sum(rates) / len(rates)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    fsl = partial(RunSpec, mode=ProtocolMode.FSLITE, scale=scale)
+    return _per_app_table(
+        "SAM table size: 256-entry speedup relative to 128-entry "
+        "(paper: no difference; replacement rate 0.13%)",
+        FS_STUDY,
+        {128: partial(fsl, config=config),
+         # 16 sets x 16 ways = 256 entries
+         256: partial(fsl, config=config.with_protocol(sam_sets=16))},
+        [_Col("rel_speedup_256", _speedup(128, 256), 3, geomean),
+         _Col("valid_replacement_rate",
+              lambda r: _sam_replacement_rate(r[128]), 4, _mean)],
+        engine, footer="mean",
+        summary={"mean_replacement_rate": "valid_replacement_rate"})
 
 
 def _sam_replacement_rate(record: RunRecord) -> float:
@@ -379,37 +318,27 @@ def reader_opt(scale: float = 1.0,
                engine: Optional[Engine] = None) -> ExperimentResult:
     """Reader-metadata optimization: same privatizations, 25% narrower SAM."""
     config = config or SystemConfig()
-    opt_cfg = config.with_protocol(reader_metadata_opt=True)
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_STUDY:
-        specs[(tag, "full")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                       config=config, scale=scale)
-        specs[(tag, "opt")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                      config=opt_cfg, scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    same = True
-    for tag in FS_STUDY:
-        full, opt = recs[(tag, "full")], recs[(tag, "opt")]
-        equal = full.stats.privatizations == opt.stats.privatizations
-        same = same and equal
-        rows.append([tag, full.stats.privatizations,
-                     opt.stats.privatizations,
-                     round(full.cycles / opt.cycles, 3)])
+    fsl = partial(RunSpec, mode=ProtocolMode.FSLITE, scale=scale)
+    result = _per_app_table(
+        "Reader-metadata optimization (paper: identical privatized "
+        "blocks; 25% SAM storage saving)",
+        FS_STUDY,
+        {"full": partial(fsl, config=config),
+         "opt": partial(fsl, config=config.with_protocol(
+             reader_metadata_opt=True))},
+        [_Col("priv_full", lambda r: r["full"].stats.privatizations),
+         _Col("priv_opt", lambda r: r["opt"].stats.privatizations),
+         _Col("rel_speedup", _speedup("full", "opt"), 3)],
+        engine, footer=None)
     area = AreaModel(config)
     full_bits = area.sam_entry_bits(reader_opt=False)
     opt_bits = area.sam_entry_bits(reader_opt=True)
-    saving = 1 - opt_bits / full_bits
-    return ExperimentResult(
-        name="Reader-metadata optimization (paper: identical privatized "
-             "blocks; 25% SAM storage saving)",
-        headers=["app", "priv_full", "priv_opt", "rel_speedup"],
-        rows=rows,
-        summary={"sam_entry_bits_full": full_bits,
-                 "sam_entry_bits_opt": opt_bits,
-                 "storage_saving": saving,
-                 "all_equal": float(same)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    same = result.column("priv_full") == result.column("priv_opt")
+    result.summary = {"sam_entry_bits_full": full_bits,
+                      "sam_entry_bits_opt": opt_bits,
+                      "storage_saving": 1 - opt_bits / full_bits,
+                      "all_equal": float(same)}
+    return result
 
 
 def granularity(scale: float = 1.0,
@@ -418,34 +347,17 @@ def granularity(scale: float = 1.0,
     """Coarse-grain metadata tracking at 2- and 4-byte granularity
     (paper: no performance degradation)."""
     config = config or SystemConfig()
-    specs: Dict[object, RunSpec] = {}
-    for tag in FS_STUDY:
-        specs[(tag, 1)] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                  config=config, scale=scale)
-        specs[(tag, 2)] = RunSpec(
-            tag=tag, mode=ProtocolMode.FSLITE, scale=scale,
-            config=config.with_protocol(tracking_granularity=2))
-        specs[(tag, 4)] = RunSpec(
-            tag=tag, mode=ProtocolMode.FSLITE, scale=scale,
-            config=config.with_protocol(tracking_granularity=4))
-    recs = _run_keyed(engine, specs)
-    rows = []
-    rel2, rel4 = [], []
-    for tag in FS_STUDY:
-        g1 = recs[(tag, 1)]
-        r2 = g1.cycles / recs[(tag, 2)].cycles
-        r4 = g1.cycles / recs[(tag, 4)].cycles
-        rel2.append(r2)
-        rel4.append(r4)
-        rows.append([tag, round(r2, 3), round(r4, 3)])
-    rows.append(["geomean", round(geomean(rel2), 3), round(geomean(rel4), 3)])
-    return ExperimentResult(
-        name="Coarse-grain tracking: 2B/4B granularity relative to 1B "
-             "(paper: no degradation)",
-        headers=["app", "rel_2B", "rel_4B"], rows=rows,
-        summary={"rel2_geomean": geomean(rel2),
-                 "rel4_geomean": geomean(rel4)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    fsl = partial(RunSpec, mode=ProtocolMode.FSLITE, scale=scale)
+    return _per_app_table(
+        "Coarse-grain tracking: 2B/4B granularity relative to 1B "
+        "(paper: no degradation)",
+        FS_STUDY,
+        {g: partial(fsl, config=config if g == 1 else
+                    config.with_protocol(tracking_granularity=g))
+         for g in (1, 2, 4)},
+        [_Col("rel_2B", _speedup(1, 2), 3, geomean),
+         _Col("rel_4B", _speedup(1, 4), 3, geomean)],
+        engine, summary={"rel2_geomean": "rel_2B", "rel4_geomean": "rel_4B"})
 
 
 def big_l1d(scale: float = 1.0,
@@ -466,7 +378,7 @@ def big_l1d(scale: float = 1.0,
         specs[(tag, "base512")] = RunSpec(tag=tag, config=huge, scale=scale)
         specs[(tag, "fsl512")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
                                          config=huge, scale=scale)
-    recs = _run_keyed(engine, specs)
+    recs = (engine or Engine()).run_keyed(specs)
     rows = []
     iso, big_fsl = [], []
     for tag in FS_WORKLOADS + NO_FS_WORKLOADS:
@@ -485,7 +397,8 @@ def big_l1d(scale: float = 1.0,
         rows=rows,
         summary={"iso_geomean": geomean(iso),
                  "fs512_geomean": geomean(big_fsl)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+        specs=list(specs.values()),
+        cycles=sum(rec.cycles for rec in recs.values()))
 
 
 def ooo(scale: float = 1.0,
@@ -493,42 +406,20 @@ def ooo(scale: float = 1.0,
         engine: Optional[Engine] = None) -> ExperimentResult:
     """Out-of-order cores (paper: OoO baseline 5.1X over in-order; FSLite
     1.63X over the OoO baseline; 1.56X in-order for the same six apps)."""
-    tags = ["BS", "LL", "LR", "LT", "RC", "SM"]
-    specs: Dict[object, RunSpec] = {}
-    for tag in tags:
-        specs[(tag, "base_io")] = RunSpec(tag=tag, config=config,
-                                          scale=scale)
-        specs[(tag, "base_ooo")] = RunSpec(tag=tag, config=config,
-                                           scale=scale, core_model="ooo")
-        specs[(tag, "fsl_io")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                         config=config, scale=scale)
-        specs[(tag, "fsl_ooo")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                          config=config, scale=scale,
-                                          core_model="ooo")
-    recs = _run_keyed(engine, specs)
-    rows = []
-    ooo_gain, fsl_ooo, fsl_inorder = [], [], []
-    for tag in tags:
-        base_io = recs[(tag, "base_io")]
-        base_ooo = recs[(tag, "base_ooo")]
-        g = base_io.cycles / base_ooo.cycles
-        so = base_ooo.cycles / recs[(tag, "fsl_ooo")].cycles
-        si = base_io.cycles / recs[(tag, "fsl_io")].cycles
-        ooo_gain.append(g)
-        fsl_ooo.append(so)
-        fsl_inorder.append(si)
-        rows.append([tag, round(g, 2), round(so, 2), round(si, 2)])
-    rows.append(["geomean", round(geomean(ooo_gain), 2),
-                 round(geomean(fsl_ooo), 2), round(geomean(fsl_inorder), 2)])
-    return ExperimentResult(
-        name="Out-of-order issue (paper: baseline OoO gain 5.1X; FSLite "
-             "1.63X on OoO, 1.56X in-order)",
-        headers=["app", "ooo_baseline_gain", "fslite_on_ooo",
-                 "fslite_inorder"],
-        rows=rows,
-        summary={"ooo_gain_geomean": geomean(ooo_gain),
-                 "fslite_ooo_geomean": geomean(fsl_ooo)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    base = partial(RunSpec, config=config, scale=scale)
+    fsl = partial(base, mode=ProtocolMode.FSLITE)
+    return _per_app_table(
+        "Out-of-order issue (paper: baseline OoO gain 5.1X; FSLite "
+        "1.63X on OoO, 1.56X in-order)",
+        _HURON_APPS,
+        {"base_io": base, "base_ooo": partial(base, core_model="ooo"),
+         "fsl_io": fsl, "fsl_ooo": partial(fsl, core_model="ooo")},
+        [_Col("ooo_baseline_gain", _speedup("base_io", "base_ooo"), 2,
+              geomean),
+         _Col("fslite_on_ooo", _speedup("base_ooo", "fsl_ooo"), 2, geomean),
+         _Col("fslite_inorder", _speedup("base_io", "fsl_io"), 2, geomean)],
+        engine, summary={"ooo_gain_geomean": "ooo_baseline_gain",
+                         "fslite_ooo_geomean": "fslite_on_ooo"})
 
 
 def table2_overheads(config: Optional[SystemConfig] = None
@@ -571,25 +462,13 @@ def ablation(flag: str, scale: float = 1.0, tags: Optional[List[str]] = None,
         off = config.with_protocol(use_metadata_reset=False)
     else:
         raise ValueError(f"unknown ablation flag {flag!r}")
-    tags = tags or FS_STUDY
-    specs: Dict[object, RunSpec] = {}
-    for tag in tags:
-        specs[(tag, "on")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                     config=config, scale=scale)
-        specs[(tag, "off")] = RunSpec(tag=tag, mode=ProtocolMode.FSLITE,
-                                      config=off, scale=scale)
-    recs = _run_keyed(engine, specs)
-    rows = []
-    rels = []
-    for tag in tags:
-        on, woff = recs[(tag, "on")], recs[(tag, "off")]
-        rel = woff.cycles / on.cycles  # >1 means the feature helps
-        rels.append(rel)
-        rows.append([tag, round(rel, 3), on.stats.privatizations,
-                     woff.stats.privatizations])
-    rows.append(["geomean", round(geomean(rels), 3), "", ""])
-    return ExperimentResult(
-        name=f"Ablation: {flag} disabled (slowdown factor vs full FSLite)",
-        headers=["app", "slowdown_without", "priv_with", "priv_without"],
-        rows=rows, summary={"geomean_slowdown": geomean(rels)},
-        specs=list(specs.values()), cycles=_cycles(recs))
+    fsl = partial(RunSpec, mode=ProtocolMode.FSLITE, scale=scale)
+    return _per_app_table(
+        f"Ablation: {flag} disabled (slowdown factor vs full FSLite)",
+        tags or FS_STUDY,
+        {"on": partial(fsl, config=config), "off": partial(fsl, config=off)},
+        # A slowdown above 1 means the feature helps.
+        [_Col("slowdown_without", _speedup("off", "on"), 3, geomean),
+         _Col("priv_with", lambda r: r["on"].stats.privatizations),
+         _Col("priv_without", lambda r: r["off"].stats.privatizations)],
+        engine, summary={"geomean_slowdown": "slowdown_without"})
