@@ -284,8 +284,6 @@ def run_differential(
     config: Optional[SystemConfig] = None,
     mutation: Optional[str] = None,
     sanitize: bool = False,
-    check_verdicts: bool = True,
-    check_counters: bool = True,
     max_events: int = 5_000_000,
     replay=None,
 ) -> DiffReport:
@@ -309,15 +307,13 @@ def run_differential(
                                          check_loads=False)
     translated = (_split(flat, num_threads), expectations)
     ref = reference_run(schedule, num_threads, config, replay, flat=flat)
-    checks = dict(check_verdicts=check_verdicts,
-                  check_counters=check_counters)
     report = DiffReport(modes_run=list(modes))
     images: List[Tuple[ProtocolMode, object]] = []
     for mode in modes:
         run, image, per_mode = execute(
             schedule, mode, num_threads, config, sanitize=sanitize,
             mutation=mutation, max_events=max_events, check_loads=False,
-            differential=checks, reference=ref, replay=replay,
+            differential={}, reference=ref, replay=replay,
             translated=translated)
         if per_mode is None:
             report.divergences.append(Divergence(
@@ -518,7 +514,7 @@ def mutation_escape_sweep(
 # ------------------------------------------------------- workload level
 
 
-def diff_workload(spec, compare_bytes: bool = True) -> DiffReport:
+def diff_workload(spec) -> DiffReport:
     """Differential check of one harness :class:`~repro.harness.runner.
     RunSpec`: execute it on the detailed machine and drive the same
     workload's generator programs on the atomic machine (fair round-robin).
@@ -534,7 +530,7 @@ def diff_workload(spec, compare_bytes: bool = True) -> DiffReport:
     from repro.workloads.registry import make_workload
 
     record, machine = execute_spec_with_machine(spec)
-    image = flush_machine_memory(machine) if compare_bytes else None
+    image = flush_machine_memory(machine)
     machine.close()
     workload = make_workload(spec.tag, num_threads=spec.num_threads,
                              scale=spec.scale, layout=spec.layout,
@@ -546,8 +542,7 @@ def diff_workload(spec, compare_bytes: bool = True) -> DiffReport:
     except ReproError as exc:
         report.divergences.append(Divergence(
             "workload-verify", spec.mode, None, str(exc)))
-    if compare_bytes:
-        _compare_single_accessor_granules(report, spec.mode, image, atomic)
+    _compare_single_accessor_granules(report, spec.mode, image, atomic)
     return report
 
 
@@ -580,8 +575,6 @@ def diff_trace(
     modes: Optional[List[ProtocolMode]] = None,
     config: Optional[SystemConfig] = None,
     mutation: Optional[str] = None,
-    check_verdicts: bool = True,
-    check_counters: bool = True,
 ) -> DiffReport:
     """Differential check of a replayed ``.rtrace`` trace: stream the trace
     through the detailed machine under every requested mode and drive the
@@ -627,9 +620,7 @@ def diff_trace(
                     "run", spec.mode, None,
                     f"{type(exc).__name__}: {exc}"))
                 continue
-        per_mode = differential_check(
-            machine, ref, check_memory=False,
-            check_verdicts=check_verdicts, check_counters=check_counters)
+        per_mode = differential_check(machine, ref, check_memory=False)
         report.divergences.extend(per_mode.divergences)
         _compare_single_accessor_granules(
             report, spec.mode, flush_machine_memory(machine), atomic)

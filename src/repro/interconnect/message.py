@@ -10,7 +10,6 @@ UpgAck_PRV).
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Dict, Optional
 
 
@@ -174,8 +173,6 @@ FSLITE_TYPES = frozenset({
     MSG_REP_MD, MSG_PHANTOM_MD,
 })
 
-_msg_ids = itertools.count()
-
 
 class Message:
     """One interconnect message.
@@ -188,31 +185,18 @@ class Message:
 
     A ``__slots__`` class: the simulator allocates one per coherence
     message, so there is no ``__dict__`` and no dataclass overhead.
-    ``msg_id`` is assigned lazily on first read — only tracing/sanitizing
-    consumers ever need a global message identity, and the counter `next()`
-    is measurable churn on the plain simulation path.
     """
 
-    __slots__ = ("mtype", "src", "dst", "block_addr", "payload", "_msg_id")
+    __slots__ = ("mtype", "src", "dst", "block_addr", "payload")
 
     def __init__(self, mtype: MessageType, src: int, dst: int,
                  block_addr: int,
-                 payload: Optional[Dict[str, Any]] = None,
-                 msg_id: Optional[int] = None) -> None:
+                 payload: Optional[Dict[str, Any]] = None) -> None:
         self.mtype = mtype
         self.src = src
         self.dst = dst
         self.block_addr = block_addr
         self.payload = {} if payload is None else payload
-        self._msg_id = msg_id
-
-    @property
-    def msg_id(self) -> int:
-        """Globally unique id, assigned on first access (lazy)."""
-        mid = self._msg_id
-        if mid is None:
-            mid = self._msg_id = next(_msg_ids)
-        return mid
 
     @property
     def mclass(self) -> MessageClass:
