@@ -47,7 +47,7 @@ from repro.check.mutations import mutation_context
 from repro.check.sanitizer import InvariantViolation, Sanitizer
 from repro.coherence.states import ProtocolMode
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.cpu.ops import Op, compute, fetch_add, load, store
 from repro.system.builder import build_machine
 from repro.system.simulator import Simulator, flush_machine_memory
@@ -64,6 +64,9 @@ if TYPE_CHECKING:
 #: Base address of the fuzzed lines (arbitrary, away from zero).
 BASE = 0x40000
 SLOT = 8  # bytes per thread slot / shared word
+#: Event ceiling of one campaign run: past it the run fails as a
+#: suspected livelock.
+MAX_EVENTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -288,10 +291,14 @@ def schedule_to_ops(
     :class:`Op` stream is identical either way.
 
     Returns ``(flat, expectations)`` where each expectation is
-    ``(addr, want_value, label)`` for one 8-byte word.
+    ``(addr, want_value, label)`` for one 8-byte word.  Raises
+    :class:`ConfigError` for a schedule line at or past the L1's set
+    count: an evict's pressure loads read lines one set span apart, so
+    such a line could be one of them.
     """
     block = config.block_size
-    set_span = config.l1.num_sets * block
+    num_sets = config.l1.num_sets
+    set_span = num_sets * block
     model: Dict[int, bytearray] = {}
     shared_total: Dict[Tuple[int, int], int] = {}
     evict_seq: Dict[Tuple[int, int], int] = {}
@@ -309,6 +316,10 @@ def schedule_to_ops(
     # own sub-schedule.
     per_thread_index: Dict[int, int] = {}
     for fop in schedule:
+        if fop.line >= num_sets:
+            raise ConfigError(
+                f"schedule line {fop.line} is out of range: lines must be "
+                f"below the L1's {num_sets} sets")
         j = per_thread_index.get(fop.tid, 0)
         per_thread_index[fop.tid] = j + 1
         label = f"t{fop.tid}#{j} {fop.kind}"
@@ -441,7 +452,6 @@ def execute(
     plan: Optional[FaultPlan] = None,
     sanitize: bool = True,
     mutation: Optional[str] = None,
-    max_events: int = 5_000_000,
     check_loads: bool = True,
     differential: Optional[dict] = None,
     reference=None,
@@ -539,7 +549,7 @@ def execute(
             sanitizer = machine.extras.get("sanitizer")
             failure = None
             try:
-                result = Simulator(machine, max_events=max_events).run(
+                result = Simulator(machine, max_events=MAX_EVENTS).run(
                     resume=resume,
                     checkpoint_every=(replay.checkpoint_every
                                       if on_checkpoint else None),
@@ -603,9 +613,7 @@ def run_schedule(
     config: Optional[SystemConfig] = None,
     sanitize: bool = True,
     mutation: Optional[str] = None,
-    max_events: int = 5_000_000,
     differential: bool = False,
-    check_loads: bool = True,
     replay=None,
 ) -> RunReport:
     """Execute one fault-free schedule through :func:`execute`; never
@@ -615,9 +623,7 @@ def run_schedule(
     reference model (:mod:`repro.check.refmodel`) and compares final memory,
     detection verdicts, metadata attribution and counter bounds
     (:func:`repro.check.diff.differential_check`); a divergence fails the
-    report with stage ``"differential"``.  ``check_loads=False`` builds
-    assertion-free programs (same op stream) so failures can only come from
-    external oracles.
+    report with stage ``"differential"``.
 
     ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) makes the
     run resume from and record shared-prefix snapshots (see
@@ -626,9 +632,8 @@ def run_schedule(
     """
     return execute(
         schedule, mode, num_threads, config or fuzz_config(num_threads),
-        sanitize=sanitize, mutation=mutation, max_events=max_events,
-        check_loads=check_loads, differential={} if differential else None,
-        replay=replay)[0]
+        sanitize=sanitize, mutation=mutation,
+        differential={} if differential else None, replay=replay)[0]
 
 
 # ------------------------------------------------------------- shrinking

@@ -12,9 +12,9 @@ the network's observation hooks (shared with
   request, no L1 MSHR or buffered writeback, no other message in flight —
   the block must be in a stable state and every invariant below must hold.
 
-A periodic sweep (every ``sweep_interval`` executed events, via a wrapped
-``queue.step``) additionally bounds the age of transient state (busy
-contexts, MSHRs, write-buffer entries) and the FC/IC/HC/PMMC counters.
+A periodic sweep (every ``sweep_interval`` message deliveries) additionally
+bounds the age of transient state (busy contexts, MSHRs, write-buffer
+entries) and the FC/IC/HC/PMMC counters.
 ``check_all`` runs a final full pass over every resident block.
 
 Checked invariants (names appear in :class:`InvariantViolation`; see
@@ -56,7 +56,6 @@ from repro.coherence.states import DirState, L1State
 from repro.common.bitvec import iter_set_bits
 from repro.common.config import SanitizerConfig
 from repro.common.errors import ReproError
-from repro.common.events import EventQueue
 from repro.interconnect.message import Message, MessageType
 from repro.obs.observer import Observer
 from repro.system.builder import Machine
@@ -135,27 +134,6 @@ class Sanitizer(Observer):
         self.blocks_checked = 0
         self.sweeps = 0
 
-    # ------------------------------------------------------------ lifecycle
-
-    def on_attach(self, machine: Machine) -> None:
-        # The periodic sweep rides on the event queue's step, not on
-        # message delivery, so it also fires through traffic-free stretches.
-        # A bound method (not a closure) so an attached sanitizer survives
-        # machine snapshots.
-        machine.queue.step = self._stepped  # type: ignore[method-assign]
-
-    def on_detach(self, machine: Machine) -> None:
-        del machine.queue.step  # restore the class method
-
-    def _stepped(self) -> bool:
-        ran = EventQueue.step(self.machine.queue)
-        if ran:
-            self._since_sweep += 1
-            if self._since_sweep >= self.config.sweep_interval:
-                self._since_sweep = 0
-                self.sweep()
-        return ran
-
     # ----------------------------------------------------------- hook entry
 
     def on_send(self, msg: Message) -> None:
@@ -178,6 +156,13 @@ class Sanitizer(Observer):
             self._prv_departed.setdefault(block, set()).add(msg.src)
         if left <= 0:
             self.check_block(block)
+        # The periodic sweep rides on deliveries: a stretch with no traffic
+        # runs none, and a transient stuck there is left to the
+        # simulator's end-of-run drain checks.
+        self._since_sweep += 1
+        if self._since_sweep >= self.config.sweep_interval:
+            self._since_sweep = 0
+            self.sweep()
 
     # -------------------------------------------------------------- checks
 

@@ -115,7 +115,8 @@ class SanitizerConfig:
     history: int = 256
     #: How many of those messages a violation report attaches.
     trace_window: int = 16
-    #: Events between periodic sweeps (transient-age + counter bounds).
+    #: Message deliveries between periodic sweeps (transient-age +
+    #: counter bounds).
     sweep_interval: int = 4096
     #: Max cycles a busy context / MSHR / write-buffer entry may live.
     #: ``0`` derives a generous bound from the machine's latencies.

@@ -64,11 +64,10 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, callback, arg))
 
     def close(self) -> None:
-        """Drop every pending event and any instance ``step`` override
-        (their callbacks are bound to the objects that scheduled them).
-        The clock and executed count stay readable; idempotent."""
+        """Drop every pending event (their callbacks are bound to the
+        objects that scheduled them).  The clock and executed count stay
+        readable; idempotent."""
         self._heap.clear()
-        self.__dict__.pop("step", None)
 
     def empty(self) -> bool:
         """True when no events remain."""
@@ -91,19 +90,7 @@ class EventQueue:
         returns how many ran.  This is :meth:`step` folded inline: one
         C-level heappop per event, no per-event method call, with the
         ``now``/``executed`` cursors kept live for callbacks that read them.
-
-        Observers (the sanitizer's periodic sweep) may override ``step`` on
-        the *instance*; drain honors such an override by stepping through
-        it, so the tight loop runs exactly when nothing is watching.
         """
-        stepper = self.__dict__.get("step")
-        if stepper is not None:
-            executed = 0
-            while max_events is None or executed < max_events:
-                if not stepper():
-                    break
-                executed += 1
-            return executed
         heap = self._heap
         pop = heapq.heappop
         executed = 0

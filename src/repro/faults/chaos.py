@@ -68,7 +68,6 @@ def run_chaos_case(
     shrunken_sam: bool = False,
     sanitize: bool = True,
     mutation: Optional[str] = None,
-    max_events: int = 5_000_000,
     differential: bool = False,
     replay=None,
 ) -> RunReport:
@@ -92,7 +91,7 @@ def run_chaos_case(
     config = config or chaos_config(num_threads, shrunken_sam=shrunken_sam)
     return execute(
         schedule, mode, num_threads, config, plan, sanitize=sanitize,
-        mutation=mutation, max_events=max_events,
+        mutation=mutation,
         differential=FAULTED_CHECKS if differential else None,
         replay=replay)[0]
 

@@ -13,8 +13,7 @@ An observer declares interest by *defining methods*:
     fires after the destination handler has processed a delivery;
 ``on_attach(machine)`` / ``on_detach(machine)``
     lifecycle extension points for state beyond the network callbacks
-    (e.g. the sanitizer's periodic-sweep step wrapper, the episode
-    tracker's directory-slice registration).
+    (e.g. the episode tracker's directory-slice registration).
 
 Only the methods a subclass actually defines are registered with the
 network, and while no observer is attached :meth:`Network.send

@@ -22,12 +22,11 @@ class Machine:
     """A fully wired simulated multicore.
 
     Lifetime: a wired machine is a reference cycle (the network's handler
-    table, observer hooks and fault seam, the queue's pending events and
-    any ``queue.step`` override, :attr:`extras`, and the completion
-    callbacks an unfinished run leaves parked in the L1s all point back
-    into the graph).  Call :meth:`close` once a finished machine has been
-    read so reference counting frees it at once instead of leaving it to
-    the cyclic garbage collector.
+    table, observer hooks and fault seam, the queue's pending events,
+    :attr:`extras`, and the completion callbacks an unfinished run leaves
+    parked in the L1s all point back into the graph).  Call :meth:`close`
+    once a finished machine has been read so reference counting frees it
+    at once instead of leaving it to the cyclic garbage collector.
     """
 
     config: SystemConfig
@@ -104,11 +103,10 @@ class Machine:
     def close(self) -> None:
         """Drop the machine's back-references so it is freed by reference
         counting: the network's handlers, observer hooks and fault seam,
-        the pending events, any ``queue.step`` override, :attr:`extras`,
-        and each core's link to its L1 (whose in-flight transactions hold
-        the core's completion callbacks).  Caches, tables, stats and
-        reports stay readable.  Idempotent; the machine cannot run
-        afterwards (a send raises
+        the pending events, :attr:`extras`, and each core's link to its L1
+        (whose in-flight transactions hold the core's completion
+        callbacks).  Caches, tables, stats and reports stay readable.
+        Idempotent; the machine cannot run afterwards (a send raises
         :class:`~repro.common.errors.SimulationError`)."""
         self.network.close()
         self.queue.close()

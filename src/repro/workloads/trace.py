@@ -315,22 +315,6 @@ class TraceInfo:
     per_thread_ops: Optional[List[int]] = None
     kind_counts: Optional[Dict[str, int]] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        d = {
-            "path": self.path,
-            "version": self.version,
-            "block_size": self.block_size,
-            "num_threads": self.num_threads,
-            "total_ops": self.total_ops,
-            "digest": self.digest,
-            "meta": self.meta,
-        }
-        if self.per_thread_ops is not None:
-            d["per_thread_ops"] = self.per_thread_ops
-        if self.kind_counts is not None:
-            d["kind_counts"] = self.kind_counts
-        return d
-
 
 def _read_header(fh, path: str) -> TraceInfo:
     raw = fh.read(HEADER_SIZE)
@@ -537,10 +521,6 @@ class TraceWriter:
         if self._buf_ops[tid] >= self._chunk_ops:
             self._flush(tid)
 
-    def extend(self, tid: int, op_iter) -> None:
-        for op in op_iter:
-            self.append(tid, op)
-
     def _append_records(self, tid: int, records, n_ops: int,
                         prev_addr: int) -> None:
         """Append ``n_ops`` records already encoded against ``tid``'s delta
@@ -613,7 +593,7 @@ class TraceWriter:
 # readers
 # --------------------------------------------------------------------------
 
-def _scan(path, keep_ops: bool, verify: bool = True):
+def _scan(path, keep_ops: bool):
     """Full sequential scan shared by :func:`verify_trace` and
     :func:`read_trace`.  Bounded memory unless ``keep_ops``."""
     path = os.fspath(path)
@@ -649,13 +629,12 @@ def _scan(path, keep_ops: bool, verify: bool = True):
             raise TraceFormatError(
                 f"{path}: header claims {info.total_ops} ops but frames "
                 f"hold {sum(counts)}")
-        if verify:
-            digest = _combine_digest(info.block_size.bit_length() - 1, n,
-                                     [h.digest() for h in hashes])
-            if digest.hex() != info.digest:
-                raise TraceFormatError(
-                    f"{path}: content digest mismatch (file corrupt or "
-                    "rewritten without re-finalizing)")
+        digest = _combine_digest(info.block_size.bit_length() - 1, n,
+                                 [h.digest() for h in hashes])
+        if digest.hex() != info.digest:
+            raise TraceFormatError(
+                f"{path}: content digest mismatch (file corrupt or "
+                "rewritten without re-finalizing)")
         info.per_thread_ops = counts
         info.kind_counts = dict(sorted(kind_counts.items()))
         return info, programs
@@ -668,12 +647,12 @@ def verify_trace(path) -> TraceInfo:
     return info
 
 
-def read_trace(path, verify: bool = True):
+def read_trace(path):
     """Materialize the whole trace: ``(TraceInfo, [ops per thread])``.
 
     For tests and small traces — for simulation-scale traces use
     :class:`TraceWorkload`, which streams."""
-    return _scan(path, keep_ops=True, verify=verify)
+    return _scan(path, keep_ops=True)
 
 
 def iter_thread_ops(path, tid: int, expect_digest: Optional[str] = None

@@ -1,5 +1,7 @@
 """Tests of the harness: runner, baselines, tables, experiment drivers."""
 
+import functools
+
 import pytest
 
 from repro.coherence.states import ProtocolMode
@@ -10,6 +12,13 @@ from repro.harness.runner import RunRecord, run_workload
 from repro.harness.tables import format_table, geomean
 
 SCALE = 0.12
+
+
+@functools.lru_cache(maxsize=None)
+def fig13():
+    """One ``fig13_miss_fraction`` run at :data:`SCALE`, shared by the
+    tests that only read it."""
+    return E.fig13_miss_fraction(scale=SCALE)
 
 
 class TestGeomean:
@@ -77,7 +86,7 @@ class TestExperimentDrivers:
         assert r.summary["geomean"] > 1.0
 
     def test_fig13(self):
-        r = E.fig13_miss_fraction(scale=SCALE)
+        r = fig13()
         assert 0 < r.summary["mean"] < 0.5
         assert len(r.rows) == 9
 
@@ -96,7 +105,7 @@ class TestExperimentDrivers:
         assert r.summary["storage_saving"] == pytest.approx(0.25, abs=0.01)
 
     def test_render_contains_rows(self):
-        r = E.fig13_miss_fraction(scale=SCALE)
+        r = fig13()
         text = r.render()
         assert "RC" in text and "mean" in text
 
@@ -108,7 +117,7 @@ class TestExperimentDrivers:
         assert r.render().splitlines()[-1] == f"cycles={total}"
 
     def test_column_accessor(self):
-        r = E.fig13_miss_fraction(scale=SCALE)
+        r = fig13()
         assert r.column("app")[0] == "BS"
 
     def test_ablation_unknown_flag(self):

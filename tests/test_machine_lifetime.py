@@ -3,14 +3,13 @@
 Every campaign case, spec run, trace capture and trace diff builds a
 machine and drops it.  A wired machine is a reference cycle (the
 network's handler table, observer hooks and fault seam, the queue's
-pending events and ``queue.step`` override, ``Machine.extras``, and the
-completion callbacks an unfinished run leaves parked in the L1s all
-point back into the graph), so unless the executor closes it the cyclic
-garbage collector has to find and free it.  These tests run each entry
-point that builds a machine — a run that raises included — with the
-collector disabled and ``gc.DEBUG_SAVEALL`` set, then require that a
-collection finds nothing: every object the run allocated was already
-freed by reference counting.
+pending events, ``Machine.extras``, and the completion callbacks an
+unfinished run leaves parked in the L1s all point back into the graph),
+so unless the executor closes it the cyclic garbage collector has to find
+and free it.  These tests run each entry point that builds a machine — a
+run that raises included — with the collector disabled and
+``gc.DEBUG_SAVEALL`` set, then require that a collection finds nothing:
+every object the run allocated was already freed by reference counting.
 
 Each entry point runs once uncounted first, so lazy imports and first-use
 caches are not counted.  Also pinned here: the controllers' class-level
@@ -204,17 +203,6 @@ def test_close_is_idempotent_and_stops_sends():
     assert not machine.network.post_send_hooks
     with pytest.raises(SimulationError, match="no handler registered"):
         machine.network.send(Message(MessageType.GET, 0, 4, 0))
-
-
-def test_close_restores_the_class_step():
-    from repro.check.sanitizer import Sanitizer
-
-    machine = build_machine(fuzz_config(4), ProtocolMode.MESI)
-    Sanitizer(machine).attach()
-    assert "step" in machine.queue.__dict__
-    machine.close()
-    assert "step" not in machine.queue.__dict__
-    assert not machine.queue.step()
 
 
 # ------------------------------------------------------------- dispatch
