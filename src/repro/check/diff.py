@@ -51,13 +51,12 @@ from repro.check.fuzz import (
     campaign_cases,
     execute,
     fuzz_config,
-    reference_run,
     render_repro,
     schedule_campaign,
     schedule_to_ops,
 )
 from repro.check.mutations import MUTATIONS, mutation_context
-from repro.check.refmodel import RefResult, run_programs_atomic
+from repro.check.refmodel import RefResult, run_programs_atomic, run_reference
 from repro.coherence.states import DirState, L1State, ProtocolMode
 from repro.common.bitvec import iter_set_bits
 from repro.common.config import SystemConfig
@@ -283,7 +282,6 @@ def run_differential(
     num_threads: int = 4,
     config: Optional[SystemConfig] = None,
     mutation: Optional[str] = None,
-    replay=None,
 ) -> DiffReport:
     """Replay one schedule on every requested mode and on the atomic
     reference; compare each machine against the reference and the modes
@@ -304,15 +302,14 @@ def run_differential(
     flat, expectations = schedule_to_ops(schedule, num_threads, config,
                                          check_loads=False)
     translated = (_split(flat, num_threads), expectations)
-    ref = reference_run(schedule, num_threads, config, replay, flat=flat)
+    ref = run_reference(schedule, num_threads, config, flat=flat)
     report = DiffReport(modes_run=list(modes))
     images: List[Tuple[ProtocolMode, object]] = []
     for mode in modes:
         run, image, per_mode = execute(
             schedule, mode, num_threads, config, sanitize=False,
             mutation=mutation, check_loads=False,
-            differential={}, reference=ref, replay=replay,
-            translated=translated)
+            differential={}, reference=ref, translated=translated)
         if per_mode is None:
             report.divergences.append(Divergence(
                 "run", mode, None, run.failure.describe()))
@@ -355,29 +352,26 @@ def diff_campaign(
     mutation: Optional[str] = None,
     shrink: bool = True,
     shrink_budget: int = 400,
-    replay: bool = True,
     progress: Optional[Callable[[int, Case, DiffReport], None]] = None,
 ) -> CampaignResult:
     """Run ``iterations`` random schedules through the full differential
     oracle (every mode, cross-mode metamorphic comparison); shrink and
-    render any divergence.  ``replay=False`` shrinks cold (the benchmark
-    baseline).  Fully deterministic for a given ``seed`` — the replay
-    cache never changes results, only wall clock."""
+    render any divergence.  Fully deterministic for a given ``seed``."""
     modes = list(modes or ProtocolMode)
     config = fuzz_config(num_threads)
     axes = (("family", list(families or FAMILIES)),)
 
-    def run(case, schedule, cache):
+    def run(case, schedule):
         return run_differential(schedule, modes=modes,
                                 num_threads=num_threads, config=config,
-                                mutation=mutation, replay=cache)
+                                mutation=mutation)
 
     return schedule_campaign(
         "diff", iterations,
         campaign_cases(iterations, seed, axes, num_threads, num_lines,
                        length),
         run, modes=modes, mutation=mutation, shrink=shrink,
-        shrink_budget=shrink_budget, replay=replay, progress=progress,
+        shrink_budget=shrink_budget, progress=progress,
         num_threads=num_threads)
 
 
@@ -438,16 +432,14 @@ def hunt_mutation_escape(
     mutation: str,
     seed: int = 0,
     max_attempts: int = 40,
-    replay: bool = True,
 ) -> MutationEscape:
     """Find (and shrink) a schedule on which the differential oracle alone
     — no sanitizer, no in-program load assertions — catches ``mutation``.
     Candidates are 60-op schedules for four threads; the first caught one
     is shrunk within 400 evaluations.
 
-    Deterministic for a given ``seed``, with or without the prefix-replay
-    cache (``replay=False`` re-executes every shrink candidate cold; the
-    benchmark baseline).  The counter mutation needs its own probe: under
+    Deterministic for a given ``seed``.  The counter mutation needs its
+    own probe: under
     the default 7-bit ``counter_max`` no ≤10-op schedule can overflow a
     counter, so it runs on :func:`counter_probe_config`.
     """
@@ -465,10 +457,9 @@ def hunt_mutation_escape(
             num_threads=threads, length=60)
 
     session = ShrinkSession(
-        lambda candidate, rc: run_differential(
+        lambda candidate: run_differential(
             candidate, modes=[mode], num_threads=threads,
-            config=config, mutation=mutation, replay=rc),
-        replay)
+            config=config, mutation=mutation))
     for attempt, (case, schedule) in enumerate(candidates, start=1):
         if not session.fails(schedule):
             continue

@@ -30,10 +30,12 @@ Schedule families:
 The campaign core lives here too, because all three campaign verbs build
 on these schedules: :func:`execute` is the one schedule executor behind
 :func:`run_schedule`, :func:`repro.check.diff.run_differential` and
-:func:`repro.faults.chaos.run_chaos_case`; :func:`campaign_cases` is the
-one case rotation; :class:`ShrinkSession` is the one ddmin session; and
-:func:`render_repro` renders every failure as a ready-to-paste pytest
-case that re-runs it with every argument that shaped it.
+:func:`repro.faults.chaos.run_chaos_case`, and runs every schedule on a
+freshly built machine from cycle 0; :func:`campaign_cases` is the one
+case rotation; :class:`ShrinkSession` is the one ddmin session, which
+memoizes each candidate's verdict; and :func:`render_repro` renders
+every failure as a ready-to-paste pytest case that re-runs it with every
+argument that shaped it.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ if TYPE_CHECKING:
     from repro.faults.injector import FiredFault
     from repro.faults.plan import FaultPlan
 
-# The replay cache, the fault injector and the fault plans are imported
-# where they are used: a fault-free run without a replay cache (every
-# harness and sanitizer user of this package) never loads them.
+# The fault injector and the fault plans are imported where they are
+# used: a fault-free run (every harness and sanitizer user of this
+# package) never loads them.
 
 #: Base address of the fuzzed lines (arbitrary, away from zero).
 BASE = 0x40000
@@ -220,10 +222,21 @@ def make_schedule(
     length: int = 80,
     block_size: int = 64,
 ) -> List[FuzzOp]:
-    """Generate a random schedule of ``length`` ops in ``family``."""
+    """Generate a random schedule of ``length`` ops in ``family``.
+
+    Raises :class:`ConfigError` for fewer than one line, and for a
+    ``shared`` or ``mixed`` schedule when the threads' slots leave no
+    shared word in the line."""
     if family not in ("disjoint", "shared", "mixed"):
         raise ValueError(f"unknown fuzz family {family!r}")
+    if num_lines < 1:
+        raise ConfigError(
+            f"a schedule needs at least one line, not {num_lines}")
     shared = shared_offsets(num_threads, block_size)
+    if not shared and family != "disjoint":
+        raise ConfigError(
+            f"{family} schedules need a shared word: at most "
+            f"{block_size // SLOT - 1} threads")
     ops: List[FuzzOp] = []
     for _ in range(length):
         tid = rng.randrange(num_threads)
@@ -293,11 +306,18 @@ def schedule_to_ops(
     Returns ``(flat, expectations)`` where each expectation is
     ``(addr, want_value, label)`` for one 8-byte word.  Raises
     :class:`ConfigError` for a schedule line at or past the L1's set
-    count: an evict's pressure loads read lines one set span apart, so
-    such a line could be one of them.
+    count (an evict's pressure loads read lines one set span apart, so
+    such a line could be one of them) and for more threads than a line
+    has private slots (a thread's slot past the line's end would be a
+    word of the next line, which another thread owns).
     """
     block = config.block_size
     num_sets = config.l1.num_sets
+    if num_threads * SLOT > block:
+        raise ConfigError(
+            f"{num_threads} threads need {num_threads * SLOT} bytes of "
+            f"slots: at most {block // SLOT} threads fit a {block}-byte "
+            f"line")
     set_span = num_sets * block
     model: Dict[int, bytearray] = {}
     shared_total: Dict[Tuple[int, int], int] = {}
@@ -310,10 +330,8 @@ def schedule_to_ops(
         return model[line]
 
     # Labels are *thread-local* (t2#5 = thread 2's 6th schedule element):
-    # dropping another thread's op never re-labels this thread's, which is
-    # what lets the prefix-replay cache (repro.check.replay) treat a
-    # thread's translated item list as a pure function of that thread's
-    # own sub-schedule.
+    # dropping another thread's op never re-labels this thread's.  Failure
+    # texts carry these labels, and the campaign goldens pin them.
     per_thread_index: Dict[int, int] = {}
     for fop in schedule:
         if fop.line >= num_sets:
@@ -385,28 +403,12 @@ def schedule_to_ops(
 
 def _schedule_program(items):
     """One thread's generator over translated ``(op, expected, label)``
-    items (module-level so :class:`_SchedulePrograms` pickles)."""
+    items."""
     for op, expected, label in items:
         result = yield op
         if expected is not None and result != expected:
             raise AssertionError(
                 f"{label}: loaded {result:#x}, expected {expected:#x}")
-
-
-class _SchedulePrograms:
-    """Picklable program factory over per-thread translated item lists.
-
-    Machines attached through this factory snapshot/restore cleanly; the
-    replay cache passes a factory built over the *candidate* item lists
-    when restoring a shared-prefix checkpoint."""
-
-    __slots__ = ("per_thread",)
-
-    def __init__(self, per_thread) -> None:
-        self.per_thread = per_thread
-
-    def __call__(self):
-        return [_schedule_program(items) for items in self.per_thread]
 
 
 def _split(flat, num_threads: int
@@ -432,18 +434,6 @@ def _translate(
     return _split(flat, num_threads), expectations
 
 
-def reference_run(schedule, num_threads: int, config: SystemConfig,
-                  replay=None, flat=None):
-    """The atomic reference's result for ``schedule``, resumed from the
-    replay cache's reference snapshots when one is given."""
-    if replay is not None:
-        return replay.ref_run(schedule, num_threads, config, flat=flat)
-    # Imported here: the reference model imports this module's translation.
-    from repro.check.refmodel import run_reference
-
-    return run_reference(schedule, num_threads, config, flat=flat)
-
-
 def execute(
     schedule: List[FuzzOp],
     mode: ProtocolMode,
@@ -455,7 +445,6 @@ def execute(
     check_loads: bool = True,
     differential: Optional[dict] = None,
     reference=None,
-    replay=None,
     translated=None,
 ):
     """Execute one schedule; never raises for protocol failures.
@@ -463,9 +452,9 @@ def execute(
     The one executor behind :func:`run_schedule`,
     :func:`repro.check.diff.run_differential` and
     :func:`repro.faults.chaos.run_chaos_case`.  In order it translates the
-    schedule, resumes from or records into the ``replay`` cache, builds the
-    machine with ``plan``'s :class:`~repro.faults.injector.FaultInjector`
-    (if any) and then the sanitizer attached, runs it, and judges it:
+    schedule, builds the machine with ``plan``'s
+    :class:`~repro.faults.injector.FaultInjector` (if any) and then the
+    sanitizer attached, runs it from cycle 0, and judges it:
 
     * ``InvariantViolation`` fails stage ``"invariant"``; any other
       :class:`ReproError` or an in-program ``AssertionError`` fails stage
@@ -479,68 +468,27 @@ def execute(
       reference (``reference``, or computed here) — stage
       ``"differential"``.
 
-    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) resumes
-    the run from the deepest memoized snapshot whose per-thread op prefix
-    (and, under a scripted plan, decided-fault prefix) matches, and
-    checkpoints this run for later candidates — results are bit-for-bit
-    identical to a cold run.  It is ignored under unscripted plans, whose
-    rates draw injector RNG the cache's guards do not model.
     ``translated`` is a precomputed :func:`_translate` result.
 
     Returns ``(report, image, diff)``: the flushed image and the
     :class:`~repro.check.diff.DiffReport` are None when the run failed
     before them (``diff`` also when ``differential`` is None).
     """
-    if replay is not None and plan is not None and plan.script is None:
-        replay = None  # unscripted plans draw RNG; prefix reuse is unsound
     with mutation_context(mutation):
         per_thread, expectations = translated or _translate(
             schedule, num_threads, config, check_loads=check_loads)
-        factory = _SchedulePrograms(per_thread)
-        machine = None
-        resume = False
-        on_checkpoint = None
-        if replay is not None:
-            from repro.check.replay import (
-                CheckpointHook,
-                fault_script_set,
-                thread_keys,
-            )
+        machine = build_machine(config, mode)
+        machine.attach_programs(
+            [_schedule_program(items) for items in per_thread])
+        # Injector first: its state faults land before the sanitizer's
+        # per-delivery checks of the same message, so corruption is
+        # judged at the earliest possible instant.
+        if plan is not None:
+            from repro.faults.injector import FaultInjector
 
-            keys = thread_keys(per_thread)
-            script = fault_script_set(plan)
-            plan_key = ((plan.delay_cycles, plan.state_period)
-                        if plan is not None else None)
-            context = (mode.value, num_threads, bool(sanitize), mutation,
-                       bool(check_loads), plan_key, replay.config_key(config))
-            hit = replay.lookup(context, keys, fault_script=script)
-            if hit is not None:
-                machine = replay.restore(hit, factory)
-                resume = True
-                restored = machine.extras.get("injector")
-                if restored is not None:
-                    # The snapshot carries the script it was recorded
-                    # under; swap in the candidate's (the decided prefix
-                    # is identical by the guard, the future differs).
-                    restored.plan = plan
-                    restored._script = {(e.kind, e.opportunity)
-                                        for e in plan.script}
-            if replay.should_record(context, resumed=resume):
-                on_checkpoint = CheckpointHook(replay, context, keys,
-                                               fault_script=script)
-        if machine is None:
-            machine = build_machine(config, mode)
-            machine.attach_programs(program_factory=factory)
-            # Injector first: its state faults land before the sanitizer's
-            # per-delivery checks of the same message, so corruption is
-            # judged at the earliest possible instant.
-            if plan is not None:
-                from repro.faults.injector import FaultInjector
-
-                machine.extras["injector"] = \
-                    FaultInjector(machine, plan).attach()
-            if sanitize:
-                machine.extras["sanitizer"] = Sanitizer(machine).attach()
+            machine.extras["injector"] = FaultInjector(machine, plan).attach()
+        if sanitize:
+            machine.extras["sanitizer"] = Sanitizer(machine).attach()
         # Everything returned below (report, image, diff) is built from
         # the machine, never references it: close it so reference
         # counting frees it, not the cyclic GC.
@@ -549,11 +497,7 @@ def execute(
             sanitizer = machine.extras.get("sanitizer")
             failure = None
             try:
-                result = Simulator(machine, max_events=MAX_EVENTS).run(
-                    resume=resume,
-                    checkpoint_every=(replay.checkpoint_every
-                                      if on_checkpoint else None),
-                    on_checkpoint=on_checkpoint)
+                result = Simulator(machine, max_events=MAX_EVENTS).run()
                 if sanitizer is not None:
                     sanitizer.check_all()
             except InvariantViolation as exc:
@@ -586,10 +530,10 @@ def execute(
             if differential is not None:
                 # Imported lazily: repro.check.diff imports this module.
                 from repro.check.diff import differential_check
+                from repro.check.refmodel import run_reference
 
                 ref = (reference if reference is not None
-                       else reference_run(schedule, num_threads, config,
-                                          replay))
+                       else run_reference(schedule, num_threads, config))
                 diff = differential_check(machine, ref, image=image,
                                           **differential)
                 if diff.divergences:
@@ -614,7 +558,6 @@ def run_schedule(
     sanitize: bool = True,
     mutation: Optional[str] = None,
     differential: bool = False,
-    replay=None,
 ) -> RunReport:
     """Execute one fault-free schedule through :func:`execute`; never
     raises for protocol failures.
@@ -624,16 +567,11 @@ def run_schedule(
     detection verdicts, metadata attribution and counter bounds
     (:func:`repro.check.diff.differential_check`); a divergence fails the
     report with stage ``"differential"``.
-
-    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) makes the
-    run resume from and record shared-prefix snapshots (see
-    :func:`execute`).  Shrink loops pass one cache per session; one-shot
-    callers leave it None.
     """
     return execute(
         schedule, mode, num_threads, config or fuzz_config(num_threads),
         sanitize=sanitize, mutation=mutation,
-        differential={} if differential else None, replay=replay)[0]
+        differential={} if differential else None)[0]
 
 
 # ------------------------------------------------------------- shrinking
@@ -663,9 +601,9 @@ def shrink_schedule(
     while len(current) >= 2 and runs < budget:
         size = max(1, len(current) // chunks)
         reduced = False
-        # Scan back-to-front: dropping a tail chunk leaves the candidate
-        # sharing the base's entire prefix, so replay caches resume deep
-        # instead of re-simulating from cycle zero.
+        # Scan back-to-front (tail chunks first): the order decides which
+        # locally minimal schedule ddmin returns, and the campaign goldens
+        # pin those schedules.
         starts = range(((len(current) - 1) // size) * size, -1, -size)
         for start in starts:
             candidate = current[:start] + current[start + size:]
@@ -694,26 +632,34 @@ def shrink_schedule(
     return current
 
 
-class ShrinkSession:
-    """One ddmin session: a prefix-replay cache (none with
-    ``replay=False``, the cold baseline), the memoizing
-    :func:`~repro.check.replay.shrink_evaluator` over it, and
-    :func:`shrink_schedule` driven by that evaluator.
+def schedule_memo_key(schedule) -> tuple:
+    """Stable identity of a raw ``FuzzOp`` schedule, for verdict
+    memoization: ddmin's greedy fixed-point pass re-tests every drop of
+    the final schedule, so exact repeats are common."""
+    return tuple((op.tid, op.kind, op.line, op.offset, op.size, op.value)
+                 for op in schedule)
 
-    ``run(candidate, cache)`` executes one candidate (resuming from the
-    session's replay ``cache``, None when cold) and returns a report with
-    ``ok``; ``evaluator_options`` pass through to the evaluator.  One
-    cache serves the whole session, so every candidate resumes from the
-    prefixes its predecessors recorded — the cache never changes results,
-    only wall clock.
+
+class ShrinkSession:
+    """One ddmin session: :func:`shrink_schedule` over a verdict memo.
+
+    ``run(candidate)`` executes one candidate from cycle 0 and returns a
+    report with ``ok``.  Runs are deterministic, so :meth:`evaluate`
+    keeps each report under ``key_of(candidate)`` and a repeated
+    candidate returns the stored report without running again.
     """
 
-    def __init__(self, run, replay: bool = True,
-                 **evaluator_options) -> None:
-        from repro.check.replay import PrefixReplayCache, shrink_evaluator
+    def __init__(self, run, key_of=schedule_memo_key) -> None:
+        self.run = run
+        self.key_of = key_of
+        self.memo: dict = {}
 
-        cache = PrefixReplayCache() if replay else None
-        self.evaluate = shrink_evaluator(cache, run, **evaluator_options)
+    def evaluate(self, candidate: Sequence):
+        key = self.key_of(candidate)
+        report = self.memo.get(key)
+        if report is None:
+            report = self.memo[key] = self.run(candidate)
+        return report
 
     def fails(self, candidate: Sequence) -> bool:
         return bool(candidate) and not self.evaluate(candidate).ok
@@ -879,24 +825,22 @@ def schedule_campaign(
     mutation: Optional[str] = None,
     shrink: bool = True,
     shrink_budget: int = 400,
-    replay: bool = True,
     progress: Optional[Callable] = None,
     **render,
 ) -> CampaignResult:
     """The fuzz and diff campaign loop: run every case's schedule, then
     ddmin-shrink and render each failure.
 
-    ``run(case, schedule, cache)`` executes one schedule of ``case``
-    (resuming from the replay ``cache`` when one is given) and returns a
-    report with ``ok``, ``failure`` and ``blocks_compared``.
+    ``run(case, schedule)`` executes one schedule of ``case`` and returns
+    a report with ``ok``, ``failure`` and ``blocks_compared``.
     The repro runs ``modes`` (default: the case's mode) with the
     ``render`` options of :func:`render_repro`.  ``progress(index, case,
     report)`` sees every case's first run.
     """
     result = CampaignResult(iterations=iterations)
     for case, schedule in cases:
-        def case_run(candidate, cache=None):
-            return run(case, candidate, cache)
+        def case_run(candidate):
+            return run(case, candidate)
 
         report = case_run(schedule)
         result.blocks_compared += report.blocks_compared
@@ -905,7 +849,7 @@ def schedule_campaign(
         if report.ok:
             continue
         if shrink:
-            session = ShrinkSession(case_run, replay)
+            session = ShrinkSession(case_run)
             shrunk = session.shrink(schedule, shrink_budget)
             final = session.evaluate(shrunk)
         else:
@@ -934,31 +878,28 @@ def fuzz_campaign(
     shrink: bool = True,
     shrink_budget: int = 400,
     differential: bool = False,
-    replay: bool = True,
     progress: Optional[Callable[[int, Case, RunReport], None]] = None,
 ) -> CampaignResult:
     """Run ``iterations`` random schedules; shrink and render any failure.
 
     Schedule families rotate fastest, then protocol modes.
     ``differential=True`` adds the atomic-reference-model oracle to every
-    run (including shrink re-executions).  ``replay=False`` disables the
-    prefix-replay cache during shrinking (cold re-execution; the benchmark
-    baseline).  Fully deterministic for a given ``seed`` and parameter
-    set — the replay cache never changes results, only wall clock.
+    run (including shrink re-executions).  Fully deterministic for a
+    given ``seed`` and parameter set.
     """
     config = fuzz_config(num_threads)
     axes = (("family", families or list(FAMILIES)),
             ("mode", modes or list(ProtocolMode)))
 
-    def run(case, schedule, cache):
+    def run(case, schedule):
         return run_schedule(schedule, mode=case.mode, num_threads=num_threads,
                             config=config, mutation=mutation,
-                            differential=differential, replay=cache)
+                            differential=differential)
 
     return schedule_campaign(
         "fuzz", iterations,
         campaign_cases(iterations, seed, axes, num_threads, num_lines,
                        length),
         run, mutation=mutation, shrink=shrink, shrink_budget=shrink_budget,
-        replay=replay, progress=progress, num_threads=num_threads,
+        progress=progress, num_threads=num_threads,
         differential=differential)

@@ -142,7 +142,7 @@ class LlcLine:
 
 
 class _QueueNow:
-    """Picklable simulation-clock accessor handed to the detector."""
+    """Simulation-clock accessor handed to the detector."""
 
     __slots__ = ("queue",)
 
@@ -699,9 +699,8 @@ class DirectorySlice:
         self._fetch_attempt(ctx, self.memory.read_block(ctx.block))
 
     def _fetch_attempt(self, ctx: BusyCtx, data: bytearray) -> None:
-        """Install the fetched block, resolving one victim per retry.  A
-        bound method (not a closure) so continuations stored in busy
-        contexts survive machine snapshots."""
+        """Install the fetched block, resolving one victim per retry:
+        :meth:`_make_room` calls back here once the victim is gone."""
         block = ctx.block
         victim = self.llc.choose_victim(
             block, protected=self._protected_ways(block))

@@ -31,7 +31,8 @@ from repro.core.sam import SamEntry, SamTable
 
 
 def _zero_clock() -> int:
-    """Default ``now`` accessor (module-level so detectors pickle)."""
+    """Default ``now`` accessor: a detector built without a clock reads
+    cycle 0."""
     return 0
 
 

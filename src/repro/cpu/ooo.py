@@ -15,12 +15,6 @@ The model keeps a bounded window of in-flight memory operations:
 
 Commit-stall accounting mirrors the paper's metric: cycles the oldest
 in-flight op spends blocking retirement beyond the issue-side cost.
-
-Like :class:`~repro.cpu.core.InOrderCore`, a core built with
-``keep_history=True`` records every result sent into its program, so
-machine snapshots can drop the (unpicklable) generator and
-:meth:`rebind_program` can rebuild it; without it the core keeps nothing
-per op.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from typing import Callable, Deque, Optional
 
 from repro.common.errors import WorkloadError
 from repro.common.events import EventQueue
-from repro.cpu.core import ThreadProgram, fast_forward, new_send_history
+from repro.cpu.core import ThreadProgram
 from repro.cpu.ops import OP_COMPUTE, OP_FENCE, OP_RMW, Op
 
 
@@ -56,7 +50,6 @@ class OutOfOrderCore:
         program: ThreadProgram,
         window: int = 8,
         on_done: Optional[Callable[[int], None]] = None,
-        keep_history: bool = False,
     ) -> None:
         self.core_id = core_id
         self.queue = queue
@@ -75,9 +68,6 @@ class OutOfOrderCore:
         self._draining = False
         self._program_exhausted = False
         self._retire_cursor = 0
-        # Program replay trace (snapshot support); see InOrderCore.
-        self._started = False
-        self._sent = new_send_history(keep_history)
 
     def start(self) -> None:
         self.queue.schedule(0, self._advance)
@@ -86,12 +76,7 @@ class OutOfOrderCore:
 
     def _advance(self, result: Optional[int]) -> None:
         try:
-            if self._started:
-                op = self.program.send(result)
-                self._sent.append(result)
-            else:
-                self._started = True
-                op = next(self.program)
+            op = self.program.send(result)
         except StopIteration:
             self._program_exhausted = True
             self._maybe_finish()
@@ -156,19 +141,7 @@ class OutOfOrderCore:
             if self.on_done is not None:
                 self.on_done(self.core_id)
 
-    # -- snapshot support --------------------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["program"] = None  # generators cannot be pickled
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-    def rebind_program(self, program: Optional[ThreadProgram]) -> None:
+    def rebind_program(self, program: ThreadProgram) -> None:
         """Attach ``program`` in place of the current one (see
         InOrderCore)."""
-        if not self._program_exhausted and self._started:
-            fast_forward(program, self._sent)
         self.program = program

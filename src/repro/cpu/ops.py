@@ -90,8 +90,8 @@ class Op:
 #: Interned LOAD ops.  Ops are immutable after construction (no consumer
 #: writes a field, nothing keys on identity), and loads are by far the most
 #: constructed kind — workloads re-touch the same addresses millions of
-#: times and generator-replay on snapshot restore rebuilds every consumed
-#: op.  Interning turns the dominant hot-path construction into a dict hit.
+#: times.  Interning turns the dominant hot-path construction into a dict
+#: hit.
 _LOAD_CACHE: dict = {}
 _LOAD_CACHE_MAX = 1 << 16
 
@@ -117,11 +117,10 @@ def rmw(addr: int, modify: Callable[[int], int], size: int = 4,
 
 
 class FetchAddModify:
-    """Picklable fetch-and-add modify function (``(old + delta) & mask``).
+    """Fetch-and-add modify function (``(old + delta) & mask``).
 
-    A ``__slots__`` class instead of a lambda so ops captured inside
-    in-flight events/MSHRs survive machine snapshots, and so replay keys
-    can read the delta back out.
+    A ``__slots__`` class instead of a lambda so the trace encoder can read
+    the delta back out.
     """
 
     __slots__ = ("delta", "mask")
@@ -135,7 +134,8 @@ class FetchAddModify:
 
 
 class CasModify:
-    """Picklable compare-and-swap modify function."""
+    """Compare-and-swap modify function (a class, like
+    :class:`FetchAddModify`, so the trace encoder can read its fields)."""
 
     __slots__ = ("expect", "new")
 

@@ -69,7 +69,6 @@ def run_chaos_case(
     sanitize: bool = True,
     mutation: Optional[str] = None,
     differential: bool = False,
-    replay=None,
 ) -> RunReport:
     """Execute one schedule under ``plan`` (None = fault-free twin) through
     :func:`repro.check.fuzz.execute`; never raises for protocol failures.
@@ -80,20 +79,12 @@ def run_chaos_case(
     accuracy — but memory bytes, the metadata subset property and mode
     purity must survive arbitrary fault injection (the paper's claim that
     faults degrade detection, never correctness).
-
-    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) is
-    honoured only for fault-free or *scripted* plans — rate-based plans
-    consume injector RNG the cache's guards do not model.  Scripted-replay
-    shrinking (same schedule, varying fault script) resumes from the
-    deepest checkpoint whose decided-fault prefix matches the candidate
-    script; results are bit-for-bit identical to a cold run.
     """
     config = config or chaos_config(num_threads, shrunken_sam=shrunken_sam)
     return execute(
         schedule, mode, num_threads, config, plan, sanitize=sanitize,
         mutation=mutation,
-        differential=FAULTED_CHECKS if differential else None,
-        replay=replay)[0]
+        differential=FAULTED_CHECKS if differential else None)[0]
 
 
 # -------------------------------------------------------------- campaign
@@ -124,7 +115,6 @@ def chaos_campaign(
     differential: bool = False,
     shrink: bool = True,
     shrink_budget: int = 250,
-    replay: bool = True,
     progress: Optional[Callable[[int, Case, RunReport], None]] = None,
 ) -> CampaignResult:
     """Run ``iterations`` (schedule, fault plan) cases; every failure is
@@ -146,13 +136,12 @@ def chaos_campaign(
                            intensity=intensity)
         case_config = chaos_config(num_threads, shrunken_sam=shrunken_sam)
 
-        def run(the_plan: Optional[FaultPlan], cache=None) -> RunReport:
+        def run(the_plan: Optional[FaultPlan]) -> RunReport:
             return run_chaos_case(
                 schedule, mode=case.mode, plan=the_plan,
                 num_threads=num_threads, config=case_config,
                 shrunken_sam=shrunken_sam,
-                mutation=mutation, differential=differential,
-                replay=cache)
+                mutation=mutation, differential=differential)
 
         twin = run(None)
         faulted = run(plan)
@@ -173,20 +162,12 @@ def chaos_campaign(
         else:
             # Faulted run failed: convert the fired faults to a script,
             # verify the scripted replay still fails, then ddmin the event
-            # list.  All scripted re-runs share one prefix-replay cache:
-            # the schedule is fixed, so candidates diverge only where their
-            # fault scripts do.
+            # list.  The schedule is fixed, so a candidate is known by its
+            # fault events alone.
             session = ShrinkSession(
-                lambda candidate, cache: run(
-                    replace(plan, script=tuple(candidate)), cache),
-                replay,
+                lambda candidate: run(replace(plan, script=tuple(candidate))),
                 key_of=lambda candidate: tuple(
-                    (e.kind, e.opportunity) for e in candidate),
-                # Candidates are fault-event lists over a fixed full-length
-                # schedule: anchoring always pays regardless of list size,
-                # and truncating the event list would change the script
-                # semantics, so the anchor replays it whole.
-                min_anchor=0, anchor_fraction=1.0)
+                    (e.kind, e.opportunity) for e in candidate))
             shrunk = [f.event() for f in faulted.fired]
             replayable = session.fails(shrunk)
             if replayable and shrink:

@@ -244,9 +244,8 @@ class Network:
         self._last_delivery[key] = arrival
         if not self._hooked:
             # Fast path: no tracer/sanitizer attached — the scheduled event
-            # invokes the destination handler directly.  A bound method
-            # (not a lambda) so in-flight deliveries survive machine
-            # snapshots.
+            # invokes the destination handler directly, with no wrapper
+            # call in between.
             self._queue.schedule_at(arrival, handler, msg)
             return
         self._queue.schedule_at(arrival, self._deliver, msg)

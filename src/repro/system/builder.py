@@ -37,15 +37,10 @@ class Machine:
     l1s: List[L1Controller]
     slices: List[DirectorySlice]
     cores: list = field(default_factory=list)
-    #: Attached auxiliaries that must travel with snapshots (sanitizer,
-    #: observers, fault injector) — anything holding mutable run state
-    #: that references, or is referenced by, the protocol object graph.
+    #: Attached auxiliaries (sanitizer, observers, fault injector), keyed
+    #: by role: the executors that attach them read them back from here,
+    #: and :meth:`close` drops them with the rest of the graph.
     extras: dict = field(default_factory=dict)
-    #: Zero-argument callable rebuilding the thread-program generators
-    #: (one per attached core, same order).  Required for snapshot/restore:
-    #: generators don't pickle, so restore re-creates them from this
-    #: factory and replays each core's recorded send history.
-    program_factory: Optional[Callable[[], List[ThreadProgram]]] = None
 
     def home_slice(self, block_addr: int) -> DirectorySlice:
         return self.slices[slice_index(
@@ -59,15 +54,9 @@ class Machine:
         program_factory: Optional[Callable[[], List[ThreadProgram]]] = None,
     ) -> None:
         """Bind one thread program per core (programs may be fewer than
-        cores; extra cores stay idle).
-
-        Pass ``program_factory`` (a picklable zero-argument callable
-        returning a fresh list of generators) to make the machine
-        snapshot-capable; ``programs`` then defaults to ``factory()``.
-        Only then do the cores keep the per-op send history a restore
-        replays: a machine attached with plain ``programs`` keeps none
-        and cannot be snapshotted.
-        """
+        cores; extra cores stay idle).  ``program_factory``, a
+        zero-argument callable, only supplies ``programs`` when they are
+        not given."""
         if programs is None:
             if program_factory is None:
                 raise ValueError("need programs or a program_factory")
@@ -75,30 +64,17 @@ class Machine:
         if len(programs) > self.config.num_cores:
             raise ValueError(
                 f"{len(programs)} programs for {self.config.num_cores} cores")
-        self.program_factory = program_factory
-        keep_history = program_factory is not None
         self.cores = []
         for core_id, program in enumerate(programs):
             if core_model == "inorder":
                 core = InOrderCore(core_id, self.queue, self.l1s[core_id],
-                                   program, keep_history=keep_history)
+                                   program)
             elif core_model == "ooo":
                 core = OutOfOrderCore(core_id, self.queue, self.l1s[core_id],
-                                      program, window=ooo_window,
-                                      keep_history=keep_history)
+                                      program, window=ooo_window)
             else:
                 raise ValueError(f"unknown core model {core_model!r}")
             self.cores.append(core)
-
-    # -- snapshot / restore --------------------------------------------------
-
-    def snapshot(self):
-        """Capture the full machine state as a
-        :class:`~repro.system.snapshot.MachineSnapshot` (see that module
-        for the determinism contract)."""
-        from repro.system.snapshot import take_snapshot
-
-        return take_snapshot(self)
 
     def close(self) -> None:
         """Drop the machine's back-references so it is freed by reference
@@ -129,7 +105,7 @@ class Machine:
 
 
 class _HomeMap:
-    """Picklable block-address -> home-node-id mapping for L1 controllers."""
+    """Block-address -> home-node-id mapping for L1 controllers."""
 
     __slots__ = ("num_cores", "block_size", "num_slices")
 

@@ -10,7 +10,7 @@ byte-ownership map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.bitvec import iter_set_bits
 from repro.common.errors import SimulationError
@@ -59,43 +59,19 @@ class Simulator:
         self.machine = machine
         self.max_events = max_events or self.DEFAULT_MAX_EVENTS
 
-    def run(self, resume: bool = False,
-            checkpoint_every: Optional[int] = None,
-            on_checkpoint=None) -> RunResult:
-        """Drive the machine to completion and collect statistics.
-
-        ``resume=True`` continues a machine restored from a snapshot:
-        cores are not re-started (their pending events are already in the
-        queue) and the event budget counts from the queue's lifetime
-        ``executed`` so livelock detection is unaffected by where the
-        snapshot was cut.
-
-        ``checkpoint_every=N`` pauses the drain every N executed events
-        and calls ``on_checkpoint(machine)`` — the hook used by the
-        prefix-replay cache to capture snapshots mid-run.  Chunked
-        draining executes the exact same event sequence as one big drain.
-        """
+    def run(self) -> RunResult:
+        """Start every core, drive the machine to completion and collect
+        statistics."""
         machine = self.machine
         if not machine.cores:
             raise SimulationError("no programs attached (attach_programs)")
-        if not resume:
-            for core in machine.cores:
-                core.start()
+        for core in machine.cores:
+            core.start()
         queue = machine.queue
         # The queue's drain() is the folded-inline step loop: one heap pop
         # per event with no per-event method call.  Executing more than
-        # max_events (over the machine's lifetime, snapshots included)
-        # means runaway/livelock.
-        budget = self.max_events + 1 - queue.executed
-        if checkpoint_every is None or on_checkpoint is None:
-            queue.drain(max(budget, 0))
-        else:
-            while budget > 0:
-                ran = queue.drain(min(checkpoint_every, budget))
-                budget -= ran
-                if ran == 0 or queue.empty():
-                    break
-                on_checkpoint(machine)
+        # max_events means runaway/livelock.
+        queue.drain(self.max_events + 1)
         if queue.executed > self.max_events:
             raise SimulationError(
                 f"exceeded {self.max_events} events; livelock suspected "

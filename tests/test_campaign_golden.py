@@ -5,9 +5,9 @@ exist and get shrunk.  For each finding the digest pins the case seed,
 its labels, the failure text and the shrunk list.  For the clean chaos
 campaign it pins each surviving case's degradation report, and for every
 mutation hunt its full outcome.  A refactor of the campaign machinery
-(the executor, case rotation, shrink sessions, replay caches) must leave
-every digest unchanged: it may change how a verdict is reached, never
-the verdict.
+(the executor, case rotation, shrink sessions and their verdict memo)
+must leave every digest unchanged: it may change how a verdict is
+reached, never the verdict.
 
 The finding classes were once one per verb.  The values pinned here do
 not depend on which attribute a verb's finding keeps them in, so

@@ -12,9 +12,11 @@ run that raises included — with the collector disabled and
 every object the run allocated was already freed by reference counting.
 
 Each entry point runs once uncounted first, so lazy imports and first-use
-caches are not counted.  Also pinned here: the controllers' class-level
-handler tables route every message type exactly as before, and a type a
-controller cannot handle raises ``ProtocolError`` naming the node.
+caches are not counted.  Also pinned here: a spec run's heap peak is flat
+in workload length (cores keep nothing per op), the controllers'
+class-level handler tables route every message type exactly as before,
+and a type a controller cannot handle raises ``ProtocolError`` naming the
+node.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import gc
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,7 +34,6 @@ from repro.check.diff import (
     run_differential,
 )
 from repro.check.fuzz import fuzz_config, make_schedule, run_schedule
-from repro.check.replay import PrefixReplayCache
 from repro.coherence import directory, l1_controller
 from repro.coherence.directory import DirectorySlice
 from repro.coherence.l1_controller import L1Controller
@@ -114,23 +116,14 @@ def test_scripted_chaos_case_leaves_no_cycles():
     assert _cyclic_garbage(action) == 0
 
 
-def test_replayed_mutation_hunt_leaves_no_cycles(monkeypatch):
-    """The hunt's shrink loop resumes candidates from the prefix-replay
-    cache, so its machines are restored from snapshots, not built."""
-    restores = []
-    restore = PrefixReplayCache.restore
-
-    def counted(self, checkpoint, program_factory):
-        restores.append(None)
-        return restore(self, checkpoint, program_factory)
-
-    monkeypatch.setattr(PrefixReplayCache, "restore", counted)
+def test_replayed_mutation_hunt_leaves_no_cycles():
+    """A hunt re-runs every attempt and shrink candidate on a freshly
+    built machine."""
 
     def action():
         assert hunt_mutation_escape("merge-drop-granule", seed=0).caught
 
     assert _cyclic_garbage(action) == 0
-    assert restores
 
 
 def test_execute_spec_leaves_no_cycles():
@@ -186,6 +179,34 @@ def test_failed_spec_run_leaves_no_cycles(failure, monkeypatch):
             execute_spec_with_machine(spec)
 
     assert _cyclic_garbage(action) == 0
+
+
+# ---------------------------------------------------------- heap peak
+
+
+def _spec_run_peak_bytes(scale: float, core_model: str) -> int:
+    """Traced heap peak of a live RC spec run at ``scale``, its machine
+    still open."""
+    spec = RunSpec(tag="RC", scale=scale, core_model=core_model)
+    tracemalloc.start()
+    try:
+        _, machine = execute_spec_with_machine(spec)
+        machine.close()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("core_model", ["inorder", "ooo"])
+def test_spec_run_keeps_no_send_history(core_model):
+    """A spec run's cores keep nothing per op: its heap peak is flat in
+    workload length."""
+    _spec_run_peak_bytes(0.05, core_model)  # lazy imports, first-use caches
+    short = _spec_run_peak_bytes(0.2, core_model)
+    long = _spec_run_peak_bytes(0.8, core_model)
+    assert long <= 1.1 * short, (
+        f"peak {long / 2**20:.2f} MB at scale 0.8 vs "
+        f"{short / 2**20:.2f} MB at scale 0.2")
 
 
 # --------------------------------------------------------------- close

@@ -65,10 +65,11 @@ def test_violation_carries_structured_context():
         from repro.system.builder import build_machine
 
         machine = build_machine(config, ProtocolMode.FSLITE)
-        from repro.check.fuzz import _SchedulePrograms, _translate
+        from repro.check.fuzz import _schedule_program, _translate
 
         per_thread, _ = _translate(schedule, 4, config)
-        machine.attach_programs(program_factory=_SchedulePrograms(per_thread))
+        machine.attach_programs(
+            programs=[_schedule_program(items) for items in per_thread])
         sanitizer = Sanitizer(machine).attach()
         from repro.system.simulator import Simulator
 
