@@ -183,7 +183,15 @@ class L1Controller:
         # each message handler finds its line with one probe.
         self._cache_index = self.cache._index
         self._cache_policies = self.cache._policies
-        self.stats: Dict[str, int] = dict.fromkeys(CORE_STAT_KEYS, 0)
+        # The event-counted stats.  Hits, data-array accesses and the PAM
+        # updates of performs are not counted here: :attr:`stats` derives
+        # them from the two counters below, which only the rare paths move,
+        # so a hit updates one key (two on a PRV line).
+        self._counts: Dict[str, int] = dict.fromkeys(CORE_STAT_KEYS, 0)
+        #: Accesses that took one of ``access``'s non-hit returns.
+        self._non_hits = 0
+        #: Ops performed at MSHR completion (each a data-array access).
+        self._mshr_performs = 0
         network.register(core_id, self.handle_message)
 
     # ------------------------------------------------------------------ API
@@ -191,6 +199,25 @@ class L1Controller:
     @property
     def outstanding(self) -> int:
         return len(self._mshrs)
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """This core's counters: a fresh dict, keys in ``CORE_STAT_KEYS``
+        order, exact at any moment (mid-run included).
+
+        A derived view.  Every access not taking a non-hit return hit; each
+        hit and each MSHR completion performs once (one data-array access),
+        and under FSDetect/FSLite each perform also updates the PAM, on top
+        of the PRV coverage checks ``access`` counts itself."""
+        stats = dict(self._counts)
+        hits = (stats[CORE_LOADS] + stats[CORE_STORES] + stats[CORE_RMWS]
+                - self._non_hits)
+        performs = hits + self._mshr_performs
+        stats[CORE_HITS] = hits
+        stats[CORE_L1_DATA_ACCESSES] = performs
+        if self._detects:
+            stats[CORE_PAM_ACCESSES] += performs
+        return stats
 
     def access(self, op: Op, on_complete: CompletionCallback) -> None:
         """Issue one memory operation; ``on_complete(result)`` fires when
@@ -200,9 +227,11 @@ class L1Controller:
         executed memory instruction): the hit check and completion are
         folded inline, the line is found with one probe of the cache
         array's block index, and all address math is mask arithmetic on
-        bindings precomputed in ``__init__``.
+        bindings precomputed in ``__init__``.  A hit counts only its kind
+        (and, on a PRV line, the coverage check); each other return counts
+        once in ``_non_hits`` (see :attr:`stats`).
         """
-        stats = self.stats
+        stats = self._counts
         kind = op.kind
         if kind is OP_LOAD:
             stats[CORE_LOADS] += 1
@@ -216,6 +245,7 @@ class L1Controller:
         if self._mshrs:
             mshr = self._mshrs.get(block)
             if mshr is not None:
+                self._non_hits += 1
                 mshr.ops.append((op, on_complete))
                 return
         wb_entry = self._wb_entries.get(block) if self._wb_entries else None
@@ -223,11 +253,13 @@ class L1Controller:
             # The block's writeback is still in flight; a request now could
             # overtake the PUTM and fetch stale data. Park the access and
             # replay it once the WB_ACK retires the buffer entry.
+            self._non_hits += 1
             wb_entry.meta.setdefault("pending_ops", []).append(
                 (op, on_complete))
             return
         entry = self._cache_index.get(block)
         if entry is None:
+            self._non_hits += 1
             self._start_miss(block, None, op, on_complete)
             return
         self._cache_policies[entry.set_index].touch(entry.way)
@@ -240,6 +272,7 @@ class L1Controller:
         if state is L1_PRV:
             pentry = self._pam_entries.get(block)
             if pentry is None:
+                self._non_hits += 1
                 raise ProtocolError("PRV line without a PAM entry")
             stats[CORE_PAM_ACCESSES] += 1
             gmask = ((1 << op.size) - 1) << (op.addr & self._offset_mask)
@@ -251,28 +284,31 @@ class L1Controller:
                 covered = ((pentry.read_bits | pentry.write_bits)
                            & gmask) == gmask
             if not covered:
+                self._non_hits += 1
                 self._start_miss(block, line, op, on_complete)
                 return
         elif op.is_write and not (state is L1_M or state is L1_E):
+            self._non_hits += 1
             self._start_miss(block, line, op, on_complete)
             return
         # Hit: the op performs (becomes globally visible) immediately; the
         # core observes completion after the data-array latency.
-        stats[CORE_HITS] += 1
         result = self._perform(block, line, op)
         self.queue.schedule(self._data_latency, on_complete, result)
 
     # ------------------------------------------------------------- hit path
 
     def _perform(self, block: int, line: L1Line, op: Op) -> int:
-        """Apply the op to the line's bytes, update PAM, return the result."""
+        """Apply the op to the line's bytes, update PAM, return the result.
+
+        Counts nothing: its data-array access and PAM update are derived
+        (see :attr:`stats`)."""
         if op.is_write and line.state is L1_E:
             line.state = L1_M
         offset = op.addr & self._offset_mask
         size = op.size
         data = line.data
         kind = op.kind
-        self.stats[CORE_L1_DATA_ACCESSES] += 1
         result = 0
         if kind is OP_LOAD:
             result = int.from_bytes(data[offset:offset + size], "little")
@@ -289,7 +325,6 @@ class L1Controller:
             # The one PAM update (Section IV): a load sets the touched
             # granules' read bits, a store their write bits, an RMW both.
             byte_mask = ((1 << size) - 1) << offset
-            self.stats[CORE_PAM_ACCESSES] += 1
             pentry = self._pam_entries.get(block)
             if pentry is None:
                 raise ProtocolError(
@@ -309,7 +344,7 @@ class L1Controller:
 
     def _start_miss(self, block: int, line: Optional[L1Line], op: Op,
                     cb: CompletionCallback) -> None:
-        stats = self.stats
+        stats = self._counts
         if line is not None and line.state is L1_PRV:
             mtype = MSG_GETXCHK if op.is_write else MSG_GETCHK
             stats[CORE_CHK_MISSES] += 1
@@ -342,7 +377,7 @@ class L1Controller:
 
     def _reissue(self, mshr: Mshr) -> None:
         """Reissue an aborted request (Fig. 11 race) as a plain GET/GETX."""
-        self.stats[CORE_REISSUES] += 1
+        self._counts[CORE_REISSUES] += 1
         op = mshr.ops[0][0]
         if mshr.sent in (MSG_GETCHK, MSG_GETXCHK, MSG_UPGRADE):
             mshr.sent = MSG_GETX if op.is_write else MSG_GET
@@ -363,7 +398,7 @@ class L1Controller:
                 raise ProtocolError("stale PAM entry at fill")
             self.pam.allocate(block)
         if state is L1_PRV:
-            self.stats[CORE_PRV_FILLS] += 1
+            self._counts[CORE_PRV_FILLS] += 1
         return line
 
     def _protected_ways(self, block: int) -> List[int]:
@@ -385,7 +420,7 @@ class L1Controller:
     def _evict(self, block: int, line: L1Line) -> None:
         """Handle a capacity eviction of ``line`` (stable state)."""
         if line.state in (L1_M, L1_PRV) or line.dirty:
-            self.stats[CORE_WRITEBACKS] += 1
+            self._counts[CORE_WRITEBACKS] += 1
             self.write_buffer.insert(block, bytearray(line.data),
                                      prv=line.state is L1_PRV)
             self.network.send(Message(
@@ -398,7 +433,7 @@ class L1Controller:
             else:
                 self.pam.invalidate(block)
         else:
-            self.stats[CORE_SILENT_EVICTIONS] += 1
+            self._counts[CORE_SILENT_EVICTIONS] += 1
             self._send_md_on_eviction(block)
 
     def _send_md_on_eviction(self, block: int) -> None:
@@ -406,7 +441,7 @@ class L1Controller:
             return
         pentry = self.pam.invalidate(block)
         if pentry is not None and pentry.send_md and not pentry.empty:
-            self.stats[CORE_REP_MD_SENT] += 1
+            self._counts[CORE_REP_MD_SENT] += 1
             self.pam.md_sends += 1
             self.network.send(Message(
                 MSG_REP_MD, self.core_id, self.home_of(block), block,
@@ -466,6 +501,7 @@ class L1Controller:
         del self._mshrs[block]
         (first_op, first_cb) = mshr.ops[0]
         rest = mshr.ops[1:]
+        self._mshr_performs += 1
         result = self._perform(block, line, first_op)
         if mshr.inv_after_fill:
             # Consume-then-drop (IS_I): the invalidation was already
@@ -524,7 +560,7 @@ class L1Controller:
         pentry = self._pam_entries.get(block)
         dst = self.home_of(block)
         if pentry is not None:
-            self.stats[CORE_REP_MD_SENT] += 1
+            self._counts[CORE_REP_MD_SENT] += 1
             self.network.send(Message(
                 MSG_REP_MD, self.core_id, dst, block,
                 {"read_bits": pentry.read_bits,
@@ -532,7 +568,7 @@ class L1Controller:
                  "solicited": solicited,
                  "putm_in_flight": putm_in_flight}))
         else:
-            self.stats[CORE_PHANTOM_SENT] += 1
+            self._counts[CORE_PHANTOM_SENT] += 1
             self.network.send(Message(
                 MSG_PHANTOM_MD, self.core_id, dst, block,
                 {"solicited": solicited, "putm_in_flight": putm_in_flight}))
@@ -552,7 +588,7 @@ class L1Controller:
         self.pam.invalidate(block)
 
     def _on_inv(self, msg: Message) -> None:
-        self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
+        self._counts[CORE_INVALIDATIONS_RECEIVED] += 1
         block = msg.block_addr
         req_md = bool(msg.payload.get("req_md"))
         mshr = self._mshrs.get(block)
@@ -576,7 +612,7 @@ class L1Controller:
     def _on_fwd(self, msg: Message) -> None:
         """Answer a FWD_GET (downgrade to S) or FWD_GETX (invalidate) from
         the line, from a buffered writeback, or with ACK_NO_DATA."""
-        self.stats[CORE_INTERVENTIONS_RECEIVED] += 1
+        self._counts[CORE_INTERVENTIONS_RECEIVED] += 1
         block = msg.block_addr
         exclusive = msg.mtype is MSG_FWD_GETX
         req_md = bool(msg.payload.get("req_md"))
@@ -672,7 +708,7 @@ class L1Controller:
                 mshr.aborted = True
 
     def _on_inv_prv(self, msg: Message) -> None:
-        self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
+        self._counts[CORE_INVALIDATIONS_RECEIVED] += 1
         block = msg.block_addr
         entry = self._cache_index.get(block)
         mshr = self._mshrs.get(block)

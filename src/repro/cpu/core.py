@@ -45,9 +45,15 @@ class InOrderCore:
         self.compute_cycles = 0
         self.mem_stall_cycles = 0
         self._issue_cycle = 0
+        #: ``_advance`` bound once: the L1 completion callback and every
+        #: resume event pass this one object instead of binding a new
+        #: method per op.  :meth:`Machine.close
+        #: <repro.system.builder.Machine.close>` drops it (it points back at
+        #: the core).
+        self._resume = self._advance
 
     def start(self) -> None:
-        self.queue.schedule(0, self._advance)
+        self.queue.schedule(0, self._resume)
 
     def _advance(self, result: Optional[int]) -> None:
         """Resume the program with the previous op's result and issue next
@@ -72,15 +78,15 @@ class InOrderCore:
         if op.is_memory:
             self.mem_ops += 1
             self._issue_cycle = now
-            self.l1.access(op, self._advance)
+            self.l1.access(op, self._resume)
         elif op.kind is OP_COMPUTE:
             self.compute_cycles += op.cycles
             self._issue_cycle = now + op.cycles
-            self.queue.schedule(op.cycles, self._advance, 0)
+            self.queue.schedule(op.cycles, self._resume, 0)
         else:
             # FENCE — in-order, one outstanding op: a timing no-op.
             self._issue_cycle = now
-            self.queue.schedule(0, self._advance, 0)
+            self.queue.schedule(0, self._resume, 0)
 
     def _finish(self) -> None:
         self.done = True

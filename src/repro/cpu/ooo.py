@@ -68,9 +68,12 @@ class OutOfOrderCore:
         self._draining = False
         self._program_exhausted = False
         self._retire_cursor = 0
+        #: ``_advance`` bound once, as on the in-order core (dropped by
+        #: ``Machine.close``).
+        self._resume = self._advance
 
     def start(self) -> None:
-        self.queue.schedule(0, self._advance)
+        self.queue.schedule(0, self._resume)
 
     # -- issue side -------------------------------------------------------------
 
@@ -89,7 +92,7 @@ class OutOfOrderCore:
     def _issue(self, op: Op) -> None:
         if op.kind is OP_COMPUTE:
             self.compute_cycles += op.cycles
-            self.queue.schedule(op.cycles, self._advance, 0)
+            self.queue.schedule(op.cycles, self._resume, 0)
             return
         if op.kind is OP_FENCE:
             self._draining = True
@@ -107,7 +110,7 @@ class OutOfOrderCore:
         if blocking:
             self._waiting_value = True
         else:
-            self.queue.schedule(1, self._advance, 0)
+            self.queue.schedule(1, self._resume, 0)
 
     def _complete_slot(self, slot: _WindowSlot, blocking: bool,
                        result: int) -> None:
@@ -116,13 +119,13 @@ class OutOfOrderCore:
         self._retire()
         if blocking:
             self._waiting_value = False
-            self.queue.schedule(0, self._advance, result)
+            self.queue.schedule(0, self._resume, result)
         self._try_resume_after_drain()
 
     def _try_resume_after_drain(self) -> None:
         if self._draining and not self._slots:
             self._draining = False
-            self.queue.schedule(0, self._advance, 0)
+            self.queue.schedule(0, self._resume, 0)
 
     # -- retire side ------------------------------------------------------------
 

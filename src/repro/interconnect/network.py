@@ -69,22 +69,23 @@ def channel_of(msg: Message) -> str:
 class NetworkStats:
     """Message counts and byte volume per traffic class.
 
-    Internally accumulated per :class:`MessageType` in flat lists indexed
-    by enum value (two C-level increments per message); the per-class dict
-    views are assembled on demand.
+    Internally accumulated per :class:`MessageType` in a flat list indexed
+    by enum value (one C-level increment per message).  A message's size
+    is fixed by its type, so byte volumes are those counts times
+    ``SIZE_BY_VALUE``; the per-class dict views are assembled on demand.
     """
 
-    __slots__ = ("_count_by_type", "_bytes_by_type")
+    __slots__ = ("_count_by_type",)
 
     def __init__(self) -> None:
-        size = len(MessageType) + 1
-        self._count_by_type: List[int] = [0] * size
-        self._bytes_by_type: List[int] = [0] * size
+        self._count_by_type: List[int] = [0] * (len(MessageType) + 1)
 
     def record(self, msg: Message) -> None:
-        value = msg.mtype._value_
-        self._count_by_type[value] += 1
-        self._bytes_by_type[value] += SIZE_BY_VALUE[value]
+        self._count_by_type[msg.mtype._value_] += 1
+
+    def _bytes_by_type(self) -> List[int]:
+        return [n * size for n, size in zip(self._count_by_type,
+                                            SIZE_BY_VALUE)]
 
     def _by_class(self, per_type: List[int]) -> Dict[MessageClass, int]:
         out: Dict[MessageClass, int] = {}
@@ -101,7 +102,7 @@ class NetworkStats:
 
     @property
     def bytes(self) -> Dict[MessageClass, int]:
-        return self._by_class(self._bytes_by_type)
+        return self._by_class(self._bytes_by_type())
 
     @property
     def total_messages(self) -> int:
@@ -109,7 +110,7 @@ class NetworkStats:
 
     @property
     def total_bytes(self) -> int:
-        return sum(self._bytes_by_type)
+        return sum(self._bytes_by_type())
 
     def of_class(self, mclass: MessageClass) -> int:
         return self.count.get(mclass, 0)
@@ -224,7 +225,6 @@ class Network:
             raise SimulationError(f"no handler registered for node {msg.dst}")
         value = msg.mtype._value_
         self.stats._count_by_type[value] += 1
-        self.stats._bytes_by_type[value] += SIZE_BY_VALUE[value]
         if self.fault_seam is not None:
             perturbed = self.fault_seam(msg, extra_delay)
             if perturbed is None:

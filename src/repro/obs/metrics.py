@@ -47,8 +47,10 @@ class Counter:
 
 
 def _stat_sum(parts, *keys: str) -> Callable[[], int]:
-    """Sum of the stats-dict ``keys`` over a list of controllers."""
-    return lambda: sum(part.stats[key] for part in parts for key in keys)
+    """Sum of the stats-dict ``keys`` over a list of controllers (an L1's
+    ``stats`` is built on each read, so each part's is read once)."""
+    return lambda: sum(stats[key] for stats in (part.stats for part in parts)
+                       for key in keys)
 
 
 def _network_total(network, attr: str) -> Callable[[], int]:

@@ -81,7 +81,8 @@ class Machine:
         counting: the network's handlers, observer hooks and fault seam,
         the pending events, :attr:`extras`, and each core's link to its L1
         (whose in-flight transactions hold the core's completion
-        callbacks).  Caches, tables, stats and reports stay readable.
+        callbacks) and its bound completion callback (which points back
+        at the core).  Caches, tables, stats and reports stay readable.
         Idempotent; the machine cannot run afterwards (a send raises
         :class:`~repro.common.errors.SimulationError`)."""
         self.network.close()
@@ -89,6 +90,7 @@ class Machine:
         self.extras.clear()
         for core in self.cores:
             core.l1 = None
+            core._resume = None
 
     def all_reports(self):
         reports = []

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.common.errors import ReproError
 from repro.cpu.core import ThreadProgram
+from repro.cpu.ops import Op, load
 from repro.workloads.layout import MemoryLayout
 
 LAYOUTS = ("packed", "padded", "huron")
@@ -95,6 +96,16 @@ class Workload(ABC):
         :class:`WorkloadResultError` on mismatch. Default: no check."""
 
     # -- helpers ------------------------------------------------------------------
+
+    @staticmethod
+    def scan_loads(base: int, count: int, stride: int = 8) -> List[Op]:
+        """The 8-byte LOAD ops (result unused) of a window of ``count``
+        words ``stride`` bytes apart from ``base``.
+
+        A thread that re-scans a private window builds this once and
+        indexes it, instead of looking up an interned load per op."""
+        return [load(base + stride * w, size=8, need_value=False)
+                for w in range(count)]
 
     @staticmethod
     def read_u32(image: Dict[int, bytes], addr: int,

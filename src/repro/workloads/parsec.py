@@ -41,7 +41,8 @@ class StreamCluster(Workload):
     def thread_program(self, tid: int):
         iters = self.iterations(self.DEFAULT_POINTS)
         flags = self.flags[tid]
-        points = self.points[tid]
+        words = self.POINT_WORDS
+        resident = self.scan_loads(self.points[tid], words)
         stream = self.stream[tid]
 
         def prog():
@@ -49,10 +50,10 @@ class StreamCluster(Workload):
             for i in range(iters):
                 # Resident centres (hits)...
                 for k in range(12):
-                    w = (i * 12 + k) % self.POINT_WORDS
-                    yield load(points + 8 * w, size=8, need_value=False)
+                    yield resident[(i * 12 + k) % words]
                 # ...plus a streamed point read (capacity misses, which
-                # FSLite cannot and should not remove).
+                # FSLite cannot and should not remove).  Each run touches a
+                # few hundred of its 16K words, so these stay per-op loads.
                 for k in range(2):
                     w = (i * 2 + k) % self.STREAM_WORDS
                     yield load(stream + 8 * w, size=8, need_value=False)

@@ -58,6 +58,8 @@ class LinearRegression(Workload):
         points = self.iterations(self.DEFAULT_POINTS)
         acc = self.acc[tid]
         inp = self.inputs[tid]
+        npoints = self.INPUT_POINTS
+        scan = self.scan_loads(inp, npoints, stride=16)
         mask = (1 << 64) - 1
 
         def prog():
@@ -84,8 +86,7 @@ class LinearRegression(Workload):
                 yield load(inp + slot, size=8)
                 yield load(inp + slot + 8, size=8)
                 for k in range(22):
-                    w = ((i + k) * 16) % (self.INPUT_POINTS * 16)
-                    yield load(inp + (w & ~7), size=8, need_value=False)
+                    yield scan[(i + k) % npoints]
                 # Update the three falsely-shared accumulator fields.
                 sx = yield load(acc, size=8)
                 yield store(acc, (sx + x) & mask, size=8)
@@ -138,15 +139,15 @@ class StringMatch(Workload):
     def thread_program(self, tid: int):
         keys = self.iterations(self.DEFAULT_KEYS)
         counts = self.counts[tid]
-        window = self.windows[tid]
+        words = self.WINDOW_WORDS
+        scan = self.scan_loads(self.windows[tid], words)
 
         def prog():
             acc = 0
             for i in range(keys):
                 # Scan the key against the private window (hash comparisons).
                 for k in range(self.KEY_WORDS):
-                    w = (i * 7 + k) % self.WINDOW_WORDS
-                    yield load(window + 8 * w, size=8, need_value=False)
+                    yield scan[(i * 7 + k) % words]
                 yield compute(self.COMPUTE)
                 if (i * 7 + tid) % self.MATCH_EVERY == 0:
                     v = yield load(counts, size=8)

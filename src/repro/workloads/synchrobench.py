@@ -40,15 +40,15 @@ class EstmSfTree(Workload):
     def thread_program(self, tid: int):
         ops = self.iterations(self.DEFAULT_OPS)
         desc = self.descriptors[tid]
-        nodes = self.nodes[tid]
+        words = self.NODE_WORDS
+        scan = self.scan_loads(self.nodes[tid], words)
 
         def prog():
             acc = 0
             for i in range(ops):
                 # Tree traversal over (mostly) thread-local nodes.
                 for k in range(45):
-                    w = (i * 45 + k) % self.NODE_WORDS
-                    yield load(nodes + 8 * w, size=8, need_value=False)
+                    yield scan[(i * 45 + k) % words]
                 yield compute(150)
                 # Update the transaction descriptor (falsely shared).
                 yield store(desc, i + 1, size=8)

@@ -113,15 +113,15 @@ class LocklessToy(Workload):
     def thread_program(self, tid: int):
         iters = self.iterations(self.DEFAULT_ITERS)
         slot = self.slots[tid]
-        priv = self.private[tid]
+        words = self.PRIVATE_WORDS
+        scan = self.scan_loads(self.private[tid], words)
 
         def prog():
             acc = 0
             for i in range(iters):
                 # Private work: scan a stretch of own words.
                 for k in range(30):
-                    w = (i * 30 + k) % self.PRIVATE_WORDS
-                    yield load(priv + 8 * w, size=8, need_value=False)
+                    yield scan[(i * 30 + k) % words]
                 # Publish progress (falsely shared).
                 yield store(slot, i + 1, size=8)
                 v = yield load(slot, size=8)
@@ -178,7 +178,8 @@ class LockedToy(Workload):
         visits = self.iterations(self.DEFAULT_VISITS)
         stride = self.cell_stride
         threads = self.num_threads
-        priv = self.private[tid]
+        words = self.PRIVATE_WORDS
+        scan = self.scan_loads(self.private[tid], words)
 
         def prog():
             acc = 0
@@ -196,8 +197,7 @@ class LockedToy(Workload):
                 yield store(lock, 0)
                 # Per-visit bookkeeping over the hot private region.
                 for k in range(16):
-                    w = (i * 16 + k) % self.PRIVATE_WORDS
-                    yield load(priv + 8 * w, size=8, need_value=False)
+                    yield scan[(i * 16 + k) % words]
                 yield compute(70)
                 cell = (cell + threads) % self.CELLS
         return prog()
@@ -247,6 +247,8 @@ class BoostSpinlock(Workload):
     def thread_program(self, tid: int):
         iters = self.iterations(self.DEFAULT_ITERS)
         priv = self.private[tid]
+        words = self.PRIVATE_WORDS
+        scan = self.scan_loads(priv, words)
         rng = self._rngs[tid]
         # boost hashes the object address; threads map to mostly-distinct
         # locks, with occasional collisions (true contention).
@@ -259,8 +261,7 @@ class BoostSpinlock(Workload):
             for i in range(iters):
                 # A big stretch of private work between lock operations.
                 for k in range(25):
-                    w = (i * 25 + k) % self.PRIVATE_WORDS
-                    yield load(priv + 8 * w, size=8, need_value=False)
+                    yield scan[(i * 25 + k) % words]
                 yield compute(160)
                 if i % 4 == 0:
                     lock = lock_seq[i]

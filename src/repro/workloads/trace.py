@@ -933,7 +933,12 @@ def synthesize_trace(profile: SharingProfile, path,
     are what :func:`_encode_op` writes for those ops.  None of its checks
     can fail here: every access is 8 bytes at a line base plus a multiple
     of 8, store values are 32-bit draws, and :class:`SharingProfile`
-    rejects negative compute cycles."""
+    rejects negative compute cycles.
+
+    Each ``randrange(n)`` of that construction is written out as the
+    ``getrandbits(n.bit_length())`` rejection loop CPython's
+    ``Random._randbelow`` runs for it (the same draws, without the call
+    layers); every ``n`` here is at least 1 whenever it is drawn from."""
     bs = profile.block_size
     slots = bs // 8
     fs_base = 0x40000
@@ -952,6 +957,10 @@ def synthesize_trace(profile: SharingProfile, path,
     _append_uvarint(compute, profile.compute_cycles)
     load, store, fetch_add = _SYNTH_LOAD, _SYNTH_STORE, _SYNTH_FETCH_ADD
     total = profile.ops_per_thread
+    ts_k = ts_lines.bit_length()
+    fs_k = fs_lines.bit_length()
+    private_k = private_lines.bit_length()
+    slots_k = slots.bit_length()
     with TraceWriter(
             path, num_threads=profile.num_threads, block_size=bs,
             meta={"source": {"tag": "synth",
@@ -960,8 +969,7 @@ def synthesize_trace(profile: SharingProfile, path,
             chunk_ops=chunk_ops) as writer:
         for tid in range(profile.num_threads):
             rng = Random(profile.seed * 1_000_003 + tid)
-            random, randrange = rng.random, rng.randrange
-            getrandbits = rng.getrandbits
+            random, getrandbits = rng.random, rng.getrandbits
             fs_slot = fs_base + tid * 8
             tbase = priv_base + tid * private_lines * bs
             next_compute = compute_every - 1 if compute_every else -1
@@ -978,7 +986,10 @@ def synthesize_trace(profile: SharingProfile, path,
                         continue
                     r = random()
                     if r < ts_fraction:
-                        addr = ts_base + randrange(ts_lines) * bs
+                        n = getrandbits(ts_k)
+                        while n >= ts_lines:
+                            n = getrandbits(ts_k)
+                        addr = ts_base + n * bs
                         if random() < rmw_fraction:
                             head = fetch_add
                         elif random() < write_fraction:
@@ -987,11 +998,19 @@ def synthesize_trace(profile: SharingProfile, path,
                             head = load
                     else:
                         if r < shared_fraction:
-                            addr = fs_slot + randrange(fs_lines) * bs
+                            n = getrandbits(fs_k)
+                            while n >= fs_lines:
+                                n = getrandbits(fs_k)
+                            addr = fs_slot + n * bs
                         else:
                             if random() >= locality:
-                                line = randrange(private_lines)
-                            addr = tbase + line * bs + randrange(slots) * 8
+                                line = getrandbits(private_k)
+                                while line >= private_lines:
+                                    line = getrandbits(private_k)
+                            n = getrandbits(slots_k)
+                            while n >= slots:
+                                n = getrandbits(slots_k)
+                            addr = tbase + line * bs + n * 8
                         head = store if random() < write_fraction else load
                     put(head)
                     delta = addr - prev

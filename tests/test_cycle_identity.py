@@ -25,6 +25,10 @@ L1: thousands of LLC fills from memory) under MESI and FSDetect pin the
 coherence miss path; they were recorded before the positional per-message
 construction.
 
+BS, LR, SC and SM (all modes, sanitizer off) re-scan a private window
+of loads every iteration, as LL, LT and SF do; they were recorded before
+those windows' load ops were built once per thread.
+
 Any optimisation that changes one of these numbers changed simulator
 *behaviour*, not just speed — which would also silently invalidate the
 engine's result cache and every committed benchmark checksum.  Entries are
@@ -46,6 +50,8 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_identity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 #: Workloads whose runs are mostly L1 hits (the hit path's own guard).
 HIT_HEAVY_TAGS = ("LT", "SF", "LL")
+#: The other Figure 14 apps that re-scan a private window of loads.
+SCAN_TAGS = ("BS", "LR", "SC", "SM")
 #: Miss-heavy workloads (the coherence miss path's own guard) and the
 #: modes they were recorded under.
 MISS_HEAVY_TAGS = ("ml", "CA")
@@ -152,10 +158,10 @@ def test_faults_package_inert_without_a_plan(mode):
 
 def test_golden_covers_all_modes_and_sanitizer_states():
     """The fixture spans {RC, FA} x all modes x sanitizer {off, on}, the
-    hit-heavy {LT, SF, LL} x all modes, the miss-heavy {ml, CA} x {MESI,
-    FSDetect}, {LT, RC} x {FSDetect, FSLite} at granularity {2, 4}, and
-    the OoO core on RC x all modes (sanitizer off for all but the first
-    group)."""
+    hit-heavy {LT, SF, LL} and the window scans {BS, LR, SC, SM} x all
+    modes, the miss-heavy {ml, CA} x {MESI, FSDetect}, {LT, RC} x
+    {FSDetect, FSLite} at granularity {2, 4}, and the OoO core on RC x all
+    modes (sanitizer off for all but the first group)."""
     seen = {(e["tag"], e["mode"], e["sanitizer"], e.get("granularity", 1),
              e.get("core_model", "inorder")) for e in GOLDEN.values()}
     expected = {(tag, mode.value, san, 1, "inorder")
@@ -163,7 +169,7 @@ def test_golden_covers_all_modes_and_sanitizer_states():
                 for mode in ProtocolMode
                 for san in (False, True)}
     expected |= {(tag, mode.value, False, 1, "inorder")
-                 for tag in HIT_HEAVY_TAGS
+                 for tag in HIT_HEAVY_TAGS + SCAN_TAGS
                  for mode in ProtocolMode}
     expected |= {(tag, mode.value, False, 1, "inorder")
                  for tag in MISS_HEAVY_TAGS
