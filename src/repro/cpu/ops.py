@@ -91,7 +91,9 @@ class Op:
 #: writes a field, nothing keys on identity), and loads are by far the most
 #: constructed kind — workloads re-touch the same addresses millions of
 #: times.  Interning turns the dominant hot-path construction into a dict
-#: hit.
+#: hit.  The trace decoder (:func:`repro.workloads.trace._decode_ops`)
+#: probes these caches directly under the same keys and calls the
+#: constructor only on a miss, so a full cache is cleared, never rebound.
 _LOAD_CACHE: dict = {}
 _LOAD_CACHE_MAX = 1 << 16
 

@@ -34,6 +34,7 @@ import json
 import logging
 import os
 import pathlib
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from multiprocessing import get_context
@@ -111,6 +112,24 @@ def default_cache_dir() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".cache" / "repro" / "engine"
+
+
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool initializer: start a daemon thread that ends this worker as
+    soon as it is re-parented, that is, once the engine's process has died
+    (even by SIGKILL, which runs no handler).  Without it an orphaned
+    worker finishes its spec and then waits forever on a dead pool."""
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
 
 
 def _timed_call(executor: Callable[[RunSpec], RunRecord],
@@ -214,7 +233,8 @@ class Engine:
         Runs in-process when ``jobs == 1`` or at most one spec is pending,
         otherwise on a spawn-based process pool (import-clean workers on
         every platform).  A worker that dies breaks the pool, and every
-        spec the pool still owed comes back as an exception."""
+        spec the pool still owed comes back as an exception.  Each worker
+        exits once this process is gone (:func:`_exit_with_parent`)."""
         if self.jobs == 1 or len(pending) <= 1:
             for spec in pending:
                 try:
@@ -223,7 +243,9 @@ class Engine:
                     yield spec, exc
             return
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)),
-                                 mp_context=get_context("spawn")) as pool:
+                                 mp_context=get_context("spawn"),
+                                 initializer=_exit_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             futures = {pool.submit(_timed_call, self._executor, spec): spec
                        for spec in pending}
             for future in as_completed(futures):

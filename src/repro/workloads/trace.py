@@ -58,7 +58,9 @@ import hashlib
 import json
 import os
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from random import Random
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -184,6 +186,8 @@ def _encode_op(buf: bytearray, op: Op, prev_addr: int) -> int:
     elif kind is OP_STORE:
         if op.value < 0:
             raise TraceFormatError("STORE with negative value")
+        if op.value >> (8 * op.size):
+            raise TraceFormatError(_store_range_message(op.value, op.size))
         buf.append(_K_STORE | (size_bits << 3))
         _append_uvarint(buf, delta)
         _append_uvarint(buf, op.value)
@@ -212,68 +216,154 @@ def _encode_op(buf: bytearray, op: Op, prev_addr: int) -> int:
     return op.addr
 
 
+def _store_range_message(value: int, size: int) -> str:
+    return f"STORE value {value:#x} does not fit its {size}-byte access"
+
+
+def _bad_head(head: int) -> TraceFormatError:
+    """The error for a head byte no record starts with."""
+    if head & 0xC0:
+        return TraceFormatError(f"bad record head byte {head:#04x}")
+    kind = head & 0x07
+    if kind == _K_COMPUTE:
+        return TraceFormatError("COMPUTE record with size/flag bits set")
+    if kind == _K_FENCE:
+        return TraceFormatError("FENCE record with size/flag bits set")
+    return TraceFormatError(f"unknown record kind {kind}")
+
+
 def _decode_ops(payload, n_ops: int, prev_addr: int):
     """Decode ``n_ops`` records from a decompressed frame payload.
 
     Returns ``(ops_list, new_prev_addr)``.  Every structural violation —
-    unknown kind, a record cut short, trailing bytes, unaligned address —
-    raises :class:`TraceFormatError`.
+    unknown kind, a record cut short, trailing bytes, unaligned address, a
+    STORE value wider than its access — raises :class:`TraceFormatError`.
 
-    One ``try`` covers the whole frame: reading past the payload's end
-    surfaces as ``IndexError``.  A memory op's address delta usually fits
-    one varint byte, which is read inline; the op constructors are called
-    positionally.
+    This loop runs once per replayed op, so a common record costs no
+    Python call:
+
+    * one ``try`` covers the whole frame: reading past the payload's end
+      surfaces as ``IndexError``;
+    * one- and two-byte address deltas, one-, two- and five-byte STORE
+      values (a random 32-bit value takes five bytes 15 times in 16), and
+      one-byte FETCH_ADD operands and COMPUTE cycle counts are read
+      inline; every other varint goes through :func:`_read_uvarint`, which
+      also rejects overlong ones;
+    * LOAD, FETCH_ADD and COMPUTE ops are probed in the interning caches
+      of :mod:`repro.cpu.ops` under the keys their constructors use; only
+      a miss calls the constructor, which keeps the caches' size caps;
+    * a STORE is built slot by slot, to the values :func:`ops.store`
+      gives every slot, after the alignment check ``Op`` would make.
+
+    In a memory record's head byte (bits 6-7 clear), ``head >= 0x20`` is
+    the ``need_value`` bit.  CAS records are rare and go through
+    :func:`ops.cas`.
     """
     out: List[Op] = []
     append = out.append
     read = _read_uvarint
-    load, store, fetch_add, cas = ops.load, ops.store, ops.fetch_add, ops.cas
+    load, fetch_add, compute = ops.load, ops.fetch_add, ops.compute
+    load_cache = ops._LOAD_CACHE
+    fetch_add_cache = ops._FETCH_ADD_CACHE
+    compute_cache = ops._COMPUTE_CACHE
+    fence = ops.fence()
+    new_op = object.__new__
     pos = 0
     try:
         for _ in range(n_ops):
             head = payload[pos]
-            if head & 0xC0:
-                raise TraceFormatError(f"bad record head byte {head:#04x}")
             kind = head & 0x07
-            if kind <= _K_CAS:
+            if kind <= _K_CAS and head < 0x40:
                 delta = payload[pos + 1]
                 if delta < 0x80:
                     pos += 2
                 else:
-                    delta, pos = read(payload, pos + 1)
+                    byte = payload[pos + 2]
+                    if byte < 0x80:
+                        delta = delta & 0x7F | byte << 7
+                        pos += 3
+                    else:
+                        delta, pos = read(payload, pos + 1)
                 prev_addr += (delta >> 1) ^ -(delta & 1)  # unzigzag
                 size = 1 << (head >> 3 & 0x03)
-                need = (head & 0x20) != 0
                 if kind == _K_LOAD:
-                    append(load(prev_addr, size, need))
+                    op = load_cache.get((prev_addr, size, head >= 0x20))
+                    if op is None:
+                        op = load(prev_addr, size, head >= 0x20)
+                    append(op)
                 elif kind == _K_STORE:
-                    if need:
+                    if head >= 0x20:
                         raise TraceFormatError(
                             "STORE record with need_value set")
-                    value, pos = read(payload, pos)
-                    append(store(prev_addr, value, size))
+                    value = payload[pos]
+                    if value < 0x80:
+                        pos += 1
+                    else:
+                        b1 = payload[pos + 1]
+                        if b1 < 0x80:
+                            value = value & 0x7F | b1 << 7
+                            pos += 2
+                        else:
+                            b2 = payload[pos + 2]
+                            b3 = payload[pos + 3] if b2 >= 0x80 else 0
+                            b4 = payload[pos + 4] if b3 >= 0x80 else 0x80
+                            if b4 < 0x80:  # a five-byte varint
+                                value = (value & 0x7F | (b1 & 0x7F) << 7
+                                         | (b2 & 0x7F) << 14
+                                         | (b3 & 0x7F) << 21 | b4 << 28)
+                                pos += 5
+                            else:
+                                value, pos = read(payload, pos)
+                    if value >> (size << 3):
+                        raise TraceFormatError(
+                            _store_range_message(value, size))
+                    if prev_addr % size:
+                        raise TraceFormatError(
+                            f"invalid record: unaligned access: "
+                            f"addr={prev_addr:#x} size={size}")
+                    op = new_op(Op)
+                    op.kind = OP_STORE
+                    op.addr = prev_addr
+                    op.size = size
+                    op.value = value
+                    op.cycles = 0
+                    op.modify = None
+                    op.need_value = False
+                    op.is_memory = True
+                    op.is_write = True
+                    append(op)
                 elif kind == _K_FETCH_ADD:
-                    add, pos = read(payload, pos)
-                    append(fetch_add(prev_addr, (add >> 1) ^ -(add & 1),
-                                     size, need))
+                    add = payload[pos]
+                    if add < 0x80:
+                        pos += 1
+                    else:
+                        add, pos = read(payload, pos)
+                    add = (add >> 1) ^ -(add & 1)
+                    op = fetch_add_cache.get(
+                        (prev_addr, add, size, head >= 0x20))
+                    if op is None:
+                        op = fetch_add(prev_addr, add, size, head >= 0x20)
+                    append(op)
                 else:
                     expect, pos = read(payload, pos)
                     new, pos = read(payload, pos)
-                    append(cas(prev_addr, expect, new, size, need))
-            elif kind == _K_COMPUTE:
-                if head & 0x38:
-                    raise TraceFormatError("COMPUTE record with size/flag "
-                                           "bits set")
-                cycles, pos = read(payload, pos + 1)
-                append(ops.compute(cycles))
-            elif kind == _K_FENCE:
-                if head & 0x38:
-                    raise TraceFormatError("FENCE record with size/flag "
-                                           "bits set")
+                    append(ops.cas(prev_addr, expect, new, size,
+                                   head >= 0x20))
+            elif head == _K_COMPUTE:
+                cycles = payload[pos + 1]
+                if cycles < 0x80:
+                    pos += 2
+                else:
+                    cycles, pos = read(payload, pos + 1)
+                op = compute_cache.get(cycles)
+                if op is None:
+                    op = compute(cycles)
+                append(op)
+            elif head == _K_FENCE:
                 pos += 1
-                append(ops.fence())
+                append(fence)
             else:
-                raise TraceFormatError(f"unknown record kind {kind}")
+                raise _bad_head(head)
     except IndexError:
         raise TraceFormatError(
             "frame payload shorter than its op count") from None
@@ -593,6 +683,24 @@ class TraceWriter:
 # readers
 # --------------------------------------------------------------------------
 
+_op_kind = attrgetter("kind")
+_op_modify = attrgetter("modify")
+
+
+def _kind_names(kinds: Counter, modify_types: Counter) -> Dict[str, int]:
+    """Op counts by record kind name, sorted by name.  ``kinds`` counts
+    ops by :class:`OpKind`, ``modify_types`` by the type of their
+    ``modify``; an RMW is a FETCH_ADD when its modify is a
+    :class:`FetchAddModify` and a CAS otherwise."""
+    names = {kind.name: n for kind, n in kinds.items() if kind is not OP_RMW}
+    fetch_adds = modify_types[FetchAddModify]
+    if fetch_adds:
+        names["FETCH_ADD"] = fetch_adds
+    if kinds[OP_RMW] > fetch_adds:
+        names["CAS"] = kinds[OP_RMW] - fetch_adds
+    return dict(sorted(names.items()))
+
+
 def _scan(path, keep_ops: bool):
     """Full sequential scan shared by :func:`verify_trace` and
     :func:`read_trace`.  Bounded memory unless ``keep_ops``."""
@@ -603,7 +711,8 @@ def _scan(path, keep_ops: bool):
         prev_addr = [0] * n
         counts = [0] * n
         hashes = [hashlib.sha256() for _ in range(n)]
-        kind_counts: Dict[str, int] = {}
+        kinds: Counter = Counter()
+        modify_types: Counter = Counter()
         programs: List[List[Op]] = [[] for _ in range(n)]
         end_counts = None
         for tid, n_ops, payload in _iter_frames(fh, path, n):
@@ -614,11 +723,8 @@ def _scan(path, keep_ops: bool):
                                                   prev_addr[tid])
             hashes[tid].update(payload)
             counts[tid] += n_ops
-            for op in decoded:
-                name = op.kind.name if op.kind is not OP_RMW else (
-                    "FETCH_ADD" if isinstance(op.modify, FetchAddModify)
-                    else "CAS")
-                kind_counts[name] = kind_counts.get(name, 0) + 1
+            kinds.update(map(_op_kind, decoded))
+            modify_types.update(map(type, map(_op_modify, decoded)))
             if keep_ops:
                 programs[tid].extend(decoded)
         if end_counts != counts:
@@ -636,7 +742,7 @@ def _scan(path, keep_ops: bool):
                 f"{path}: content digest mismatch (file corrupt or "
                 "rewritten without re-finalizing)")
         info.per_thread_ops = counts
-        info.kind_counts = dict(sorted(kind_counts.items()))
+        info.kind_counts = _kind_names(kinds, modify_types)
         return info, programs
 
 

@@ -82,6 +82,26 @@ def dying_executor(spec):
     return execute_spec(spec)
 
 
+#: Environment variable naming the directory :func:`sleeping_executor`
+#: writes its worker's pid into.
+PID_DIR_ENV = "REPRO_TEST_PID_DIR"
+
+
+def sleeping_executor(spec):
+    """Engine executor that records its process id as a file in
+    ``$REPRO_TEST_PID_DIR`` and then sleeps for a minute without running
+    the spec: a pool worker busy with a long spec."""
+    import os
+    import time
+
+    path = os.path.join(os.environ[PID_DIR_ENV], str(os.getpid()))
+    with open(path + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    time.sleep(60)
+    raise RuntimeError("sleeping_executor outlived its test")
+
+
 class RecordingExecutor:
     """Engine executor that records every spec it executes, optionally
     injecting failures.

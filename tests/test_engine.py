@@ -9,9 +9,12 @@ across processes, and a full-figure 100% cache-hit replay.
 
 import json
 import os
+import pathlib
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.harness.export import records_from_json, records_to_json
 from repro.harness.runner import RunRecord, RunSpec, execute_spec
 
 from _helpers import (
+    PID_DIR_ENV,
     POISON_SEED,
     RecordingExecutor,
     crashing_executor,
@@ -245,6 +249,75 @@ class TestParallel:
         for s_rec, p_rec in zip(serial, parallel):
             assert p_rec.cycles == s_rec.cycles
             assert p_rec.stats.summary() == s_rec.stats.summary()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    if not os.path.isdir("/proc"):
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+#: A driver that runs two specs on a two-worker pool whose executor
+#: records each worker's pid and then sleeps.
+_ORPHAN_DRIVER = """
+import sys
+sys.path[:0] = {paths!r}
+from _helpers import sleeping_executor
+from repro.harness.engine import Engine
+from repro.harness.runner import RunSpec
+Engine(jobs=2, executor=sleeping_executor).run_many(
+    [RunSpec(tag="ww", seed=1), RunSpec(tag="ww", seed=2)])
+"""
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_engine_is_killed(self, tmp_path):
+        """SIGKILL the process running an engine with two busy pool
+        workers: both workers exit within seconds instead of running on
+        as orphans."""
+        import repro
+
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        paths = [str(pathlib.Path(__file__).parent),
+                 str(pathlib.Path(repro.__file__).parents[1])]
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_DRIVER.format(paths=paths)],
+            env=dict(os.environ, **{PID_DIR_ENV: str(pid_dir)}))
+        pids: list = []
+        try:
+            deadline = time.monotonic() + 120
+            while len(pids) < 2:
+                assert driver.poll() is None, "driver exited early"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.1)
+                pids = [int(p.name) for p in pid_dir.iterdir()
+                        if p.name.isdigit()]
+            driver.kill()
+            driver.wait()
+            deadline = time.monotonic() + 5
+            while any(_running(pid) for pid in pids) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if driver.poll() is None:
+                driver.kill()
+                driver.wait()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestRetry:

@@ -91,25 +91,22 @@ def _write(path, streams, chunk_ops=16, block_size=64):
     return writer.close()
 
 
+def _op_slots(op: Op) -> tuple:
+    """Every slot of ``op`` with its type (so ``1`` is not ``True``), its
+    ``modify`` as its type and fields."""
+    values = []
+    for name in Op.__slots__:
+        value = getattr(op, name)
+        if name == "modify" and value is not None:
+            value = tuple(getattr(value, field)
+                          for field in type(value).__slots__)
+        values.append((type(getattr(op, name)), value))
+    return tuple(values)
+
+
 def _assert_same_op(a: Op, b: Op) -> None:
-    assert a.kind is b.kind
-    assert a.need_value == b.need_value
-    if a.kind is OpKind.COMPUTE:
-        assert a.cycles == b.cycles
-        return
-    if a.kind is OpKind.FENCE:
-        return
-    assert (a.addr, a.size) == (b.addr, b.size)
-    if a.kind is OpKind.STORE:
-        assert a.value == b.value
-    elif a.kind is OpKind.RMW:
-        assert type(a.modify) is type(b.modify)
-        if isinstance(a.modify, FetchAddModify):
-            assert (a.modify.delta, a.modify.mask) == \
-                (b.modify.delta, b.modify.mask)
-        else:
-            assert (a.modify.expect, a.modify.new) == \
-                (b.modify.expect, b.modify.new)
+    assert type(a) is type(b) is Op
+    assert _op_slots(a) == _op_slots(b)
 
 
 # -------------------------------------------------------------- round-trip
@@ -180,7 +177,8 @@ def _unzigzag(value):
 def _varint_edge_stream():
     """All six record kinds.  Each memory op's address delta zigzags to a
     varint boundary, and so does every operand: store values, fetch-add
-    deltas, CAS operands and compute cycles."""
+    deltas, CAS operands and compute cycles.  A store value must fit its
+    access, so the boundary values are stored as 8-byte accesses."""
     stream = []
     addr = 1 << 36
     for index, edge in enumerate(_VARINT_EDGES):
@@ -188,7 +186,9 @@ def _varint_edge_stream():
         addr += _unzigzag(edge)
         stream.append(ops.load(addr, size=1, need_value=need))
         addr += _unzigzag(edge)
-        stream.append(ops.store(addr, edge, size=1))
+        stream.append(ops.store(addr, edge & 0xFF, size=1))
+        addr -= addr % 8
+        stream.append(ops.store(addr, edge, size=8))
         addr += _unzigzag(edge)
         stream.append(ops.fetch_add(addr, _unzigzag(edge), size=1,
                                     need_value=need))
@@ -219,6 +219,21 @@ def test_roundtrip_at_varint_boundaries(tmp_path, chunk_ops):
         _assert_same_op(want, got_streamed)
 
 
+def test_kind_counts_name_every_record_kind(tmp_path):
+    """``kind_counts`` (printed by ``repro trace-info``) names each record
+    kind, RMWs split into FETCH_ADD and CAS, in name order."""
+    path = tmp_path / "edges.rtrace"
+    _write(path, [_varint_edge_stream()], chunk_ops=5)
+    counts = verify_trace(path).kind_counts
+    assert list(counts.items()) == [
+        ("CAS", 7), ("COMPUTE", 7), ("FENCE", 7), ("FETCH_ADD", 7),
+        ("LOAD", 11), ("STORE", 14)]
+    assert read_trace(path)[0].kind_counts == counts
+    _write(path, [[ops.load(0), ops.fetch_add(8)], [ops.compute(1)]])
+    assert verify_trace(path).kind_counts == {
+        "COMPUTE": 1, "FETCH_ADD": 1, "LOAD": 1}
+
+
 @pytest.mark.parametrize("kind", ["load", "store", "fetch_add", "cas"])
 def test_truncation_after_head_byte_raises(kind):
     """A frame payload that ends right after a memory op's head byte —
@@ -238,6 +253,304 @@ def test_truncation_after_head_byte_raises(kind):
         _decode_ops(bytes(payload[:1]), 1, 0)
     with pytest.raises(TraceFormatError):
         _decode_ops(bytes(payload[:record + 1]), 2, 0)
+
+
+# ------------------------------------------------------ differential decode
+
+
+def _reference_read_uvarint(data, pos):
+    result = 0
+    shift = 0
+    n = len(data)
+    while True:
+        if pos >= n:
+            raise TraceFormatError("truncated varint in trace frame")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise TraceFormatError("overlong varint in trace frame")
+
+
+def _reference_decode_ops(payload, n_ops, prev_addr):
+    """The record decoder before its varints were read inline and its ops
+    built without constructor calls: one varint call per operand and per
+    multi-byte delta, one constructor call per op.  It accepts a STORE
+    wider than its access, which :func:`_decode_ops` rejects."""
+    out = []
+    append = out.append
+    read = _reference_read_uvarint
+    load, store, fetch_add, cas = ops.load, ops.store, ops.fetch_add, ops.cas
+    pos = 0
+    try:
+        for _ in range(n_ops):
+            head = payload[pos]
+            if head & 0xC0:
+                raise TraceFormatError(f"bad record head byte {head:#04x}")
+            kind = head & 0x07
+            if kind <= trace._K_CAS:
+                delta = payload[pos + 1]
+                if delta < 0x80:
+                    pos += 2
+                else:
+                    delta, pos = read(payload, pos + 1)
+                prev_addr += (delta >> 1) ^ -(delta & 1)  # unzigzag
+                size = 1 << (head >> 3 & 0x03)
+                need = (head & 0x20) != 0
+                if kind == trace._K_LOAD:
+                    append(load(prev_addr, size, need))
+                elif kind == trace._K_STORE:
+                    if need:
+                        raise TraceFormatError(
+                            "STORE record with need_value set")
+                    value, pos = read(payload, pos)
+                    append(store(prev_addr, value, size))
+                elif kind == trace._K_FETCH_ADD:
+                    add, pos = read(payload, pos)
+                    append(fetch_add(prev_addr, (add >> 1) ^ -(add & 1),
+                                     size, need))
+                else:
+                    expect, pos = read(payload, pos)
+                    new, pos = read(payload, pos)
+                    append(cas(prev_addr, expect, new, size, need))
+            elif kind == trace._K_COMPUTE:
+                if head & 0x38:
+                    raise TraceFormatError("COMPUTE record with size/flag "
+                                           "bits set")
+                cycles, pos = read(payload, pos + 1)
+                append(ops.compute(cycles))
+            elif kind == trace._K_FENCE:
+                if head & 0x38:
+                    raise TraceFormatError("FENCE record with size/flag "
+                                           "bits set")
+                pos += 1
+                append(ops.fence())
+            else:
+                raise TraceFormatError(f"unknown record kind {kind}")
+    except IndexError:
+        raise TraceFormatError(
+            "frame payload shorter than its op count") from None
+    except ValueError as exc:
+        raise TraceFormatError(f"invalid record: {exc}") from exc
+    if pos != len(payload):
+        raise TraceFormatError(
+            f"{len(payload) - pos} trailing bytes in trace frame")
+    return out, prev_addr
+
+
+def _decode_outcome(decode, payload, n_ops, prev_addr):
+    """``(op slots, end address)``, or the :class:`TraceFormatError`
+    raised; any other exception propagates and fails the test."""
+    try:
+        decoded, end = decode(payload, n_ops, prev_addr)
+    except TraceFormatError as exc:
+        return exc
+    return [_op_slots(op) for op in decoded], end
+
+
+def _too_wide_store(slots) -> bool:
+    op = {name: value for name, (_, value) in zip(Op.__slots__, slots)}
+    return op["kind"] is OpKind.STORE and op["value"] >> (8 * op["size"])
+
+
+def _assert_decoders_agree(payload, n_ops, prev_addr):
+    """Both decoders give the same ops and end address, or both raise.
+    The one allowed difference: where the reference returns a STORE wider
+    than its access, :func:`_decode_ops` raises."""
+    payload = bytes(payload)
+    want = _decode_outcome(_reference_decode_ops, payload, n_ops, prev_addr)
+    got = _decode_outcome(_decode_ops, payload, n_ops, prev_addr)
+    if isinstance(want, TraceFormatError):
+        assert isinstance(got, TraceFormatError), got
+    elif any(_too_wide_store(slots) for slots in want[0]):
+        assert isinstance(got, TraceFormatError)
+        assert "does not fit" in str(got)
+    else:
+        assert got == want
+
+
+def _encode_stream(stream, prev_addr):
+    payload = bytearray()
+    for op in stream:
+        prev_addr = _encode_op(payload, op, prev_addr)
+    return payload
+
+
+#: Byte-level damage: overwrite, insert or delete one byte (the position
+#: is taken modulo the payload length).
+_garbles = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                              st.integers(min_value=0, max_value=1 << 12),
+                              st.integers(min_value=0, max_value=255)),
+                    max_size=3)
+_start_addrs = st.sampled_from([0, 8, 1 << 20, (1 << 36) + 3])
+
+
+def _garble(payload, garbles):
+    payload = bytearray(payload)
+    for action, pos, byte in garbles:
+        if action == "insert":
+            payload.insert(pos % (len(payload) + 1), byte)
+        elif payload and action == "set":
+            payload[pos % len(payload)] = byte
+        elif payload:
+            del payload[pos % len(payload)]
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=_streams, garbles=_garbles,
+       n_delta=st.sampled_from([0, 0, 0, -1, 1]), start=_start_addrs)
+def test_decoder_matches_reference_on_streams(streams, garbles, n_delta,
+                                              start):
+    for stream in streams:
+        payload = _encode_stream(stream, start)
+        _assert_decoders_agree(payload, len(stream), start)
+        _assert_decoders_agree(_garble(payload, garbles),
+                               max(0, len(stream) + n_delta), start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(garbles=_garbles, n_delta=st.sampled_from([0, -1, 1]))
+def test_decoder_matches_reference_at_varint_boundaries(garbles, n_delta):
+    stream = _varint_edge_stream()
+    payload = _encode_stream(stream, 0)
+    _assert_decoders_agree(payload, len(stream), 0)
+    _assert_decoders_agree(_garble(payload, garbles), len(stream) + n_delta,
+                           0)
+
+
+def _append_padded_uvarint(buf, value, pad):
+    """``value`` as a varint with ``pad`` extra all-zero groups: ``pad=0``
+    is the canonical encoding, ``1`` turns 0 into ``0x80 0x00``, and an
+    encoding longer than eleven bytes is overlong."""
+    groups = []
+    while True:
+        groups.append(value & 0x7F)
+        value >>= 7
+        if not value:
+            break
+    groups += [0] * pad
+    for group in groups[:-1]:
+        buf.append(group | 0x80)
+    buf.append(groups[-1])
+
+
+#: Every head byte a record can start with.
+_VALID_HEADS = [kind | size_bits << 3 | need
+                for kind in range(trace._K_FENCE + 1)
+                for size_bits in range(4) for need in (0, 0x20)]
+_FIELD_COUNTS = {trace._K_LOAD: 1, trace._K_STORE: 2, trace._K_FETCH_ADD: 2,
+                 trace._K_CAS: 3, trace._K_COMPUTE: 1, trace._K_FENCE: 0}
+_field_values = st.one_of(
+    st.sampled_from(_VARINT_EDGES),
+    st.integers(min_value=0, max_value=64).map(lambda n: n * 16),
+    st.integers(min_value=0, max_value=1 << 70))
+
+
+@st.composite
+def _padded_record(draw):
+    """One record, possibly with a head no record has, whose varints may
+    be non-canonical or overlong and whose STORE value may not fit."""
+    head = draw(st.one_of(st.sampled_from(_VALID_HEADS),
+                          st.integers(min_value=0, max_value=255)))
+    fields = _FIELD_COUNTS.get(head & 0x07, 1)
+    record = bytearray([head])
+    for _ in range(fields):
+        _append_padded_uvarint(record, draw(_field_values),
+                               draw(st.sampled_from([0, 0, 0, 1, 2, 4, 10])))
+    return record
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_padded_record(), max_size=8),
+       n_delta=st.sampled_from([0, 0, 0, -1, 1]), start=_start_addrs)
+def test_decoder_matches_reference_on_padded_varints(records, n_delta,
+                                                     start):
+    _assert_decoders_agree(b"".join(records),
+                           max(0, len(records) + n_delta), start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=st.binary(max_size=64),
+       n_ops=st.integers(min_value=0, max_value=20), start=_start_addrs)
+def test_decoder_matches_reference_on_garbage(payload, n_ops, start):
+    _assert_decoders_agree(payload, n_ops, start)
+
+
+@pytest.mark.parametrize("kind", ["load", "store", "fetch_add", "cas"])
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_unaligned_record_raises(kind, size):
+    """A memory record whose address is not a multiple of its size is
+    rejected, whether its op is interned, built in place or constructed."""
+    op = {"load": ops.load(size, size=size),
+          "store": ops.store(size, 1, size=size),
+          "fetch_add": ops.fetch_add(size, 1, size=size),
+          "cas": ops.cas(size, 0, 1, size=size)}[kind]
+    payload = bytearray()
+    _encode_op(payload, op, 0)
+    assert len(_decode_ops(bytes(payload), 1, 0)[0]) == 1
+    with pytest.raises(TraceFormatError, match="unaligned access"):
+        _decode_ops(bytes(payload), 1, 1)
+    _assert_decoders_agree(payload, 1, 1)
+
+
+def test_noncanonical_varints_decode_like_canonical_ones():
+    """``0x80 0x00`` is a two-byte zero: the delta, the STORE value and the
+    COMPUTE cycle count all accept it, as the reference does."""
+    payload = bytes([trace._K_STORE | trace._SIZE_LOG2[8] << 3,
+                     0x80, 0x00, 0x80, 0x00, trace._K_COMPUTE, 0x80, 0x00])
+    decoded, end = _decode_ops(payload, 2, 64)
+    assert end == 64
+    _assert_same_op(decoded[0], ops.store(64, 0, size=8))
+    _assert_same_op(decoded[1], ops.compute(0))
+    _assert_decoders_agree(payload, 2, 64)
+
+
+# ------------------------------------------------- STORE wider than access
+
+
+def test_writer_rejects_store_wider_than_its_access(tmp_path):
+    writer = TraceWriter(tmp_path / "x.rtrace", num_threads=1)
+    with pytest.raises(TraceFormatError, match="does not fit"):
+        writer.append(0, ops.store(0x40000, 1 << 40, 4))
+    writer.append(0, ops.store(0x40000, (1 << 32) - 1, 4))
+    writer.abort()
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_decoder_rejects_store_wider_than_its_access(size):
+    widest = ops.store(8, (1 << (8 * size)) - 1, size=size)
+    payload = bytearray()
+    _encode_op(payload, widest, 0)
+    (decoded,), _ = _decode_ops(bytes(payload), 1, 0)
+    _assert_same_op(decoded, widest)
+    wide = bytearray([trace._K_STORE | trace._SIZE_LOG2[size] << 3, 16])
+    trace._append_uvarint(wide, 1 << (8 * size))
+    with pytest.raises(TraceFormatError, match="does not fit"):
+        _decode_ops(bytes(wide), 1, 0)
+
+
+def test_trace_with_too_wide_store_fails_verify_and_replay(tmp_path):
+    """A well-formed file (valid frames, counts and digest) holding a STORE
+    wider than its access is rejected by ``verify_trace`` and fails replay
+    with a :class:`TraceFormatError` rather than inside the simulator."""
+    from repro.harness.runner import execute_spec
+    from repro.workloads.trace import trace_spec
+
+    path = tmp_path / "wide.rtrace"
+    record = bytearray([trace._K_STORE | trace._SIZE_LOG2[4] << 3])
+    trace._append_uvarint(record, trace._zigzag(0x40000))
+    trace._append_uvarint(record, 1 << 40)
+    writer = TraceWriter(path, num_threads=1)
+    writer._append_records(0, record, 1, 0x40000)
+    writer.close()
+    with pytest.raises(TraceFormatError, match="does not fit"):
+        verify_trace(path)
+    with pytest.raises(TraceFormatError, match="does not fit"):
+        execute_spec(trace_spec(path))
 
 
 # -------------------------------------------------------------- rejection
