@@ -11,15 +11,17 @@ Four tools live here:
   transient-context age limits).
 * :mod:`repro.check.fuzz` — a random protocol tester that drives
   randomized per-line load/store/RMW/evict streams across the three
-  protocol modes with the sanitizer enabled, and delta-debugs any failing
-  schedule down to a minimal reproducing pytest case.  It also holds the
+  protocol modes with the sanitizer enabled, checks loads and the final
+  memory image against the atomic reference model, and delta-debugs any
+  failing schedule down to a minimal reproducing pytest case.  It also holds the
   campaign core the fuzz, diff and chaos campaigns share: the one
   schedule executor, case rotation, shrink session and repro renderer.
 * :mod:`repro.check.refmodel` — a timing-agnostic, transient-state-free
   atomic machine: a second, independent implementation of the protocol's
   observable semantics (final memory image + ground-truth access sets)
-  that consumes the same translated op schedules as the detailed
-  simulator.
+  and the one semantics of a fuzz schedule — it executes each schedule's
+  translated op stream while the translation is built, and every
+  expected value the campaigns check comes from that execution.
 * :mod:`repro.check.diff` — the differential driver: replays any schedule
   on the detailed machine (every protocol mode) and on the atomic
   reference, comparing memory images, detection verdicts, metadata,

@@ -47,7 +47,6 @@ from repro.check.fuzz import (
     FuzzFailure,
     FuzzOp,
     ShrinkSession,
-    _split,
     campaign_cases,
     execute,
     fuzz_config,
@@ -56,7 +55,7 @@ from repro.check.fuzz import (
     schedule_to_ops,
 )
 from repro.check.mutations import MUTATIONS, mutation_context
-from repro.check.refmodel import RefResult, run_programs_atomic, run_reference
+from repro.check.refmodel import RefResult, run_programs_atomic
 from repro.coherence.states import DirState, L1State, ProtocolMode
 from repro.common.bitvec import iter_set_bits
 from repro.common.config import SystemConfig
@@ -294,22 +293,19 @@ def run_differential(
     """
     modes = list(modes or ProtocolMode)
     config = config or fuzz_config(num_threads)
-    # Translate the schedule once and share the op stream: the reference
-    # and every detailed mode execute the same footprint by construction,
-    # so there is no reason to pay the O(n) translation 1 + len(modes)
-    # times per call (mutations rewrite protocol behaviour, never the
-    # schedule translation).
-    flat, expectations = schedule_to_ops(schedule, num_threads, config,
-                                         check_loads=False)
-    translated = (_split(flat, num_threads), expectations)
-    ref = run_reference(schedule, num_threads, config, flat=flat)
+    # Translate once: the translation runs the reference, and every mode
+    # executes its op stream (mutations rewrite protocol behaviour, never
+    # the translation).
+    translated = schedule_to_ops(schedule, num_threads, config,
+                                 check_loads=False)
+    ref = translated[1]
     report = DiffReport(modes_run=list(modes))
     images: List[Tuple[ProtocolMode, object]] = []
     for mode in modes:
         run, image, per_mode = execute(
             schedule, mode, num_threads, config, sanitize=False,
             mutation=mutation, check_loads=False,
-            differential={}, reference=ref, translated=translated)
+            differential={}, translated=translated)
         if per_mode is None:
             report.divergences.append(Divergence(
                 "run", mode, None, run.failure.describe()))

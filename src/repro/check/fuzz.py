@@ -7,16 +7,20 @@ the online sanitizer attached, and checks four failure channels:
 1. the run itself (invariant violations, protocol errors, deadlocks, and
    in-program load-value assertions),
 2. the sanitizer's final full pass (``check_all``),
-3. the flushed final memory image against a reference computed from the
-   schedule alone, and
+3. the flushed final memory image against the atomic reference model
+   (:mod:`repro.check.refmodel`), and
 4. (opt-in, ``differential=True``) a full differential comparison against
-   the atomic reference model of :mod:`repro.check.refmodel`.
+   that same reference.
 
-Reference values are computable for *any* sub-schedule because schedules
-are built from single-writer slots (each thread owns one 8-byte slot per
-line) plus commutative fetch-adds on shared words — which is what makes
-delta-debugging (:func:`shrink_schedule`) sound: every subset of a
-schedule is itself a valid program with a known expected outcome.
+The atomic machine is the one schedule semantics: :func:`schedule_to_ops`
+runs every op on it while translating, so the in-program load assertions,
+the final-image check and the differential oracle all read one atomic
+execution.  Its outcome is the outcome of *every* legal interleaving
+because schedules are built from single-writer slots (each thread owns
+one 8-byte slot per line) plus commutative fetch-adds on shared words —
+which is what makes delta-debugging (:func:`shrink_schedule`) sound: every
+subset of a schedule is itself a valid program with a known expected
+outcome.
 
 Schedule families:
 
@@ -46,6 +50,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.check.mutations import mutation_context
+from repro.check.refmodel import AtomicMachine, RefResult
 from repro.check.sanitizer import InvariantViolation, Sanitizer
 from repro.coherence.states import ProtocolMode
 from repro.common.config import CacheConfig, SystemConfig
@@ -278,33 +283,30 @@ def make_schedule(
 # ------------------------------------------------------------- execution
 
 
-def _is_shared(op: FuzzOp, num_threads: int) -> bool:
-    return op.offset >= SLOT * num_threads
-
-
 def schedule_to_ops(
     schedule: List[FuzzOp],
     num_threads: int,
     config: SystemConfig,
     check_loads: bool = True,
-) -> Tuple[List[Tuple[int, Op, Optional[int], str]],
-           List[Tuple[int, int, str]]]:
+) -> Tuple[List[Tuple[int, Op, Optional[int], str]], RefResult]:
     """Translate a schedule into one flat ``(tid, op, expected, label)``
-    stream in schedule order, plus the expected final image, modelling
-    single-writer slots exactly and shared words as sums.
+    stream in schedule order, executing every op on one
+    :class:`~repro.check.refmodel.AtomicMachine` as it goes.
 
-    This is the single schedule→:class:`Op` translation: the detailed
-    simulator's thread programs (:func:`execute`) and the atomic
-    reference model (:mod:`repro.check.refmodel`) both consume it, so the
-    two machines execute the *same* operation footprint by construction.
+    This is the single schedule→:class:`Op` translation and the single
+    schedule semantics: the detailed simulator's thread programs
+    (:func:`execute`) run the stream, and the atomic machine that ran it
+    is the reference every expected value comes from.  A private load's or
+    RMW's ``expected`` is what the atomic machine returned; shared words
+    (racing fetch-adds) stay unchecked.
 
     ``check_loads=False`` suppresses the expected values of loads and RMWs
     (every ``expected`` is None), producing assertion-free programs for
     differential runs that must be judged by an external oracle only.  The
-    :class:`Op` stream is identical either way.
+    :class:`Op` stream and the reference are identical either way.
 
-    Returns ``(flat, expectations)`` where each expectation is
-    ``(addr, want_value, label)`` for one 8-byte word.  Raises
+    Returns ``(flat, reference)``, the reference as a finished
+    :class:`~repro.check.refmodel.RefResult`.  Raises
     :class:`ConfigError` for a schedule line at or past the L1's set
     count (an evict's pressure loads read lines one set span apart, so
     such a line could be one of them) and for more threads than a line
@@ -319,15 +321,10 @@ def schedule_to_ops(
             f"slots: at most {block // SLOT} threads fit a {block}-byte "
             f"line")
     set_span = num_sets * block
-    model: Dict[int, bytearray] = {}
-    shared_total: Dict[Tuple[int, int], int] = {}
+    shared_from = SLOT * num_threads
+    atomic = AtomicMachine(config, num_threads)
     evict_seq: Dict[Tuple[int, int], int] = {}
     flat: List[Tuple[int, Op, Optional[int], str]] = []
-
-    def line_model(line: int) -> bytearray:
-        if line not in model:
-            model[line] = bytearray(block)
-        return model[line]
 
     # Labels are *thread-local* (t2#5 = thread 2's 6th schedule element):
     # dropping another thread's op never re-labels this thread's.  Failure
@@ -353,52 +350,24 @@ def schedule_to_ops(
             ways = config.l1.associativity
             for k in range(ways):
                 slot = 1 + (fop.tid * 64 + seq) * ways + k
-                addr = base + slot * set_span
-                flat.append((fop.tid, load(addr, size=SLOT),
-                             0 if check_loads else None,
+                op = load(base + slot * set_span, size=SLOT)
+                got = atomic.execute(fop.tid, op)
+                flat.append((fop.tid, op, got if check_loads else None,
                              f"{label} pressure#{k}"))
             continue
         addr = BASE + fop.line * block + fop.offset
-        data = line_model(fop.line)
-        lo, hi = fop.offset, fop.offset + fop.size
         if fop.kind == "store":
-            data[lo:hi] = fop.value.to_bytes(fop.size, "little")
-            flat.append((fop.tid, store(addr, fop.value, size=fop.size),
-                         None, label))
+            op = store(addr, fop.value, size=fop.size)
         elif fop.kind == "rmw":
-            if _is_shared(fop, num_threads):
-                key = (fop.line, fop.offset)
-                shared_total[key] = shared_total.get(key, 0) + fop.value
-                flat.append((fop.tid,
-                             fetch_add(addr, fop.value, size=fop.size),
-                             None, label))
-            else:
-                old = int.from_bytes(data[lo:hi], "little")
-                new = (old + fop.value) & ((1 << (8 * fop.size)) - 1)
-                data[lo:hi] = new.to_bytes(fop.size, "little")
-                flat.append((fop.tid,
-                             fetch_add(addr, fop.value, size=fop.size),
-                             old if check_loads else None, label))
-        else:  # load
-            if check_loads and not _is_shared(fop, num_threads):
-                expected = int.from_bytes(data[lo:hi], "little")
-            else:
-                expected = None  # racing adds: value not predictable
-            flat.append((fop.tid, load(addr, size=fop.size), expected,
-                         label))
-
-    expectations: List[Tuple[int, int, str]] = []
-    for line, data in sorted(model.items()):
-        base = BASE + line * block
-        for off in range(0, block, SLOT):
-            key = (line, off)
-            if key in shared_total:
-                want = shared_total[key] & ((1 << (8 * SLOT)) - 1)
-            else:
-                want = int.from_bytes(data[off:off + SLOT], "little")
-            expectations.append(
-                (base + off, want, f"line {line} offset {off}"))
-    return flat, expectations
+            op = fetch_add(addr, fop.value, size=fop.size)
+        else:
+            op = load(addr, size=fop.size)
+        got = atomic.execute(fop.tid, op)
+        # A store returns None; a shared word's value depends on how the
+        # racing adds interleave, so it is not predictable.
+        checked = check_loads and fop.offset < shared_from
+        flat.append((fop.tid, op, got if checked else None, label))
+    return flat, RefResult(machine=atomic)
 
 
 def _schedule_program(items):
@@ -411,27 +380,36 @@ def _schedule_program(items):
                 f"{label}: loaded {result:#x}, expected {expected:#x}")
 
 
-def _split(flat, num_threads: int
-           ) -> List[List[Tuple[Op, Optional[int], str]]]:
-    """Per-thread ``(op, expected, label)`` item lists of a flat stream."""
+def _thread_programs(flat, num_threads: int) -> list:
+    """One generator thread program per thread over a translated flat
+    stream, each asserting its ops' expected values."""
     per_thread: List[List[Tuple[Op, Optional[int], str]]] = [
         [] for _ in range(num_threads)]
     for tid, op, expected, label in flat:
         per_thread[tid].append((op, expected, label))
-    return per_thread
+    return [_schedule_program(items) for items in per_thread]
 
 
-def _translate(
-    schedule: List[FuzzOp],
-    num_threads: int,
-    config: SystemConfig,
-    check_loads: bool = True,
-) -> Tuple[List[List[Tuple[Op, Optional[int], str]]],
-           List[Tuple[int, int, str]]]:
-    """Per-thread translated item lists plus the expected final image."""
-    flat, expectations = schedule_to_ops(
-        schedule, num_threads, config, check_loads=check_loads)
-    return _split(flat, num_threads), expectations
+def _final_image_mismatch(schedule, config: SystemConfig, image,
+                          ref: RefResult) -> Optional[FuzzFailure]:
+    """The first 8-byte word of a line the schedule accesses whose final
+    value differs from the reference's, as a ``"final-image"`` failure."""
+    block = config.block_size
+    lines = sorted({fop.line for fop in schedule
+                    if fop.kind not in ("pause", "evict")})
+    for line in lines:
+        base = BASE + line * block
+        got_line = image.get(base, bytes(block))
+        want_line = ref.image.get(base)
+        for off in range(0, block, SLOT):
+            got = int.from_bytes(got_line[off:off + SLOT], "little")
+            want = int.from_bytes(want_line[off:off + SLOT], "little")
+            if got != want:
+                return FuzzFailure(
+                    "final-image", "mismatch",
+                    f"line {line} offset {off}: final value {got:#x}, "
+                    f"expected {want:#x}")
+    return None
 
 
 def execute(
@@ -444,7 +422,6 @@ def execute(
     mutation: Optional[str] = None,
     check_loads: bool = True,
     differential: Optional[dict] = None,
-    reference=None,
     translated=None,
 ):
     """Execute one schedule; never raises for protocol failures.
@@ -452,34 +429,36 @@ def execute(
     The one executor behind :func:`run_schedule`,
     :func:`repro.check.diff.run_differential` and
     :func:`repro.faults.chaos.run_chaos_case`.  In order it translates the
-    schedule, builds the machine with ``plan``'s
+    schedule (:func:`schedule_to_ops`, which also runs the atomic
+    reference), builds the machine with ``plan``'s
     :class:`~repro.faults.injector.FaultInjector` (if any) and then the
     sanitizer attached, runs it from cycle 0, and judges it:
 
     * ``InvariantViolation`` fails stage ``"invariant"``; any other
       :class:`ReproError` or an in-program ``AssertionError`` fails stage
       ``"run"``;
-    * with ``check_loads`` the flushed image must match the schedule's
-      expected values (stage ``"final-image"``).  ``check_loads=False``
-      builds assertion-free programs (same op stream) and skips this check,
-      so only external oracles judge the run;
+    * with ``check_loads`` every 8-byte word of every line the schedule
+      accesses must match the reference's final image (stage
+      ``"final-image"``).  ``check_loads=False`` builds assertion-free
+      programs (same op stream) and skips this check, so only external
+      oracles judge the run;
     * ``differential`` (a dict of :func:`repro.check.diff.
-      differential_check` options) compares the machine against the atomic
-      reference (``reference``, or computed here) — stage
-      ``"differential"``.
+      differential_check` options) compares the machine against the same
+      reference — stage ``"differential"``.
 
-    ``translated`` is a precomputed :func:`_translate` result.
+    ``translated`` is a precomputed :func:`schedule_to_ops` result for
+    this exact ``(schedule, num_threads, config, check_loads)``: callers
+    that run one schedule several times share one translation.
 
     Returns ``(report, image, diff)``: the flushed image and the
     :class:`~repro.check.diff.DiffReport` are None when the run failed
     before them (``diff`` also when ``differential`` is None).
     """
+    flat, ref = translated or schedule_to_ops(
+        schedule, num_threads, config, check_loads=check_loads)
     with mutation_context(mutation):
-        per_thread, expectations = translated or _translate(
-            schedule, num_threads, config, check_loads=check_loads)
         machine = build_machine(config, mode)
-        machine.attach_programs(
-            [_schedule_program(items) for items in per_thread])
+        machine.attach_programs(_thread_programs(flat, num_threads))
         # Injector first: its state faults land before the sanitizer's
         # per-delivery checks of the same message, so corruption is
         # judged at the earliest possible instant.
@@ -516,24 +495,14 @@ def execute(
                 return RunReport(False, failure, fired=fired), None, None
             image = flush_machine_memory(machine)
             if check_loads:
-                for addr, want, label in expectations:
-                    base = addr & ~(config.block_size - 1)
-                    data = image.get(base, bytes(config.block_size))
-                    off = addr - base
-                    got = int.from_bytes(data[off:off + SLOT], "little")
-                    if got != want:
-                        return RunReport(False, FuzzFailure(
-                            "final-image", "mismatch",
-                            f"{label}: final value {got:#x}, expected "
-                            f"{want:#x}"), fired=fired), image, None
+                failure = _final_image_mismatch(schedule, config, image, ref)
+                if failure is not None:
+                    return RunReport(False, failure, fired=fired), image, None
             diff = None
             if differential is not None:
                 # Imported lazily: repro.check.diff imports this module.
                 from repro.check.diff import differential_check
-                from repro.check.refmodel import run_reference
 
-                ref = (reference if reference is not None
-                       else run_reference(schedule, num_threads, config))
                 diff = differential_check(machine, ref, image=image,
                                           **differential)
                 if diff.divergences:
@@ -562,9 +531,10 @@ def run_schedule(
     """Execute one fault-free schedule through :func:`execute`; never
     raises for protocol failures.
 
-    ``differential=True`` additionally replays the schedule on the atomic
-    reference model (:mod:`repro.check.refmodel`) and compares final memory,
-    detection verdicts, metadata attribution and counter bounds
+    ``differential=True`` additionally compares the machine against the
+    atomic reference model (:mod:`repro.check.refmodel`) that the
+    schedule's translation ran: final memory, detection verdicts, metadata
+    attribution and counter bounds
     (:func:`repro.check.diff.differential_check`); a divergence fails the
     report with stage ``"differential"``.
     """

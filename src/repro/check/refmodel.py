@@ -17,12 +17,15 @@ That makes it a second, independent implementation of the protocol's
 * the ground-truth access sets that detection metadata (PAM/SAM) and the
   FC/IC counters may only ever under-approximate.
 
-The differential driver (:mod:`repro.check.diff`) replays a schedule on
-both machines and compares; :func:`run_reference` executes the same
-translated :class:`~repro.cpu.ops.Op` stream as the detailed simulator
-(via :func:`repro.check.fuzz.schedule_to_ops`) in schedule list order —
-one legal interleaving, and for the fuzzer's single-writer/commutative
-schedule families the *unique* final image of every legal interleaving.
+It is also the one semantics of a fuzz schedule:
+:func:`repro.check.fuzz.schedule_to_ops` executes every translated
+:class:`~repro.cpu.ops.Op` on an :class:`AtomicMachine` in schedule list
+order while it translates — one legal interleaving, and for the fuzzer's
+single-writer/commutative schedule families the *unique* final image of
+every legal interleaving.  The campaigns' load assertions and final-image
+check read their expected values off that execution, and the
+differential driver (:mod:`repro.check.diff`) compares the detailed
+machine against it; :func:`run_reference` returns it alone.
 
 For workload generators (whose control flow reacts to loaded values —
 spinlocks, CAS loops), :func:`run_programs_atomic` drives the programs
@@ -234,30 +237,21 @@ def run_reference(
     schedule,
     num_threads: int,
     config: Optional[SystemConfig] = None,
-    flat=None,
 ) -> RefResult:
     """Execute a fuzz schedule on the atomic machine, in schedule list
     order (a legal interleaving: the list interleaves per-thread program
     order, which dropping elements preserves — the same property that makes
     ddmin over schedules sound).
 
-    ``flat`` (when given) is the pre-translated ``check_loads=False`` op
-    stream for this exact ``(schedule, num_threads, config)`` — callers
-    that already paid for the translation (``run_differential`` shares one
-    across the reference and every mode) pass it to skip re-translating.
+    The reference :func:`repro.check.fuzz.schedule_to_ops` runs while it
+    translates the schedule; this returns it and drops the op stream.
     """
-    # Imported here: fuzz imports this module lazily for its differential
-    # oracle, and the translation must be fuzz's own (footprint parity).
+    # Imported here: fuzz imports this module for its reference machine.
     from repro.check.fuzz import fuzz_config, schedule_to_ops
 
     config = config or fuzz_config(num_threads)
-    if flat is None:
-        flat, _ = schedule_to_ops(schedule, num_threads, config,
-                                  check_loads=False)
-    machine = AtomicMachine(config, num_threads)
-    for tid, op, _expected, _label in flat:
-        machine.execute(tid, op)
-    return RefResult(machine=machine)
+    return schedule_to_ops(schedule, num_threads, config,
+                           check_loads=False)[1]
 
 
 def run_programs_atomic(

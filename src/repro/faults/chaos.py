@@ -10,7 +10,7 @@ judges schedules:
 1. the run itself (invariant violations, protocol errors, deadlocks,
    in-program load assertions),
 2. the sanitizer's final full pass, and
-3. the flushed memory image against the schedule's reference values
+3. the flushed memory image against the atomic reference model's
    (faults may never corrupt data — only detection accuracy).
 
 A surviving case yields a :class:`~repro.faults.degradation.
@@ -37,6 +37,7 @@ from repro.check.fuzz import (
     execute,
     fuzz_config,
     render_repro,
+    schedule_to_ops,
 )
 from repro.coherence.states import ProtocolMode
 from repro.common.config import SystemConfig
@@ -135,13 +136,17 @@ def chaos_campaign(
         plan = family_plan(case.fault_family, seed=case.case_seed,
                            intensity=intensity)
         case_config = chaos_config(num_threads, shrunken_sam=shrunken_sam)
+        # The schedule is fixed and only the plan changes, so the twin,
+        # the faulted run and every shrink evaluation share one
+        # translation (and the reference it ran).
+        translated = schedule_to_ops(schedule, num_threads, case_config)
 
         def run(the_plan: Optional[FaultPlan]) -> RunReport:
-            return run_chaos_case(
-                schedule, mode=case.mode, plan=the_plan,
-                num_threads=num_threads, config=case_config,
-                shrunken_sam=shrunken_sam,
-                mutation=mutation, differential=differential)
+            return execute(
+                schedule, case.mode, num_threads, case_config, the_plan,
+                mutation=mutation,
+                differential=FAULTED_CHECKS if differential else None,
+                translated=translated)[0]
 
         twin = run(None)
         faulted = run(plan)

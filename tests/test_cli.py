@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -52,6 +54,18 @@ class TestCli:
 
     def test_run_ooo_core(self, capsys):
         assert main(["run", "ww", "--core", "ooo", "--scale", "0.1"]) == 0
+
+    def test_profile(self, capsys, tmp_path):
+        import pstats
+
+        path = tmp_path / "ww.prof"
+        assert main(["profile", "ww", "--scale", "0.1", "--top", "5",
+                     "--sort", "tottime", "--stats-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^# ww mesi packed scale=0\.1 seed=0: \d+ cycles "
+                         r"in \d+\.\d\ds wall$", out, re.M), out
+        assert f"raw profile written to {path}" in out
+        assert pstats.Stats(str(path)).total_calls > 0
 
 
 class TestTraceCli:

@@ -44,15 +44,14 @@ def test_clean_schedules_have_no_divergence(family):
 def _detailed_machine(schedule, mode, config, sanitize):
     """A finished detailed run of ``schedule`` with assertion-free
     programs (the sanitizer, when attached, must stay clean)."""
-    from repro.check.fuzz import _schedule_program, _translate
+    from repro.check.fuzz import _thread_programs, schedule_to_ops
     from repro.check.sanitizer import Sanitizer
     from repro.system.builder import build_machine
     from repro.system.simulator import Simulator
 
     machine = build_machine(config, mode)
-    per_thread, _ = _translate(schedule, 4, config, check_loads=False)
-    machine.attach_programs(
-        programs=[_schedule_program(items) for items in per_thread])
+    flat, _ = schedule_to_ops(schedule, 4, config, check_loads=False)
+    machine.attach_programs(programs=_thread_programs(flat, 4))
     sanitizer = Sanitizer(machine).attach() if sanitize else None
     Simulator(machine).run()
     if sanitizer is not None:

@@ -170,26 +170,3 @@ def test_schedule_to_ops_preserves_program_order(family, seed, length):
                                       check_loads=False)
         assert [(o.kind, o.addr, o.size) for (_t, o, _e, _l) in sub_flat] \
             == [(o.kind, o.addr, o.size) for o in ops]
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_schedule_to_ops_expectations_match_reference(seed):
-    """The translator's own slot expectations agree with the atomic
-    reference model executing the same flat list — two independent
-    derivations of the final image."""
-    from repro.check.refmodel import run_reference
-
-    num_threads = 4
-    config = fuzz_config(num_threads)
-    schedule = make_schedule("mixed", random.Random(seed),
-                             num_threads=num_threads, length=40)
-    _flat, expectations = schedule_to_ops(schedule, num_threads, config)
-    ref = run_reference(schedule, num_threads, config)
-    image = ref.image
-    for addr, want, label in expectations:
-        base = addr & ~(config.block_size - 1)
-        off = addr - base
-        data = image.get(base)
-        got = int.from_bytes(data[off:off + 8], "little")
-        assert got == want, label

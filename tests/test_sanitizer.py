@@ -65,11 +65,10 @@ def test_violation_carries_structured_context():
         from repro.system.builder import build_machine
 
         machine = build_machine(config, ProtocolMode.FSLITE)
-        from repro.check.fuzz import _schedule_program, _translate
+        from repro.check.fuzz import _thread_programs, schedule_to_ops
 
-        per_thread, _ = _translate(schedule, 4, config)
-        machine.attach_programs(
-            programs=[_schedule_program(items) for items in per_thread])
+        flat, _ = schedule_to_ops(schedule, 4, config)
+        machine.attach_programs(programs=_thread_programs(flat, 4))
         sanitizer = Sanitizer(machine).attach()
         from repro.system.simulator import Simulator
 
